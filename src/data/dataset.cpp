@@ -24,7 +24,8 @@ void require_shape(const DatasetInfo& info) {
 }
 
 std::uint64_t header_checksum(const FileHeader& h) {
-  return fnv1a(&h, sizeof(FileHeader) - sizeof(std::uint64_t));
+  return fnv1a(&h, sizeof(FileHeader) - sizeof(std::uint64_t),
+               kFnv1aBasis);
 }
 
 FileHeader header_from_info(const DatasetInfo& info) {
@@ -115,7 +116,7 @@ void DatasetWriter::add_chunk(std::uint64_t index,
   }
   payload.insert(payload.end(), dcf.begin(), dcf.end());
   ch.payload_checksum =
-      fnv1a(payload.data(), payload.size() * sizeof(double));
+      fnv1a(payload.data(), payload.size() * sizeof(double), kFnv1aBasis);
 
   f_.write(reinterpret_cast<const char*>(&ch), sizeof(ch));
   f_.write(reinterpret_cast<const char*>(payload.data()),
@@ -263,8 +264,8 @@ bool DatasetReader::next(Chunk& out) {
       reject(offset, slot, "truncated chunk payload");
       return false;
     }
-    if (fnv1a(payload.data(), payload.size() * sizeof(double)) !=
-        ch.payload_checksum) {
+    if (fnv1a(payload.data(), payload.size() * sizeof(double),
+              kFnv1aBasis) != ch.payload_checksum) {
       // The header was self-consistent so the stream stays aligned; if the
       // corruption did extend past this chunk, the next header read fails
       // its own checks and resyncs.

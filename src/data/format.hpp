@@ -31,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/hash.hpp"
+
 namespace jigsaw::data {
 
 inline constexpr std::uint32_t kFileMagic = 0x4A4B5344;   // "JKSD"
@@ -51,8 +53,9 @@ enum class Source : std::uint32_t {
   kSheppLogan = 1,  // trajectory::shepp_logan() phantom at grid size n
 };
 
-/// Fixed 56-byte file header. `checksum` is fnv1a() over the first 48
-/// bytes (everything before the checksum field itself).
+/// Fixed 56-byte file header. `checksum` is fnv1a() with kFnv1aBasis
+/// (common/hash.hpp, as are the payload checksums) over the first 48 bytes
+/// (everything before the checksum field itself).
 struct FileHeader {
   std::uint32_t magic = kFileMagic;
   std::uint32_t version = kFormatVersion;
@@ -80,20 +83,6 @@ struct ChunkHeader {
   std::uint64_t reserved = 0;
 };
 static_assert(sizeof(ChunkHeader) == 48, "JKSD chunk header layout");
-
-/// FNV-1a 64-bit over a byte range — the integrity hash of both headers
-/// and payloads (fast, dependency-free; this is corruption *detection* for
-/// storage glitches, not an adversarial MAC).
-inline std::uint64_t fnv1a(const void* data, std::size_t len,
-                           std::uint64_t seed = 0xcbf29ce484222325ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Payload size implied by a chunk's sample count and the dataset shape.
 inline std::uint64_t chunk_payload_bytes(std::uint64_t m, std::uint32_t dim,

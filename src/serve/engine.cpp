@@ -5,6 +5,7 @@
 #include <random>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "core/recon.hpp"
 #include "core/sense.hpp"
 #include "obs/obs.hpp"
@@ -13,17 +14,6 @@
 namespace jigsaw::serve {
 
 namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t seed = 1469598103934665603ull) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 const char* status_counter(Status s) {
   switch (s) {
@@ -91,7 +81,7 @@ ServeEngine::GeometryKey ServeEngine::key_of(const ReconJob& job) {
   // geometries is vanishingly unlikely; m and n participating in the key
   // narrows it further.
   key.traj_hash = fnv1a(job.samples.coords.data(),
-                        key.m * sizeof(Coord<2>));
+                        key.m * sizeof(Coord<2>), kFnv1aShortBasis);
   const auto& o = job.options;
   // An even count of int32 fields keeps sizeof == sum-of-members: the
   // struct is hashed as raw bytes, so a padding hole before the double
@@ -110,7 +100,7 @@ ServeEngine::GeometryKey ServeEngine::key_of(const ReconJob& job) {
         o.sigma};
   static_assert(sizeof(sig) == 8 * sizeof(std::int32_t) + sizeof(double),
                 "options signature must have no padding bytes");
-  key.options_sig = fnv1a(&sig, sizeof sig);
+  key.options_sig = fnv1a(&sig, sizeof sig, kFnv1aShortBasis);
   return key;
 }
 

@@ -10,7 +10,9 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "common/hash.hpp"
 #include "core/gridder.hpp"
 #include "tune/key.hpp"
 
@@ -34,6 +36,45 @@ int remaining_ms(Clock::time_point deadline) {
   return static_cast<int>(std::min<long long>(left, INT_MAX));
 }
 
+/// When the router stops waiting for a worker: slightly past the client's
+/// own deadline, so a worker that answers TIMEOUT itself gets its
+/// (authoritative) reply relayed; forward_timeout_ms when unbounded.
+Clock::time_point wait_deadline(const RouterConfig& config,
+                                Clock::time_point start,
+                                std::uint64_t deadline_ms) {
+  return start + std::chrono::milliseconds(
+                     deadline_ms > 0
+                         ? static_cast<long long>(deadline_ms) +
+                               config.deadline_slack_ms
+                         : static_cast<long long>(config.forward_timeout_ms));
+}
+
+/// Status and message of a worker's recon or session reply; throws on a
+/// malformed body.
+std::pair<Status, std::string> reply_status(
+    MsgType type, const std::vector<std::uint8_t>& body) {
+  if (type == MsgType::kReconReply) {
+    ReconReplyWire r = decode_recon_reply(body.data(), body.size());
+    return {r.status, std::move(r.message)};
+  }
+  SessionReplyWire r = decode_session_reply(body.data(), body.size());
+  return {r.status, std::move(r.message)};
+}
+
+enum class Route {
+  kSharded,       // rendezvous rank order of a shard key, with spill
+  kSticky,        // the session's pinned worker, no failover
+  kWorkerDirect,  // refused: the request names worker-local state
+  kLocal,         // answered by the router itself
+};
+
+enum class Pin {
+  kNone,
+  kOnOk,        // an OK reply pins its session to the answering worker
+  kDropIfLost,  // a lost worker takes the session with it
+  kDrop,        // the session ends here whatever the outcome
+};
+
 }  // namespace
 
 struct Router::Worker {
@@ -51,16 +92,70 @@ struct Router::Worker {
   std::vector<int> pool;  // idle connected fds, most recently used last
 };
 
-/// One forwarded request's terminal state: either a worker's reply body to
-/// relay verbatim, or a router-synthesized status.
+/// What the router needs from a request body: where the request goes and
+/// how to address a reply the router makes itself.
+struct Router::Request {
+  std::uint64_t shard = 0;        // sharded: rendezvous key
+  std::uint64_t session_id = 0;   // sticky
+  std::uint64_t frame_index = 0;
+  std::uint64_t deadline_ms = 0;  // 0 = unbounded
+  std::uint64_t client_tag = 0;
+  std::uint32_t n = 0;
+
+  /// A router-made reply of `type` carrying `status` and `message`.
+  std::vector<std::uint8_t> answer(MsgType type, Status status,
+                                   std::string message) const {
+    if (type == MsgType::kReconReply) {
+      ReconReplyWire r;
+      r.status = status;
+      r.n = n;
+      r.client_tag = client_tag;
+      r.message = std::move(message);
+      return encode_recon_reply(r);
+    }
+    if (type == MsgType::kSessionReply) {
+      SessionReplyWire r;
+      r.status = status;
+      r.session_id = session_id;
+      r.client_tag = client_tag;
+      r.message = std::move(message);
+      return encode_session_reply(r);
+    }
+    FrameReplyWire r;
+    r.status = status;
+    r.session_id = session_id;
+    r.frame_index = frame_index;
+    r.client_tag = client_tag;
+    r.message = std::move(message);
+    return encode_frame_reply(r);
+  }
+};
+
+/// One client message type's routing: the rows of the table in router.hpp.
+struct Router::Policy {
+  MsgType type;
+  Route route;
+  MsgType reply;                         // the type that answers it
+  Pin pin;
+  std::uint64_t RouterCounts::*tally;    // per-type count, or nullptr
+  Request (*decode)(const Frame& frame);  // throws on a malformed body
+};
+
+/// One attempt's or one request's outcome: a worker's reply body to relay
+/// verbatim, or a router-made status.
 struct Router::ForwardResult {
-  bool relayed = false;
+  enum class Outcome { kRelayed, kNotExecuted, kTerminal };
+  Outcome outcome = Outcome::kTerminal;
   std::vector<std::uint8_t> reply_body;  // when relayed
-  Status status = Status::kError;        // when synthesized
+  Status status = Status::kError;        // otherwise
   std::string message;
+  std::size_t worker = 0;      // the worker that answered
   std::uint64_t reroutes = 0;  // attempts beyond the first worker
-  bool worker_lost = false;    // sticky sends: the home worker is presumed
-                               // gone (its session state with it)
+  bool timed_out = false;      // no reply within the wait deadline
+  bool worker_lost = false;    // the worker is presumed gone, and any
+                               // session state with it
+
+  bool relayed() const { return outcome == Outcome::kRelayed; }
 };
 
 Router::Router(const RouterConfig& config) : config_(config) {
@@ -114,7 +209,7 @@ std::uint64_t Router::rendezvous_score(std::uint64_t key_hash,
                                        std::size_t index) {
   const std::uint64_t packed[2] = {key_hash,
                                    static_cast<std::uint64_t>(index)};
-  return tune::fnv1a(packed, sizeof packed);
+  return fnv1a(packed, sizeof packed, kFnv1aShortBasis);
 }
 
 std::vector<std::size_t> Router::rank_workers(std::uint64_t key_hash) const {
@@ -166,328 +261,104 @@ void Router::mark_unhealthy(Worker& w, const char* why) {
   close_pool(w);
 }
 
-Router::ForwardResult Router::forward(const Frame& frame,
-                                      const ReconRequestWire& wire) {
-  ForwardResult out;
-  const auto ranked = rank_workers(shard_hash(wire));
-
-  // Healthy workers in rank order, then unhealthy ones as a last resort —
-  // a request must not fail just because the health thread has not yet
-  // noticed a recovery.
-  std::vector<std::size_t> order;
-  order.reserve(ranked.size());
-  for (const bool want_healthy : {true, false}) {
-    for (const std::size_t i : ranked) {
-      if (workers_[i]->healthy.load() == want_healthy) order.push_back(i);
-    }
+const Router::Policy* Router::policy_for(MsgType type) {
+  static const Policy kPolicies[] = {
+      {MsgType::kRecon, Route::kSharded, MsgType::kReconReply, Pin::kNone,
+       nullptr,
+       [](const Frame& f) {
+         const ReconRequestWire w =
+             decode_recon_request(f.body.data(), f.body.size());
+         Request r;
+         r.shard = shard_hash(w);
+         r.deadline_ms = w.deadline_ms;
+         r.client_tag = w.client_tag;
+         r.n = w.n;
+         return r;
+       }},
+      {MsgType::kOpenSession, Route::kSharded, MsgType::kSessionReply,
+       Pin::kOnOk, &RouterCounts::session_opens,
+       [](const Frame& f) {
+         const OpenSessionWire w =
+             decode_open_session(f.body.data(), f.body.size());
+         Request r;
+         r.shard = session_shard_hash(w);
+         r.client_tag = w.client_tag;
+         return r;
+       }},
+      {MsgType::kPushFrame, Route::kSticky, MsgType::kFrameReply,
+       Pin::kDropIfLost, &RouterCounts::session_frames,
+       [](const Frame& f) {
+         const PushFrameWire w =
+             decode_push_frame(f.body.data(), f.body.size());
+         Request r;
+         r.session_id = w.session_id;
+         r.frame_index = w.frame_index;
+         r.deadline_ms = w.deadline_ms;
+         r.client_tag = w.client_tag;
+         return r;
+       }},
+      {MsgType::kCloseSession, Route::kSticky, MsgType::kSessionReply,
+       Pin::kDrop, &RouterCounts::session_closes,
+       [](const Frame& f) {
+         const CloseSessionWire w =
+             decode_close_session(f.body.data(), f.body.size());
+         Request r;
+         r.session_id = w.session_id;
+         r.client_tag = w.client_tag;
+         return r;
+       }},
+      {MsgType::kReconDataset, Route::kWorkerDirect, MsgType::kReconReply,
+       Pin::kNone, nullptr,
+       [](const Frame& f) {
+         // Refused either way; a malformed body just loses its tag.
+         Request r;
+         try {
+           r.client_tag =
+               decode_dataset_request(f.body.data(), f.body.size())
+                   .client_tag;
+         } catch (const std::exception&) {
+         }
+         return r;
+       }},
+      {MsgType::kStats, Route::kLocal, MsgType::kStatsReply, Pin::kNone,
+       &RouterCounts::stats, nullptr},
+  };
+  for (const Policy& p : kPolicies) {
+    if (p.type == type) return &p;
   }
+  return nullptr;
+}
 
-  const bool bounded = wire.deadline_ms > 0;
-  const auto start = Clock::now();
-  const auto client_deadline =
-      start + std::chrono::milliseconds(
-                  bounded ? static_cast<long long>(wire.deadline_ms) : 0);
-  // The router waits slightly past the client's own deadline so a worker
-  // that answers TIMEOUT itself gets its (authoritative) reply relayed.
-  const auto wait_deadline =
-      start + std::chrono::milliseconds(
-                  bounded ? static_cast<long long>(wire.deadline_ms) +
-                                config_.deadline_slack_ms
-                          : static_cast<long long>(config_.forward_timeout_ms));
-
-  const auto expired = [&](const char* when) {
-    out.relayed = false;
-    out.status = bounded ? Status::kTimeout : Status::kError;
-    out.message = std::string("router: deadline expired ") + when;
+Router::ForwardResult Router::attempt(Worker& w, const Frame& frame,
+                                      const Policy& policy,
+                                      Clock::time_point wait_deadline) {
+  const bool sticky = policy.route == Route::kSticky;
+  const auto who = [&] {
+    return (sticky ? "router: session worker " : "router: worker ") + w.spec;
+  };
+  ForwardResult out;
+  // The worker never consumed the request.
+  const auto not_executed = [&](const char* why, const char* what) {
+    mark_unhealthy(w, why);
+    out.outcome = ForwardResult::Outcome::kNotExecuted;
+    out.message = who() + what;
+    out.worker_lost = true;
     return out;
   };
 
-  bool first_attempt = true;
-  for (const std::size_t wi : order) {
-    Worker& w = *workers_[wi];
-    if (Clock::now() >= wait_deadline) return expired("before a worker");
-    if (!first_attempt) ++out.reroutes;
-    first_attempt = false;
-
-    // Up to two tries against THIS worker: a pooled connection may be stale
-    // (the worker restarted since it was pooled) — that is this router's
-    // fault, not a reason to move the shard, so retry once with a fresh
-    // connect before falling to the next-ranked worker.
-    bool tried_fresh = false;
-    bool next_worker = false;
-    while (!next_worker) {
-      int fd = take_pooled(w);
-      const bool pooled = fd >= 0;
-      if (!pooled) {
-        tried_fresh = true;
-        try {
-          fd = connect_endpoint(w.endpoint, config_.connect_timeout_ms);
-        } catch (const std::exception&) {
-          ++w.failures;
-          mark_unhealthy(w, "connect failed");
-          next_worker = true;
-          continue;
-        }
-      }
-
-      try {
-        send_frame(fd, frame.type, frame.body, remaining_ms(wait_deadline));
-      } catch (const std::exception&) {
-        close_quietly(fd);
-        ++w.failures;
-        if (pooled && !tried_fresh) continue;  // stale pooled fd
-        mark_unhealthy(w, "send failed");
-        next_worker = true;
-        continue;
-      }
-      ++w.forwarded;
-
-      Frame reply;
-      bool got = false;
-      try {
-        got = recv_frame(fd, reply, config_.max_reply_bytes,
-                         remaining_ms(wait_deadline));
-      } catch (const RecvTimeout&) {
-        // The worker consumed the request but has not answered: it may be
-        // mid-execution (wedged or just slow) — NEVER retry, never hang.
-        close_quietly(fd);
-        ++w.failures;
-        mark_unhealthy(w, "reply timed out");
-        if (bounded && Clock::now() >= client_deadline) {
-          return expired("waiting for a worker reply");
-        }
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec + " did not reply in time";
-        return out;
-      } catch (const std::exception&) {
-        // Mid-reply EOF or garbage: the request may have executed and the
-        // reply is unrecoverable — terminal ERROR, same no-retry rule.
-        close_quietly(fd);
-        ++w.failures;
-        mark_unhealthy(w, "reply stream broke");
-        out.status = Status::kError;
-        out.message =
-            "router: worker " + w.spec + " connection broke mid-reply";
-        return out;
-      }
-      if (!got) {
-        // Clean EOF before any reply byte: the worker shut down without
-        // consuming the request (drain teardown, exit) — safe to retry.
-        close_quietly(fd);
-        ++w.failures;
-        if (pooled && !tried_fresh) continue;  // stale pooled fd
-        mark_unhealthy(w, "closed before replying");
-        next_worker = true;
-        continue;
-      }
-      if (reply.type != MsgType::kReconReply) {
-        close_quietly(fd);
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec +
-                      " sent unexpected frame type " +
-                      std::to_string(static_cast<std::uint32_t>(reply.type));
-        return out;
-      }
-
-      // Peek at the status: a draining worker answers REJECTED to
-      // everything it did not admit — that request belongs on the next
-      // worker, which is what makes a rolling restart lossless.
-      ReconReplyWire decoded;
-      try {
-        decoded = decode_recon_reply(reply.body.data(), reply.body.size());
-      } catch (const std::exception&) {
-        close_quietly(fd);
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec + " sent a malformed reply";
-        return out;
-      }
-      if (decoded.status == Status::kRejected &&
-          decoded.message.find("draining") != std::string::npos) {
-        ++w.drain_rejects;
-        close_quietly(fd);  // the worker is going away; never pool it
-        mark_unhealthy(w, "draining");
-        next_worker = true;
-        continue;
-      }
-
-      ++w.replies;
-      give_back_connection(w, fd);
-      out.relayed = true;
-      out.reply_body = std::move(reply.body);
-      return out;
-    }
-  }
-
-  out.status = Status::kRejected;
-  out.message = "router: no healthy worker (" +
-                std::to_string(workers_.size()) + " configured, all failed)";
-  return out;
-}
-
-Router::ForwardResult Router::forward_open(const Frame& frame,
-                                           const OpenSessionWire& wire,
-                                           std::size_t* home) {
-  ForwardResult out;
-  const auto ranked = rank_workers(session_shard_hash(wire));
-  std::vector<std::size_t> order;
-  order.reserve(ranked.size());
-  for (const bool want_healthy : {true, false}) {
-    for (const std::size_t i : ranked) {
-      if (workers_[i]->healthy.load() == want_healthy) order.push_back(i);
-    }
-  }
-
-  const auto wait_deadline =
-      Clock::now() +
-      std::chrono::milliseconds(static_cast<long long>(
-          config_.forward_timeout_ms));
-
-  bool first_attempt = true;
-  for (const std::size_t wi : order) {
-    Worker& w = *workers_[wi];
-    if (Clock::now() >= wait_deadline) {
-      out.status = Status::kError;
-      out.message = "router: deadline expired before a worker";
-      return out;
-    }
-    if (!first_attempt) ++out.reroutes;
-    first_attempt = false;
-
-    bool tried_fresh = false;
-    bool next_worker = false;
-    while (!next_worker) {
-      int fd = take_pooled(w);
-      const bool pooled = fd >= 0;
-      if (!pooled) {
-        tried_fresh = true;
-        try {
-          fd = connect_endpoint(w.endpoint, config_.connect_timeout_ms);
-        } catch (const std::exception&) {
-          ++w.failures;
-          mark_unhealthy(w, "connect failed");
-          next_worker = true;
-          continue;
-        }
-      }
-      try {
-        send_frame(fd, frame.type, frame.body, remaining_ms(wait_deadline));
-      } catch (const std::exception&) {
-        close_quietly(fd);
-        ++w.failures;
-        if (pooled && !tried_fresh) continue;  // stale pooled fd
-        mark_unhealthy(w, "send failed");
-        next_worker = true;
-        continue;
-      }
-      ++w.forwarded;
-
-      Frame reply;
-      bool got = false;
-      try {
-        got = recv_frame(fd, reply, config_.max_reply_bytes,
-                         remaining_ms(wait_deadline));
-      } catch (const RecvTimeout&) {
-        // The worker consumed the open and may have created the session —
-        // NEVER retry (a second worker would create a duplicate).
-        close_quietly(fd);
-        ++w.failures;
-        mark_unhealthy(w, "reply timed out");
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec + " did not reply in time";
-        return out;
-      } catch (const std::exception&) {
-        close_quietly(fd);
-        ++w.failures;
-        mark_unhealthy(w, "reply stream broke");
-        out.status = Status::kError;
-        out.message =
-            "router: worker " + w.spec + " connection broke mid-reply";
-        return out;
-      }
-      if (!got) {
-        // Clean EOF before any reply byte: the open was never consumed —
-        // safe to retry.
-        close_quietly(fd);
-        ++w.failures;
-        if (pooled && !tried_fresh) continue;  // stale pooled fd
-        mark_unhealthy(w, "closed before replying");
-        next_worker = true;
-        continue;
-      }
-      if (reply.type != MsgType::kSessionReply) {
-        close_quietly(fd);
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec +
-                      " sent unexpected frame type " +
-                      std::to_string(static_cast<std::uint32_t>(reply.type));
-        return out;
-      }
-      SessionReplyWire decoded;
-      try {
-        decoded = decode_session_reply(reply.body.data(), reply.body.size());
-      } catch (const std::exception&) {
-        close_quietly(fd);
-        out.status = Status::kError;
-        out.message = "router: worker " + w.spec + " sent a malformed reply";
-        return out;
-      }
-      if (decoded.status == Status::kRejected &&
-          decoded.message.find("draining") != std::string::npos) {
-        // A draining worker refuses new sessions: the open belongs on the
-        // next-ranked worker, same spill rule as one-shot recon requests.
-        ++w.drain_rejects;
-        close_quietly(fd);
-        mark_unhealthy(w, "draining");
-        next_worker = true;
-        continue;
-      }
-
-      ++w.replies;
-      give_back_connection(w, fd);
-      out.relayed = true;
-      out.reply_body = std::move(reply.body);
-      if (home != nullptr) *home = wi;
-      return out;
-    }
-  }
-
-  out.status = Status::kRejected;
-  out.message = "router: no healthy worker (" +
-                std::to_string(workers_.size()) + " configured, all failed)";
-  return out;
-}
-
-Router::ForwardResult Router::forward_sticky(Worker& w, const Frame& frame,
-                                             MsgType expect,
-                                             std::uint64_t deadline_ms) {
-  ForwardResult out;
-  const bool bounded = deadline_ms > 0;
-  const auto wait_deadline =
-      Clock::now() +
-      std::chrono::milliseconds(
-          bounded ? static_cast<long long>(deadline_ms) +
-                        config_.deadline_slack_ms
-                  : static_cast<long long>(config_.forward_timeout_ms));
-
-  // A pooled connection may be stale (the worker restarted since it was
-  // pooled); retry once with a fresh connect. A restart also destroyed the
-  // session, but the worker will answer REJECTED "unknown session" itself —
-  // an honest, relayable reply.
-  bool tried_fresh = false;
   for (;;) {
+    // A pooled connection may be stale (the worker restarted since it was
+    // pooled) — that is this router's fault, not the worker's, so a pooled
+    // fd that fails before the worker consumed anything is dropped and the
+    // send retried, ending with one fresh connect.
     int fd = take_pooled(w);
     const bool pooled = fd >= 0;
     if (!pooled) {
-      tried_fresh = true;
       try {
         fd = connect_endpoint(w.endpoint, config_.connect_timeout_ms);
       } catch (const std::exception&) {
         ++w.failures;
-        mark_unhealthy(w, "connect failed");
-        out.status = Status::kError;
-        out.message = "router: session worker " + w.spec + " unreachable";
-        out.worker_lost = true;
-        return out;
+        return not_executed("connect failed", " unreachable");
       }
     }
     try {
@@ -495,12 +366,8 @@ Router::ForwardResult Router::forward_sticky(Worker& w, const Frame& frame,
     } catch (const std::exception&) {
       close_quietly(fd);
       ++w.failures;
-      if (pooled && !tried_fresh) continue;  // stale pooled fd
-      mark_unhealthy(w, "send failed");
-      out.status = Status::kError;
-      out.message = "router: session worker " + w.spec + " lost";
-      out.worker_lost = true;
-      return out;
+      if (pooled) continue;
+      return not_executed("send failed", " lost");
     }
     ++w.forwarded;
 
@@ -510,65 +377,156 @@ Router::ForwardResult Router::forward_sticky(Worker& w, const Frame& frame,
       got = recv_frame(fd, reply, config_.max_reply_bytes,
                        remaining_ms(wait_deadline));
     } catch (const RecvTimeout&) {
-      // The worker consumed the frame and may be mid-solve; the session
-      // may still be intact, so the pin survives — only this reply is
-      // lost. NEVER retry.
+      // The worker consumed the request but has not answered: it may be
+      // mid-execution (wedged or just slow), and a session may still be
+      // intact — never retry, never hang.
       close_quietly(fd);
       ++w.failures;
       mark_unhealthy(w, "reply timed out");
-      out.status = bounded ? Status::kTimeout : Status::kError;
-      out.message =
-          "router: session worker " + w.spec + " did not reply in time";
+      out.timed_out = true;
+      out.message = who() + " did not reply in time";
       return out;
     } catch (const std::exception&) {
+      // Mid-reply EOF or garbage: the request may have executed and the
+      // reply is unrecoverable — terminal, same no-retry rule.
       close_quietly(fd);
       ++w.failures;
       mark_unhealthy(w, "reply stream broke");
-      out.status = Status::kError;
-      out.message =
-          "router: session worker " + w.spec + " connection broke mid-reply";
       out.worker_lost = true;
+      out.message = who() + " connection broke mid-reply";
       return out;
     }
     if (!got) {
+      // Clean EOF before any reply byte: the worker shut down without
+      // consuming the request (drain teardown, exit).
       close_quietly(fd);
       ++w.failures;
-      if (pooled && !tried_fresh) continue;  // stale pooled fd
-      mark_unhealthy(w, "closed before replying");
-      out.status = Status::kError;
-      out.message =
-          "router: session worker " + w.spec + " closed before replying";
-      out.worker_lost = true;
-      return out;
+      if (pooled) continue;
+      return not_executed("closed before replying",
+                          " closed before replying");
     }
-    if (reply.type != expect) {
+    if (reply.type != policy.reply) {
       close_quietly(fd);
-      out.status = Status::kError;
       out.message = "router: worker " + w.spec +
                     " sent unexpected frame type " +
                     std::to_string(static_cast<std::uint32_t>(reply.type));
       return out;
     }
+    if (!sticky) {
+      // Peek at the status: a draining worker answers REJECTED to
+      // everything it did not admit — that request belongs on the next
+      // worker, which is what makes a rolling restart lossless. A sticky
+      // request has no next worker, so its reply is relayed as it is.
+      std::pair<Status, std::string> status;
+      try {
+        status = reply_status(policy.reply, reply.body);
+      } catch (const std::exception&) {
+        close_quietly(fd);
+        out.message = "router: worker " + w.spec + " sent a malformed reply";
+        return out;
+      }
+      if (status.first == Status::kRejected &&
+          status.second.find("draining") != std::string::npos) {
+        ++w.drain_rejects;
+        close_quietly(fd);  // the worker is going away; never pool it
+        return not_executed("draining", " is draining");
+      }
+    }
     ++w.replies;
     give_back_connection(w, fd);
-    out.relayed = true;
+    out.outcome = ForwardResult::Outcome::kRelayed;
     out.reply_body = std::move(reply.body);
     return out;
   }
 }
 
-void Router::send_reply_locked(const std::shared_ptr<Connection>& conn,
-                               const ReconReplyWire& reply) {
-  const auto body = encode_recon_reply(reply);
-  std::lock_guard<std::mutex> lk(conn->write_mu);
-  send_frame(conn->fd, MsgType::kReconReply, body,
-             config_.reply_write_timeout_ms);
+Router::ForwardResult Router::forward_sharded(const Policy& policy,
+                                              const Frame& frame,
+                                              const Request& request) {
+  const auto ranked = rank_workers(request.shard);
+  std::vector<std::size_t> order;
+  order.reserve(ranked.size());
+  for (const bool want_healthy : {true, false}) {
+    for (const std::size_t i : ranked) {
+      if (workers_[i]->healthy.load() == want_healthy) order.push_back(i);
+    }
+  }
+
+  const bool bounded = request.deadline_ms > 0;
+  const auto start = Clock::now();
+  const auto client_deadline =
+      start + std::chrono::milliseconds(
+                  static_cast<long long>(request.deadline_ms));
+  const auto wait = wait_deadline(config_, start, request.deadline_ms);
+  const auto expired = [&](const char* when) {
+    ForwardResult e;
+    e.status = bounded ? Status::kTimeout : Status::kError;
+    e.message = std::string("router: deadline expired ") + when;
+    return e;
+  };
+
+  ForwardResult out;
+  out.status = Status::kRejected;
+  out.message = "router: no healthy worker (" +
+                std::to_string(workers_.size()) + " configured, all failed)";
+  std::uint64_t attempts = 0;
+  for (const std::size_t wi : order) {
+    if (Clock::now() >= wait) {
+      out = expired("before a worker");
+      break;
+    }
+    ++attempts;
+    ForwardResult r = attempt(*workers_[wi], frame, policy, wait);
+    if (r.outcome == ForwardResult::Outcome::kNotExecuted) continue;
+    if (r.timed_out && bounded && Clock::now() >= client_deadline) {
+      r = expired("waiting for a worker reply");
+    }
+    out = std::move(r);
+    out.worker = wi;
+    break;
+  }
+  out.reroutes = attempts > 0 ? attempts - 1 : 0;
+  return out;
+}
+
+Router::ForwardResult Router::route(const Policy& policy, const Frame& frame,
+                                    const Request& request) {
+  if (policy.route == Route::kSharded) {
+    return forward_sharded(policy, frame, request);
+  }
+  ForwardResult out;
+  out.status = Status::kRejected;
+  if (policy.route == Route::kWorkerDirect) {
+    // By-reference datasets name a file on one worker's filesystem; the
+    // router cannot know which worker that is.
+    out.message =
+        "dataset requests are worker-direct (the path is worker-local); "
+        "connect to a worker endpoint";
+    return out;
+  }
+  std::size_t home = 0;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    const auto it = session_workers_.find(request.session_id);
+    if (it == session_workers_.end()) {
+      out.message =
+          "router: unknown session " + std::to_string(request.session_id);
+      return out;
+    }
+    home = it->second;
+  }
+  // A session's pipeline state lives on its home worker, so even a request
+  // the worker never executed is terminal here.
+  out = attempt(*workers_[home], frame, policy,
+                wait_deadline(config_, Clock::now(), request.deadline_ms));
+  if (out.timed_out && request.deadline_ms > 0) out.status = Status::kTimeout;
+  return out;
 }
 
 void Router::count_terminal(const ForwardResult& result) {
   std::lock_guard<std::mutex> lk(counts_mu_);
   counts_.reroutes += result.reroutes;
-  if (result.relayed) {
+  if (result.relayed()) {
     ++counts_.relayed;
   } else if (result.status == Status::kTimeout) {
     ++counts_.timeouts;
@@ -579,232 +537,76 @@ void Router::count_terminal(const ForwardResult& result) {
   }
 }
 
-bool Router::handle_session_frame(const std::shared_ptr<Connection>& conn,
-                                  const Frame& frame) {
-  // Shared helpers: write a router-synthesized session/frame reply. A send
-  // failure closes the connection (return false from the handler).
-  const auto send_session = [&](const SessionReplyWire& reply) {
-    const auto body = encode_session_reply(reply);
-    std::lock_guard<std::mutex> lk(conn->write_mu);
-    send_frame(conn->fd, MsgType::kSessionReply, body,
-               config_.reply_write_timeout_ms);
-  };
-  const auto send_frame_reply = [&](const FrameReplyWire& reply) {
-    const auto body = encode_frame_reply(reply);
-    std::lock_guard<std::mutex> lk(conn->write_mu);
-    send_frame(conn->fd, MsgType::kFrameReply, body,
-               config_.reply_write_timeout_ms);
-  };
-  const auto relay = [&](MsgType type, const std::vector<std::uint8_t>& body) {
+bool Router::send_to_client(const std::shared_ptr<Connection>& conn,
+                            MsgType type,
+                            const std::vector<std::uint8_t>& body) {
+  try {
     std::lock_guard<std::mutex> lk(conn->write_mu);
     send_frame(conn->fd, type, body, config_.reply_write_timeout_ms);
-  };
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
 
-  if (frame.type == MsgType::kOpenSession) {
-    OpenSessionWire wire;
-    try {
-      wire = decode_open_session(frame.body.data(), frame.body.size());
-    } catch (const std::exception& e) {
-      // Recovering parse: the malformed body was fully consumed.
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.received;
-        ++counts_.errors;
-      }
-      SessionReplyWire reply;
-      reply.status = Status::kError;
-      reply.message = e.what();
-      try {
-        send_session(reply);
-        return true;
-      } catch (const std::exception&) {
-        return false;
-      }
-    }
+bool Router::handle(const std::shared_ptr<Connection>& conn,
+                    const Policy& policy, const Frame& frame) {
+  if (policy.route == Route::kLocal) {
     {
       std::lock_guard<std::mutex> lk(counts_mu_);
-      ++counts_.received;
-      ++counts_.session_opens;
+      ++(counts_.*policy.tally);
     }
-    std::size_t home = 0;
-    ForwardResult result = forward_open(frame, wire, &home);
-    count_terminal(result);
-    try {
-      if (result.relayed) {
-        // Pin BEFORE relaying: the client may push its first frame the
-        // instant it sees the open reply. forward_open already validated
-        // the body, so this decode cannot throw.
-        const SessionReplyWire decoded = decode_session_reply(
-            result.reply_body.data(), result.reply_body.size());
-        if (decoded.status == Status::kOk) {
-          std::lock_guard<std::mutex> lk(sessions_mu_);
-          session_workers_[decoded.session_id] = home;
-        }
-        relay(MsgType::kSessionReply, result.reply_body);
-      } else {
-        SessionReplyWire reply;
-        reply.status = result.status;
-        reply.client_tag = wire.client_tag;
-        reply.message = std::move(result.message);
-        send_session(reply);
-      }
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
+    const std::string json = statsz_json();
+    return send_to_client(conn, policy.reply,
+                          std::vector<std::uint8_t>(json.begin(), json.end()));
   }
 
-  if (frame.type == MsgType::kPushFrame) {
-    PushFrameWire wire;
-    try {
-      wire = decode_push_frame(frame.body.data(), frame.body.size());
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.received;
-        ++counts_.errors;
-      }
-      FrameReplyWire reply;
-      reply.status = Status::kError;
-      reply.message = e.what();
-      try {
-        send_frame_reply(reply);
-        return true;
-      } catch (const std::exception&) {
-        return false;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(counts_mu_);
-      ++counts_.received;
-      ++counts_.session_frames;
-    }
-    std::size_t home = 0;
-    bool pinned = false;
-    {
-      std::lock_guard<std::mutex> lk(sessions_mu_);
-      const auto it = session_workers_.find(wire.session_id);
-      if (it != session_workers_.end()) {
-        home = it->second;
-        pinned = true;
-      }
-    }
-    FrameReplyWire reply;
-    reply.session_id = wire.session_id;
-    reply.frame_index = wire.frame_index;
-    reply.client_tag = wire.client_tag;
-    if (!pinned) {
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.rejected;
-      }
-      reply.status = Status::kRejected;
-      reply.message = "router: unknown session " +
-                      std::to_string(wire.session_id);
-      try {
-        send_frame_reply(reply);
-        return true;
-      } catch (const std::exception&) {
-        return false;
-      }
-    }
-    ForwardResult result = forward_sticky(*workers_[home], frame,
-                                          MsgType::kFrameReply,
-                                          wire.deadline_ms);
-    count_terminal(result);
-    if (result.worker_lost) {
-      std::lock_guard<std::mutex> lk(sessions_mu_);
-      session_workers_.erase(wire.session_id);
-    }
-    try {
-      if (result.relayed) {
-        relay(MsgType::kFrameReply, result.reply_body);
-      } else {
-        reply.status = result.status;
-        reply.message = std::move(result.message);
-        send_frame_reply(reply);
-      }
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-
-  // kCloseSession
-  CloseSessionWire wire;
+  Request request;
   try {
-    wire = decode_close_session(frame.body.data(), frame.body.size());
+    request = policy.decode(frame);
   } catch (const std::exception& e) {
+    // Recovering parse, exactly like a worker: the malformed body was
+    // fully consumed, so the connection survives.
     {
       std::lock_guard<std::mutex> lk(counts_mu_);
       ++counts_.received;
       ++counts_.errors;
     }
-    SessionReplyWire reply;
-    reply.status = Status::kError;
-    reply.message = e.what();
-    try {
-      send_session(reply);
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
+    return send_to_client(
+        conn, policy.reply,
+        Request().answer(policy.reply, Status::kError, e.what()));
   }
   {
     std::lock_guard<std::mutex> lk(counts_mu_);
     ++counts_.received;
-    ++counts_.session_closes;
+    if (policy.tally != nullptr) ++(counts_.*policy.tally);
   }
-  std::size_t home = 0;
-  bool pinned = false;
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    const auto it = session_workers_.find(wire.session_id);
-    if (it != session_workers_.end()) {
-      home = it->second;
-      pinned = true;
-    }
-  }
-  SessionReplyWire reply;
-  reply.session_id = wire.session_id;
-  reply.client_tag = wire.client_tag;
-  if (!pinned) {
-    {
-      std::lock_guard<std::mutex> lk(counts_mu_);
-      ++counts_.rejected;
-    }
-    reply.status = Status::kRejected;
-    reply.message =
-        "router: unknown session " + std::to_string(wire.session_id);
-    try {
-      send_session(reply);
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  ForwardResult result = forward_sticky(*workers_[home], frame,
-                                        MsgType::kSessionReply,
-                                        /*deadline_ms=*/0);
+
+  ForwardResult result = route(policy, frame, request);
   count_terminal(result);
-  {
-    // The close ends the session from the router's view either way: a
-    // lost reply leaves the worker to reap it, but no more frames route.
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    session_workers_.erase(wire.session_id);
-  }
-  try {
-    if (result.relayed) {
-      relay(MsgType::kSessionReply, result.reply_body);
-    } else {
-      reply.status = result.status;
-      reply.message = std::move(result.message);
-      send_session(reply);
+  if (policy.pin == Pin::kOnOk && result.relayed()) {
+    // Pin BEFORE relaying: the client may push its first frame the instant
+    // it sees the open reply. attempt() already validated the body, so
+    // this decode cannot throw.
+    const SessionReplyWire opened = decode_session_reply(
+        result.reply_body.data(), result.reply_body.size());
+    if (opened.status == Status::kOk) {
+      std::lock_guard<std::mutex> lk(sessions_mu_);
+      session_workers_[opened.session_id] = result.worker;
     }
-    return true;
-  } catch (const std::exception&) {
-    return false;
+  } else if (policy.pin == Pin::kDrop ||
+             (policy.pin == Pin::kDropIfLost && result.worker_lost)) {
+    // A close ends the session from the router's view even when its reply
+    // is lost: the worker reaps what is left, but no more frames route.
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    session_workers_.erase(request.session_id);
   }
+  if (result.relayed()) {
+    return send_to_client(conn, policy.reply, result.reply_body);
+  }
+  return send_to_client(
+      conn, policy.reply,
+      request.answer(policy.reply, result.status, std::move(result.message)));
 }
 
 void Router::serve_connection(const std::shared_ptr<Connection>& conn) {
@@ -822,130 +624,19 @@ void Router::serve_connection(const std::shared_ptr<Connection>& conn) {
         ++counts_.received;
         ++counts_.rejected;
       }
-      ReconReplyWire reply;
-      reply.status = Status::kRejected;
-      reply.message = e.what();
-      try {
-        send_reply_locked(conn, reply);
-      } catch (const std::exception&) {
-      }
+      send_to_client(conn, MsgType::kReconReply,
+                     Request().answer(MsgType::kReconReply, Status::kRejected,
+                                      e.what()));
       return;
     } catch (const std::exception&) {
       return;  // bad magic / unknown type / truncation / peer I/O error
     }
 
-    if (frame.type == MsgType::kStats) {
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.stats;
-      }
-      const std::string json = statsz_json();
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      try {
-        send_frame(conn->fd, MsgType::kStatsReply,
-                   reinterpret_cast<const std::uint8_t*>(json.data()),
-                   json.size(), config_.reply_write_timeout_ms);
-      } catch (const std::exception&) {
-        return;
-      }
-      continue;
-    }
-    if (frame.type == MsgType::kOpenSession ||
-        frame.type == MsgType::kPushFrame ||
-        frame.type == MsgType::kCloseSession) {
-      if (!handle_session_frame(conn, frame)) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
-      continue;
-    }
-    if (frame.type == MsgType::kReconDataset) {
-      // By-reference datasets name a file on one worker's filesystem; the
-      // router cannot know which worker that is, so the request is
-      // worker-direct by design. Reject politely, keep the connection.
-      std::uint64_t tag = 0;
-      try {
-        tag = decode_dataset_request(frame.body.data(), frame.body.size())
-                  .client_tag;
-      } catch (const std::exception&) {
-      }
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.received;
-        ++counts_.rejected;
-      }
-      ReconReplyWire reply;
-      reply.status = Status::kRejected;
-      reply.client_tag = tag;
-      reply.message =
-          "dataset requests are worker-direct (the path is worker-local); "
-          "connect to a worker endpoint";
-      try {
-        send_reply_locked(conn, reply);
-      } catch (const std::exception&) {
-        return;
-      }
-      continue;
-    }
-    if (frame.type != MsgType::kRecon) {
+    const Policy* policy = policy_for(frame.type);
+    if (policy == nullptr) {
       return;  // a client sending reply types is not salvageable
     }
-
-    ReconRequestWire wire;
-    try {
-      wire = decode_recon_request(frame.body.data(), frame.body.size());
-    } catch (const std::exception& e) {
-      // Recovering parse, exactly like a worker: the malformed body was
-      // fully consumed, so the connection survives.
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.received;
-        ++counts_.errors;
-      }
-      ReconReplyWire reply;
-      reply.status = Status::kError;
-      reply.message = e.what();
-      try {
-        send_reply_locked(conn, reply);
-      } catch (const std::exception&) {
-        return;
-      }
-      continue;
-    }
-
-    {
-      std::lock_guard<std::mutex> lk(counts_mu_);
-      ++counts_.received;
-    }
-    ForwardResult result = forward(frame, wire);
-    {
-      std::lock_guard<std::mutex> lk(counts_mu_);
-      counts_.reroutes += result.reroutes;
-      if (result.relayed) {
-        ++counts_.relayed;
-      } else if (result.status == Status::kTimeout) {
-        ++counts_.timeouts;
-      } else if (result.status == Status::kRejected) {
-        ++counts_.rejected;
-      } else {
-        ++counts_.errors;
-      }
-    }
-
-    try {
-      if (result.relayed) {
-        std::lock_guard<std::mutex> lk(conn->write_mu);
-        send_frame(conn->fd, MsgType::kReconReply, result.reply_body,
-                   config_.reply_write_timeout_ms);
-      } else {
-        ReconReplyWire reply;
-        reply.status = result.status;
-        reply.n = wire.n;
-        reply.client_tag = wire.client_tag;
-        reply.message = std::move(result.message);
-        send_reply_locked(conn, reply);
-      }
-    } catch (const std::exception&) {
+    if (!handle(conn, *policy, frame)) {
       // Peer gone or the reply write timed out mid-frame: unrecoverable
       // stream — unblock the reader so the connection retires.
       ::shutdown(conn->fd, SHUT_RDWR);

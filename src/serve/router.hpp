@@ -13,26 +13,45 @@
 // untouched; when it recovers, exactly those keys come back.
 //
 // Forwarding is store-and-forward per request on the client connection's
-// reader thread: decode enough of the body to compute the shard key,
-// then relay the original frame bytes verbatim (deadline and client_tag
-// ride along unmodified) over a pooled worker connection, and wait for the
-// reply with a wall-clock bound derived from the request's own deadline
-// (`deadline_ms` + slack, or forward_timeout_ms when unbounded) — a dead
-// or wedged worker can never hang a client past its deadline.
+// reader thread: decode enough of the body to route it, then relay the
+// original frame bytes verbatim (deadline and client_tag ride along
+// unmodified) over a pooled worker connection, and wait for the reply with
+// a wall-clock bound derived from the request's own deadline (`deadline_ms`
+// + slack, or forward_timeout_ms when unbounded) — a dead or wedged worker
+// can never hang a client past its deadline.
 //
-// Failure policy (at-most-once execution is NOT required — reconstruction
-// is pure compute — but surprising retries are, so the rules are narrow):
-//   * connect/send failure            -> the worker never saw a complete
-//     frame: mark it unhealthy, RETRY on the next-ranked worker;
-//   * REJECTED reply saying draining  -> the worker is being rolled (its
-//     SIGTERM drain answers everything it admitted, then refuses): mark
-//     unhealthy, RETRY — this is what makes a rolling drain lose nothing;
-//   * clean EOF before any reply byte -> the worker shut down without
-//     consuming the request (drain teardown or exit): RETRY;
-//   * timeout or mid-reply EOF        -> the request may be mid-execution
-//     on a wedged worker: reply ERROR (or TIMEOUT if the request's own
-//     deadline has passed), never retry, never hang;
-//   * every ranked worker exhausted   -> REJECTED "no healthy worker".
+// Every worker exchange is one attempt: send on a pooled connection (a
+// stale pooled fd is dropped and the send retried, ending with one fresh
+// connect), then wait for the reply. An attempt ends in one of three ways:
+//   * relayed       -> the worker's reply goes to the client verbatim;
+//   * not executed  -> connect/send failure, clean EOF before any reply
+//     byte, or (sharded only) a REJECTED reply saying "draining": the
+//     worker never ran the request, so it is safe to try another worker;
+//   * terminal      -> reply timeout, mid-reply EOF, a reply of the wrong
+//     type or (sharded only) a malformed one: the request may have run, so
+//     it is never retried; the client gets ERROR, or TIMEOUT when its own
+//     deadline governs.
+//
+// Each client message type has one entry in a policy table (router.cpp):
+//
+//   type              policy         on "not executed"        pin effect
+//   recon        (1)  sharded        next-ranked worker       -
+//   open session (3)  sharded        next-ranked worker       pin if OK,
+//                                                             before relay
+//   push frame   (4)  sticky         ERROR, no failover       unpin if the
+//                                                             worker is lost
+//   close        (5)  sticky         ERROR, no failover       always unpin
+//   dataset      (6)  worker-direct  REJECTED at the router   -
+//   stats        (2)  local          the router's own JSON    -
+//
+// Sharded requests walk the workers in rendezvous rank order of their shard
+// key, healthy ones first (a request must not fail just because the health
+// thread has not yet seen a recovery), and get REJECTED "no healthy worker"
+// when every worker is exhausted. A reply timeout reads TIMEOUT once the
+// request's deadline has passed. Sticky requests go to the worker the
+// session's open landed on, because the session's pipeline state lives
+// there; an unpinned session gets REJECTED "unknown session", and a reply
+// timeout reads TIMEOUT whenever the frame carries a deadline.
 //
 // A health thread pings every worker each health_interval_ms (connect +
 // stats round-trip, ping_timeout_ms bound). Failures mark the worker
@@ -47,6 +66,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -149,25 +169,25 @@ class Router : public FrameServer {
 
  private:
   struct Worker;
+  struct Policy;
+  struct Request;
   struct ForwardResult;
 
+  static const Policy* policy_for(MsgType type);  // nullptr: not a request
   std::vector<std::size_t> rank_workers(std::uint64_t key_hash) const;
-  ForwardResult forward(const Frame& frame, const ReconRequestWire& wire);
-  // Open-session forward: same retry/spill rules as forward() — an open
-  // that never reached a worker (or hit a draining one) moves to the
-  // next-ranked worker; `home` receives the worker index that answered.
-  ForwardResult forward_open(const Frame& frame, const OpenSessionWire& wire,
-                             std::size_t* home);
-  // Sticky forward for push/close: the session's pipeline state lives on
-  // its home worker, so these NEVER fail over — any worker loss is
-  // terminal for the session.
-  ForwardResult forward_sticky(Worker& w, const Frame& frame, MsgType expect,
-                               std::uint64_t deadline_ms);
-  // One streaming message (open/push/close) end to end; returns false
-  // when the connection must close.
-  bool handle_session_frame(const std::shared_ptr<Connection>& conn,
-                            const Frame& frame);
-  void count_terminal(const ForwardResult& result);  // shared bucket logic
+  // One client request end to end; returns false when the connection must
+  // close.
+  bool handle(const std::shared_ptr<Connection>& conn, const Policy& policy,
+              const Frame& frame);
+  ForwardResult route(const Policy& policy, const Frame& frame,
+                      const Request& request);
+  ForwardResult forward_sharded(const Policy& policy, const Frame& frame,
+                                const Request& request);
+  ForwardResult attempt(Worker& w, const Frame& frame, const Policy& policy,
+                        std::chrono::steady_clock::time_point wait_deadline);
+  void count_terminal(const ForwardResult& result);
+  bool send_to_client(const std::shared_ptr<Connection>& conn, MsgType type,
+                      const std::vector<std::uint8_t>& body);
   void health_loop();
   void stop_health();                 // idempotent; also run by stop()
   bool ping_worker(Worker& w);
@@ -175,9 +195,6 @@ class Router : public FrameServer {
   int take_pooled(Worker& w);         // idle pooled fd, or -1
   void give_back_connection(Worker& w, int fd);
   void close_pool(Worker& w);
-
-  void send_reply_locked(const std::shared_ptr<Connection>& conn,
-                         const ReconReplyWire& reply);
 
   const RouterConfig config_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -3,24 +3,11 @@
 #include <chrono>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/recon.hpp"
 #include "obs/obs.hpp"
 
 namespace jigsaw::stream {
-
-namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 FramePipeline::FramePipeline(const PipelineConfig& config) : config_(config) {
   JIGSAW_REQUIRE(config_.n >= 2, "stream: grid side must be >= 2");
@@ -87,8 +74,8 @@ FrameResult FramePipeline::recon_frame(const std::vector<Coord<2>>& coords,
   // Plan phase: reuse the resident plan when the trajectory repeats (a
   // static window, or window == stride with a repeating schedule); a slid
   // window rebuilds the gridder but still shares the cached FFT plan.
-  const std::uint64_t hash =
-      fnv1a(coords.data(), coords.size() * sizeof(Coord<2>));
+  const std::uint64_t hash = fnv1a(
+      coords.data(), coords.size() * sizeof(Coord<2>), kFnv1aShortBasis);
   const bool reuse = plan_ != nullptr && plan_samples_ == coords.size() &&
                      plan_coords_hash_ == hash;
   if (!reuse) {

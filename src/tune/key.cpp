@@ -2,17 +2,9 @@
 
 #include <cstdio>
 
-namespace jigsaw::tune {
+#include "common/hash.hpp"
 
-std::uint64_t fnv1a(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+namespace jigsaw::tune {
 
 std::uint64_t TuneKey::hash() const {
   // Packed canonical encoding: fixed-width integers plus the raw double, so
@@ -24,7 +16,7 @@ std::uint64_t TuneKey::hash() const {
     double sigma;
   } packed{dims, n, m, width, coils, static_cast<std::int64_t>(threads),
            sigma};
-  return fnv1a(&packed, sizeof packed);
+  return fnv1a(&packed, sizeof packed, kFnv1aShortBasis);
 }
 
 std::string TuneKey::hex() const {

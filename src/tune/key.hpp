@@ -5,9 +5,8 @@
 // width, oversampling, dimensionality, coil count, thread budget) and
 // nothing it doesn't — deliberately NOT the trajectory hash the serve
 // scheduler keys its plan pool on, so one wisdom entry covers every
-// trajectory of the same shape. The hash is the same FNV-1a the serve
-// layer uses for its plan keys (see serve/engine.cpp), applied to a packed
-// canonical encoding of the fields.
+// trajectory of the same shape. The hash is the shared FNV-1a
+// (common/hash.hpp) applied to a packed canonical encoding of the fields.
 #pragma once
 
 #include <compare>
@@ -44,7 +43,5 @@ struct TuneKey {
                     const core::GridderOptions& options, int coils,
                     unsigned threads);
 };
-
-std::uint64_t fnv1a(const void* data, std::size_t len);
 
 }  // namespace jigsaw::tune

@@ -2,16 +2,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
+#include "data/dataset.hpp"
+#include "serve/router.hpp"
+#include "tune/key.hpp"
 
 namespace jigsaw {
 namespace {
@@ -195,6 +203,68 @@ TEST(ConsoleTable, ShortRowsArePadded) {
   ConsoleTable t({"a", "b", "c"});
   t.add_row({"only-one"});
   EXPECT_NO_THROW(t.to_string());
+}
+
+TEST(Fnv1a, StandardVectorsForBothBases) {
+  EXPECT_EQ(fnv1a("", 0, kFnv1aBasis), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a", 1, kFnv1aBasis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar", 6, kFnv1aBasis), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a("", 0, kFnv1aShortBasis), 1469598103934665603ull);
+  EXPECT_EQ(fnv1a("a", 1, kFnv1aShortBasis), 0x44bd8ad473cd9906ull);
+}
+
+// Golden values of every persisted or placement-deciding hash. Wisdom files
+// store TuneKey::hash(), shard placement follows shard_hash and
+// rendezvous_score, and JKSD files on disk carry the checksums: a change to
+// any of these values orphans data that already exists.
+TEST(Fnv1a, GoldenValuesOfWisdomShardAndJksdHashes) {
+  tune::TuneKey key;
+  key.dims = 2;
+  key.n = 128;
+  key.m = 4096;
+  key.width = 6;
+  key.sigma = 2.0;
+  key.coils = 1;
+  key.threads = 1;
+  EXPECT_EQ(key.hash(), 2957678958939547095ull);
+
+  serve::ReconRequestWire req;
+  req.n = 64;
+  req.kernel_width = 6;
+  req.sigma = 2.0;
+  req.coils = 2;
+  req.coords.resize(1000);
+  const std::uint64_t shard = serve::Router::shard_hash(req);
+  EXPECT_EQ(shard, 11426740258658054845ull);
+  EXPECT_EQ(serve::Router::rendezvous_score(shard, 0),
+            3984874736158155461ull);
+  EXPECT_EQ(serve::Router::rendezvous_score(shard, 1),
+            1752559329190566052ull);
+
+  const std::string path = "test_common_golden.jksd";
+  {
+    data::DatasetInfo info;
+    info.n = 64;
+    info.coils = 2;
+    info.source = data::Source::kSheppLogan;
+    data::DatasetWriter writer(path, info);
+    writer.add_chunk(0, {0.125, -0.25, 0.375, 0.5},
+                     {c64(1, 2), c64(3, 4), c64(5, 6), c64(7, 8)});
+    writer.close();
+  }
+  std::uint64_t header_checksum = 0, payload_checksum = 0;
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(offsetof(data::FileHeader, checksum));
+    f.read(reinterpret_cast<char*>(&header_checksum), 8);
+    f.seekg(sizeof(data::FileHeader) +
+            offsetof(data::ChunkHeader, payload_checksum));
+    f.read(reinterpret_cast<char*>(&payload_checksum), 8);
+    ASSERT_TRUE(f.good());
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(header_checksum, 3858161398992317186ull);
+  EXPECT_EQ(payload_checksum, 2356106606086295240ull);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/output_driven_gridder.hpp"
 #include "core/serial_gridder.hpp"
 #include "core/slice_dice_gridder.hpp"
+#include "test_names.hpp"
 
 namespace jigsaw::core {
 namespace {
@@ -100,7 +101,13 @@ INSTANTIATE_TEST_SUITE_P(
         EquivCase{6, 1.5, kernels::KernelType::KaiserBessel, false},
         EquivCase{6, 2.0, kernels::KernelType::Gaussian, false},
         EquivCase{6, 2.0, kernels::KernelType::BSpline, false},
-        EquivCase{4, 2.0, kernels::KernelType::Triangle, true}));
+        EquivCase{4, 2.0, kernels::KernelType::Triangle, true}),
+    [](const ::testing::TestParamInfo<EquivCase>& case_info) {
+      const EquivCase& p = case_info.param;
+      return test_names::camel(kernels::to_string(p.kernel)) + "_" +
+             test_names::width_sigma(p.width, p.sigma) +
+             (p.exact_weights ? "_exact" : "_lut");
+    });
 
 TEST(GridderEquivalence1D, AllEnginesAgree) {
   GridderOptions opt;
@@ -300,12 +307,14 @@ TEST_P(GridderDotTest, ForwardIsAdjointOfGridding) {
   EXPECT_NEAR(std::abs(lhs - rhs), 0.0, 1e-9 * std::abs(lhs) + 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, GridderDotTest,
-                         ::testing::Values(GridderKind::Serial,
-                                           GridderKind::OutputDriven,
-                                           GridderKind::Binning,
-                                           GridderKind::SliceDice,
-                                           GridderKind::Sparse));
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, GridderDotTest,
+    ::testing::Values(GridderKind::Serial, GridderKind::OutputDriven,
+                      GridderKind::Binning, GridderKind::SliceDice,
+                      GridderKind::Sparse),
+    [](const ::testing::TestParamInfo<GridderKind>& case_info) {
+      return test_names::camel(to_string(case_info.param));
+    });
 
 TEST(Gridder, ForwardAtGridPointOfDeltaGrid) {
   GridderOptions opt;

@@ -78,6 +78,12 @@ struct KernelCase {
   int width;
   double sigma;
 };
+// gtest names these cases by the struct's raw bytes. Without padding those
+// bytes are the field values alone, so the names are the same in every
+// build (tests/check_test_names.cmake lets this suite through on that ground).
+static_assert(sizeof(KernelCase) ==
+                  sizeof(KernelType) + sizeof(int) + sizeof(double),
+              "KernelCase must hold no padding bytes");
 
 class KernelProps : public ::testing::TestWithParam<KernelCase> {};
 

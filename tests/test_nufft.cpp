@@ -11,6 +11,7 @@
 #include "core/metrics.hpp"
 #include "core/nudft.hpp"
 #include "core/nufft.hpp"
+#include "test_names.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace jigsaw::core {
@@ -132,7 +133,15 @@ INSTANTIATE_TEST_SUITE_P(
         // Single-precision engine (the paper's GPU numeric configuration).
         NufftCase{GridderKind::FloatSerial,
                   kernels::KernelType::KaiserBessel, 6, 2.0, false, 4096,
-                  3e-4}));
+                  3e-4}),
+    [](const ::testing::TestParamInfo<NufftCase>& case_info) {
+      const NufftCase& p = case_info.param;
+      return test_names::camel(to_string(p.kind)) + "_" +
+             test_names::camel(kernels::to_string(p.kernel)) + "_" +
+             test_names::width_sigma(p.width, p.sigma) + "_" +
+             (p.exact_weights ? std::string("exact")
+                              : "lut" + std::to_string(p.table));
+    });
 
 TEST(NufftAccuracy1D, AdjointMatchesNudft) {
   GridderOptions opt;

@@ -3,14 +3,15 @@
 // at equal accuracy, divergence guard, plan reuse), frame-sequence
 // bit-exactness across gridder thread counts, and session-scoped serving
 // (engine sessions, in-flight drain, socket round trip, router
-// stickiness). Every Stream* suite also runs in the CI TSan stage
-// (scripts/ci.sh).
+// stickiness and its session failure policy). Every Stream* suite also
+// runs in the CI TSan stage (scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -702,6 +703,149 @@ TEST(StreamRouter, UnknownSessionRejectedAtRouter) {
       << reply.message;
   router.stop();
   worker.stop();
+}
+
+// ------------------------------------------------- router session failures
+
+/// TCP workers behind a router with health pings off, so every worker loss
+/// below is found by the forwarding path itself, deterministically.
+struct RoutedFleet {
+  std::vector<std::unique_ptr<ReconServer>> workers;
+  std::unique_ptr<Router> router;
+};
+
+RoutedFleet routed_fleet(int workers) {
+  RoutedFleet fleet;
+  RouterConfig rconfig;
+  rconfig.listen = "127.0.0.1:0";
+  rconfig.connect_timeout_ms = 500;
+  rconfig.health_interval_ms = 0;
+  for (int w = 0; w < workers; ++w) {
+    ServeConfig config = engine_config();
+    config.listen = "127.0.0.1:0";
+    fleet.workers.push_back(std::make_unique<ReconServer>(config));
+    fleet.workers.back()->start();
+    rconfig.workers.push_back(
+        to_string(fleet.workers.back()->bound_endpoints().front()));
+  }
+  fleet.router = std::make_unique<Router>(rconfig);
+  fleet.router->start();
+  return fleet;
+}
+
+std::string router_endpoint(const RoutedFleet& fleet) {
+  return to_string(fleet.router->bound_endpoints().front());
+}
+
+TEST(StreamRouter, PushToLostHomeWorkerErrorsAndDropsThePin) {
+  RoutedFleet fleet = routed_fleet(2);
+  ServeClient client(router_endpoint(fleet));
+  const FrameSource source(test_window(), 3);
+  const DynamicPhantom phantom;
+  const SessionReplyWire opened = client.open_session(open_wire());
+  ASSERT_EQ(opened.status, Status::kOk) << opened.message;
+  ASSERT_EQ(client.push_frame(frame_wire(source, phantom, 0, opened.session_id))
+                .status,
+            Status::kOk);
+
+  // Kill the home worker: the session's pipeline state dies with it.
+  for (auto& worker : fleet.workers) {
+    if (worker->engine().counts().sessions_opened == 1) worker.reset();
+  }
+  const FrameReplyWire lost =
+      client.push_frame(frame_wire(source, phantom, 1, opened.session_id));
+  EXPECT_EQ(lost.status, Status::kError) << lost.message;
+  EXPECT_EQ(fleet.router->counts().sessions_pinned, 0u);
+
+  // No failover: the next push is refused by the router itself.
+  const FrameReplyWire after =
+      client.push_frame(frame_wire(source, phantom, 2, opened.session_id));
+  EXPECT_EQ(after.status, Status::kRejected);
+  EXPECT_NE(after.message.find("router: unknown session"), std::string::npos)
+      << after.message;
+
+  const RouterCounts rc = fleet.router->counts();
+  EXPECT_EQ(rc.session_frames, 3u);
+  EXPECT_EQ(rc.errors, 1u);
+  EXPECT_EQ(rc.rejected, 1u);
+  EXPECT_EQ(rc.received, rc.completed());
+  for (const auto& worker : fleet.workers) {
+    if (worker) {
+      EXPECT_EQ(worker->engine().counts().frames_submitted, 0u);
+    }
+  }
+}
+
+TEST(StreamRouter, OpenSpillsPastDeadTopRankedWorkerAndSticksThere) {
+  RoutedFleet fleet = routed_fleet(2);
+  const OpenSessionWire open = open_wire();
+  const std::uint64_t key = Router::session_shard_hash(open);
+  const std::size_t top =
+      Router::rendezvous_score(key, 0) >= Router::rendezvous_score(key, 1)
+          ? 0
+          : 1;
+  const std::size_t spill = 1 - top;
+  fleet.workers[top].reset();
+
+  ServeClient client(router_endpoint(fleet));
+  const SessionReplyWire opened = client.open_session(open);
+  ASSERT_EQ(opened.status, Status::kOk) << opened.message;
+  {
+    const RouterCounts rc = fleet.router->counts();
+    EXPECT_GE(rc.reroutes, 1u);
+    EXPECT_EQ(rc.sessions_pinned, 1u);
+    EXPECT_FALSE(rc.workers[top].healthy);
+  }
+
+  const int frames = 3;
+  const FrameSource source(test_window(), frames);
+  const DynamicPhantom phantom;
+  for (int f = 0; f < frames; ++f) {
+    const FrameReplyWire reply =
+        client.push_frame(frame_wire(source, phantom, f, opened.session_id));
+    ASSERT_EQ(reply.status, Status::kOk) << reply.message;
+    EXPECT_EQ((reply.flags & kFrameWarmFlag) != 0, f > 0) << "frame " << f;
+  }
+  const EngineCounts c = fleet.workers[spill]->engine().counts();
+  EXPECT_EQ(c.sessions_opened, 1u);
+  EXPECT_EQ(c.frames_ok, static_cast<std::uint64_t>(frames));
+}
+
+TEST(StreamRouter, CloseAlwaysDropsThePin) {
+  RoutedFleet fleet = routed_fleet(1);
+  ServeClient client(router_endpoint(fleet));
+  const SessionReplyWire a = client.open_session(open_wire());
+  const SessionReplyWire b = client.open_session(open_wire());
+  ASSERT_EQ(a.status, Status::kOk) << a.message;
+  ASSERT_EQ(b.status, Status::kOk) << b.message;
+  ASSERT_EQ(fleet.router->counts().sessions_pinned, 2u);
+
+  const FrameSource source(test_window(), 1);
+  const DynamicPhantom phantom;
+  const auto expect_unknown_at_router = [&](std::uint64_t session_id) {
+    const FrameReplyWire reply =
+        client.push_frame(frame_wire(source, phantom, 0, session_id));
+    EXPECT_EQ(reply.status, Status::kRejected);
+    EXPECT_NE(reply.message.find("router: unknown session"),
+              std::string::npos)
+        << reply.message;
+  };
+
+  // A close the worker answers drops the pin.
+  CloseSessionWire close;
+  close.session_id = a.session_id;
+  EXPECT_EQ(client.close_session(close).status, Status::kOk);
+  EXPECT_EQ(fleet.router->counts().sessions_pinned, 1u);
+  expect_unknown_at_router(a.session_id);
+  EXPECT_EQ(fleet.workers[0]->engine().counts().frames_submitted, 0u);
+
+  // So does a close whose worker is gone.
+  fleet.workers[0].reset();
+  close.session_id = b.session_id;
+  const SessionReplyWire closed = client.close_session(close);
+  EXPECT_EQ(closed.status, Status::kError) << closed.message;
+  EXPECT_EQ(fleet.router->counts().sessions_pinned, 0u);
+  expect_unknown_at_router(b.session_id);
 }
 
 }  // namespace
