@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI pipeline: tiered tests + benchmark regression gate.
 #
-#   1. plain build (JIGSAW_OBS=ON, the default), tier-1 tests
-#      (ctest -L tier1 — the fast gate set)
+#   1. plain build (JIGSAW_OBS=ON, the default) with warnings as errors
+#      (JIGSAW_WERROR=ON), tier-1 tests (ctest -L tier1 — the fast gate set)
 #   2. JIGSAW_OBS=OFF build, tier-1 tests — proves the no-op observability
 #      stubs compile everywhere and nothing depends on counters existing
 #   3. ASan+UBSan build (JIGSAW_SANITIZE=ON), tier-1 tests — includes the
@@ -53,8 +53,8 @@ else
   echo "=== full-suite run ==="
 fi
 
-echo "=== plain build (JIGSAW_OBS=ON) + ctest ==="
-cmake -B build -S . -DJIGSAW_OBS=ON >/dev/null
+echo "=== plain build (JIGSAW_OBS=ON, -Werror) + ctest ==="
+cmake -B build -S . -DJIGSAW_OBS=ON -DJIGSAW_WERROR=ON >/dev/null
 cmake --build build -j"${JOBS}"
 ctest --test-dir build "${TEST_ARGS[@]}"
 

@@ -73,9 +73,12 @@ std::vector<std::vector<c64>> simulate_multicoil(NufftPlan<2>& plan,
 }
 
 SenseOperator::SenseOperator(NufftPlan<2>& plan, const CoilMaps& maps,
-                             unsigned coil_threads)
-    : plan_(plan), maps_(maps) {
+                             unsigned coil_threads,
+                             std::span<const double> weights)
+    : plan_(plan), maps_(maps), weights_(weights) {
   JIGSAW_REQUIRE(maps.n == plan.base_size(), "map/plan size mismatch");
+  JIGSAW_REQUIRE(weights.empty() || weights.size() == plan.num_samples(),
+                 "need one weight per sample");
   const unsigned lanes =
       std::min<unsigned>(std::max(1u, coil_threads),
                          static_cast<unsigned>(maps.coils));
@@ -85,23 +88,44 @@ SenseOperator::SenseOperator(NufftPlan<2>& plan, const CoilMaps& maps,
   }
 }
 
-void SenseOperator::for_each_coil(
-    const std::function<void(int, NufftPlan<2>&)>& fn) const {
+std::vector<c64> SenseOperator::coil_sum(
+    const std::function<std::vector<c64>(int, NufftPlan<2>&)>& transform)
+    const {
+  const auto pixels = static_cast<std::size_t>(plan_.image_total());
+  std::vector<c64> out(pixels, c64{});
+  const auto add = [&](int c, const std::vector<c64>& img) {
+    const auto& s = maps_.map(c);
+    for (std::size_t p = 0; p < pixels; ++p) {
+      out[p] += std::conj(s[p]) * img[p];
+    }
+  };
   if (extra_lanes_.empty()) {
-    for (int c = 0; c < maps_.coils; ++c) fn(c, plan_);
-    return;
+    for (int c = 0; c < maps_.coils; ++c) add(c, transform(c, plan_));
+    return out;
   }
   // Chunk ids are unique within one parallel_for call, so lane-by-chunk-id
   // gives every inflight chunk a private NuFFT plan (gridder + work grid).
+  std::vector<std::vector<c64>> per_coil(
+      static_cast<std::size_t>(maps_.coils));
   ThreadPool pool(coil_threads());
   pool.parallel_for(maps_.coils,
                     [&](std::int64_t begin, std::int64_t end, unsigned lane) {
                       NufftPlan<2>& p =
                           lane == 0 ? plan_ : *extra_lanes_[lane - 1];
                       for (std::int64_t c = begin; c < end; ++c) {
-                        fn(static_cast<int>(c), p);
+                        per_coil[static_cast<std::size_t>(c)] =
+                            transform(static_cast<int>(c), p);
                       }
                     });
+  // Coil-order reduction: bit-exact for any thread count.
+  for (int c = 0; c < maps_.coils; ++c) {
+    add(c, per_coil[static_cast<std::size_t>(c)]);
+  }
+  return out;
+}
+
+void SenseOperator::weigh(std::vector<c64>& v) const {
+  for (std::size_t j = 0; j < weights_.size(); ++j) v[j] *= weights_[j];
 }
 
 std::vector<c64> SenseOperator::adjoint(const std::vector<std::vector<c64>>& y,
@@ -111,24 +135,14 @@ std::vector<c64> SenseOperator::adjoint(const std::vector<std::vector<c64>>& y,
   obs::Span span("sense.adjoint");
   obs::add("sense.adjoint_applies", 1);
   obs::add("sense.coil_transforms", static_cast<std::uint64_t>(maps_.coils));
-  const auto pixels = static_cast<std::size_t>(plan_.image_total());
-  std::vector<std::vector<c64>> per_coil(
-      static_cast<std::size_t>(maps_.coils));
-  for_each_coil([&](int c, NufftPlan<2>& p) {
+  return coil_sum([&](int c, NufftPlan<2>& p) {
     deadline.check("sense.coil");
-    per_coil[static_cast<std::size_t>(c)] =
-        p.adjoint(y[static_cast<std::size_t>(c)], nullptr, deadline);
+    const auto& yc = y[static_cast<std::size_t>(c)];
+    if (weights_.empty()) return p.adjoint(yc, nullptr, deadline);
+    std::vector<c64> wy = yc;
+    weigh(wy);
+    return p.adjoint(wy, nullptr, deadline);
   });
-  // Coil-order reduction: bit-exact for any thread count.
-  std::vector<c64> out(pixels, c64{});
-  for (int c = 0; c < maps_.coils; ++c) {
-    const auto& img = per_coil[static_cast<std::size_t>(c)];
-    const auto& s = maps_.map(c);
-    for (std::size_t p = 0; p < out.size(); ++p) {
-      out[p] += std::conj(s[p]) * img[p];
-    }
-  }
-  return out;
 }
 
 std::vector<c64> SenseOperator::gram(const std::vector<c64>& x,
@@ -138,25 +152,15 @@ std::vector<c64> SenseOperator::gram(const std::vector<c64>& x,
   // Each gram apply runs a forward+adjoint pair per coil.
   obs::add("sense.coil_transforms",
            2 * static_cast<std::uint64_t>(maps_.coils));
-  std::vector<std::vector<c64>> per_coil(
-      static_cast<std::size_t>(maps_.coils));
-  for_each_coil([&](int c, NufftPlan<2>& p) {
+  return coil_sum([&](int c, NufftPlan<2>& p) {
     deadline.check("sense.coil");
     const auto& s = maps_.map(c);
     std::vector<c64> weighted(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) weighted[i] = s[i] * x[i];
-    per_coil[static_cast<std::size_t>(c)] =
-        p.adjoint(p.forward(weighted, nullptr, deadline), nullptr, deadline);
+    auto f = p.forward(weighted, nullptr, deadline);
+    weigh(f);
+    return p.adjoint(f, nullptr, deadline);
   });
-  std::vector<c64> out(x.size(), c64{});
-  for (int c = 0; c < maps_.coils; ++c) {
-    const auto& back = per_coil[static_cast<std::size_t>(c)];
-    const auto& s = maps_.map(c);
-    for (std::size_t p = 0; p < x.size(); ++p) {
-      out[p] += std::conj(s[p]) * back[p];
-    }
-  }
-  return out;
 }
 
 std::vector<c64> cg_sense(NufftPlan<2>& plan, const CoilMaps& maps,
@@ -164,13 +168,14 @@ std::vector<c64> cg_sense(NufftPlan<2>& plan, const CoilMaps& maps,
                           int max_iterations, double tolerance,
                           CgResult* result, unsigned coil_threads,
                           const Deadline& deadline,
-                          const std::vector<c64>* warm_start) {
+                          const std::vector<c64>* warm_start,
+                          std::span<const double> weights) {
   obs::Span span("sense.cg_sense");
   // An already-expired deadline returns before any operator construction or
   // transform work — the prompt-timeout contract the serve layer relies on.
   deadline.check("sense.rhs");
   obs::add("sense.cg_solves", 1);
-  SenseOperator op(plan, maps, coil_threads);
+  SenseOperator op(plan, maps, coil_threads, weights);
   const auto b = op.adjoint(y, deadline);
   std::vector<c64> x(b.size(), c64{});
   if (warm_start != nullptr && warm_start->size() == b.size()) {

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/nufft.hpp"
@@ -45,8 +46,10 @@ CoilMaps make_birdcage_maps(std::int64_t n, int coils,
 std::vector<std::vector<c64>> simulate_multicoil(
     NufftPlan<2>& plan, const CoilMaps& maps, const std::vector<c64>& image);
 
-/// The SENSE normal-equations operator  A^H A = sum_c S_c^H F^H F S_c  and
-/// right-hand side  A^H y = sum_c S_c^H F^H y_c.
+/// The SENSE normal-equations operator  A^H W A = sum_c S_c^H F^H W F S_c
+/// and right-hand side  A^H W y = sum_c S_c^H F^H W y_c, where W is an
+/// optional diagonal per-sample weighting (a density compensation). Empty
+/// `weights` means W = I; otherwise it holds one weight per plan sample.
 ///
 /// `coil_threads > 1` processes coils concurrently: the operator builds
 /// extra NuFFT lanes (own gridder + work grid, shared cached FFT plan) and
@@ -58,14 +61,15 @@ std::vector<std::vector<c64>> simulate_multicoil(
 class SenseOperator {
  public:
   SenseOperator(NufftPlan<2>& plan, const CoilMaps& maps,
-                unsigned coil_threads = 1);
+                unsigned coil_threads = 1,
+                std::span<const double> weights = {});
 
-  /// b = A^H y for multi-coil data y (coils x M). The deadline is checked
+  /// b = A^H W y for multi-coil data y (coils x M). The deadline is checked
   /// before every coil's transform (DeadlineExceeded on expiry).
   std::vector<c64> adjoint(const std::vector<std::vector<c64>>& y,
                            const Deadline& deadline = Deadline()) const;
 
-  /// (A^H A) x. Deadline semantics as in adjoint().
+  /// (A^H W A) x. Deadline semantics as in adjoint().
   std::vector<c64> gram(const std::vector<c64>& x,
                         const Deadline& deadline = Deadline()) const;
 
@@ -74,12 +78,18 @@ class SenseOperator {
   }
 
  private:
-  /// Run `fn(c, lane)` for every coil, coil-parallel when configured.
-  void for_each_coil(
-      const std::function<void(int, NufftPlan<2>&)>& fn) const;
+  /// sum_c S_c^H transform(c, lane): the coil transforms run
+  /// coil-parallel when configured, and their images are summed in coil
+  /// order either way. Serially each image is added as soon as it exists.
+  std::vector<c64> coil_sum(
+      const std::function<std::vector<c64>(int, NufftPlan<2>&)>& transform)
+      const;
+  /// v .* W, in place; nothing when W = I.
+  void weigh(std::vector<c64>& v) const;
 
   NufftPlan<2>& plan_;  // lane 0
   const CoilMaps& maps_;
+  std::span<const double> weights_;
   std::vector<std::unique_ptr<NufftPlan<2>>> extra_lanes_;  // lanes 1..
 };
 
@@ -95,12 +105,16 @@ class SenseOperator {
 /// point, same contract as iterative_recon): CG still converges to the
 /// same fixed point, a good seed just gets there in fewer iterations; a
 /// size mismatch silently falls back to the cold zero start.
+///
+/// `weights` makes it weighted CG-SENSE on  A^H W A x = A^H W y  (see
+/// SenseOperator); empty solves the unweighted normal equations.
 std::vector<c64> cg_sense(NufftPlan<2>& plan, const CoilMaps& maps,
                           const std::vector<std::vector<c64>>& y,
                           int max_iterations = 15, double tolerance = 1e-6,
                           CgResult* result = nullptr,
                           unsigned coil_threads = 1,
                           const Deadline& deadline = Deadline(),
-                          const std::vector<c64>* warm_start = nullptr);
+                          const std::vector<c64>* warm_start = nullptr,
+                          std::span<const double> weights = {});
 
 }  // namespace jigsaw::core

@@ -6,6 +6,7 @@
 #include "core/metrics.hpp"
 #include "core/nufft.hpp"
 #include "core/recon.hpp"
+#include "core/sense.hpp"
 #include "obs/obs.hpp"
 #include "trajectory/phantom.hpp"
 
@@ -31,57 +32,6 @@ std::vector<double> magnitude(const std::vector<c64>& img) {
   std::vector<double> mag(img.size());
   for (std::size_t i = 0; i < img.size(); ++i) mag[i] = std::abs(img[i]);
   return mag;
-}
-
-/// Weighted CG on the SENSE normal equations with data-estimated maps.
-/// With W = identity this is plain CG-SENSE; coils == 1 degenerates to
-/// weighted least-squares on the single-coil NuFFT.
-std::vector<c64> weighted_cg_sense(core::NufftPlan<2>& plan,
-                                   const core::CoilMaps& maps,
-                                   const std::vector<std::vector<c64>>& y,
-                                   const std::vector<double>& w, int iters,
-                                   double tolerance, core::CgResult* cg) {
-  const std::size_t m = plan.num_samples();
-  const auto pixels = static_cast<std::size_t>(plan.image_total());
-  const int coils = maps.coils;
-
-  const auto apply_w = [&](std::vector<c64>& v) {
-    if (w.empty()) return;
-    for (std::size_t j = 0; j < m; ++j) v[j] *= w[j];
-  };
-
-  // b = sum_c S_c^H A^H W y_c
-  std::vector<c64> b(pixels, c64(0.0, 0.0));
-  for (int c = 0; c < coils; ++c) {
-    std::vector<c64> wy = y[static_cast<std::size_t>(c)];
-    apply_w(wy);
-    const auto img = plan.adjoint(wy);
-    const auto& map = maps.map(c);
-    for (std::size_t p = 0; p < pixels; ++p) {
-      b[p] += std::conj(map[p]) * img[p];
-    }
-  }
-
-  const auto op = [&](const std::vector<c64>& x) {
-    std::vector<c64> out(pixels, c64(0.0, 0.0));
-    std::vector<c64> sx(pixels);
-    for (int c = 0; c < coils; ++c) {
-      const auto& map = maps.map(c);
-      for (std::size_t p = 0; p < pixels; ++p) sx[p] = map[p] * x[p];
-      auto f = plan.forward(sx);
-      apply_w(f);
-      const auto img = plan.adjoint(f);
-      for (std::size_t p = 0; p < pixels; ++p) {
-        out[p] += std::conj(map[p]) * img[p];
-      }
-    }
-    return out;
-  };
-
-  std::vector<c64> x(pixels, c64(0.0, 0.0));
-  const auto result = core::conjugate_gradient(op, b, x, iters, tolerance);
-  if (cg) *cg = result;
-  return x;
 }
 
 }  // namespace
@@ -177,9 +127,13 @@ ReconDatasetResult recon_dataset(const std::string& path,
             1, std::vector<c64>(static_cast<std::size_t>(plan.image_total()),
                                 c64(1.0, 0.0)));
       }
+      // Weighted CG-SENSE; coils == 1 is weighted least squares on the
+      // single-coil NuFFT.
       core::CgResult cg;
-      const auto img = weighted_cg_sense(plan, maps, y, w, options.iters,
-                                         options.tolerance, &cg);
+      const auto img =
+          core::cg_sense(plan, maps, y, options.iters, options.tolerance, &cg,
+                         /*coil_threads=*/1, Deadline(),
+                         /*warm_start=*/nullptr, w);
       rec.iterations = cg.iterations;
       rec.image = magnitude(img);
     }

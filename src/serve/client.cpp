@@ -105,12 +105,9 @@ void ServeClient::send_raw(MsgType type, const std::vector<std::uint8_t>& body) 
 }
 
 void ServeClient::send_raw_header(std::uint32_t type, std::uint64_t body_len) {
-  std::uint8_t header[16];
-  const std::uint32_t magic = kMagic;
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &type, 4);
-  std::memcpy(header + 8, &body_len, 8);
-  send_raw_bytes({header, header + sizeof header});
+  const FrameHeader header{kMagic, type, body_len};
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&header);
+  send_raw_bytes({p, p + sizeof header});
 }
 
 void ServeClient::send_raw_bytes(const std::vector<std::uint8_t>& bytes) {

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 namespace jigsaw::serve {
 
@@ -16,64 +18,311 @@ namespace {
 // Sanity ceiling for decode: no legitimate request/reply body reaches this
 // (the server applies its own, much smaller, admission limits first).
 constexpr std::uint64_t kAbsoluteMaxElements = 1ull << 28;
+constexpr std::uint32_t kMaxCoils = 1024;
+constexpr std::uint32_t kMaxMessageBytes = 1u << 20;
+constexpr std::uint32_t kMaxPathBytes = 4096;
 
+// Coordinate and value payloads cross the wire as the host's in-memory
+// arrays, one bulk copy each.
+static_assert(sizeof(Coord<2>) == 16 &&
+                  std::is_trivially_copyable_v<Coord<2>>,
+              "Coord<2> must be two packed doubles");
+static_assert(sizeof(c64) == 2 * sizeof(double),
+              "c64 must be two packed doubles");
+
+/// The encoding side of a layout: appends every field. It never validates —
+/// tests encode malformed messages on purpose to exercise the decoder.
 class Writer {
  public:
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+  void u32(std::uint32_t v, const char*) { raw(&v, sizeof v); }
+  void u64(std::uint64_t v, const char*) { raw(&v, sizeof v); }
+  void f64(double v, const char*) { raw(&v, sizeof v); }
+  void pad() { u32(0, "pad"); }
+  void version() { u32(kProtocolVersion, "version"); }
+  void status(Status s) { u32(static_cast<std::uint32_t>(s), "status"); }
+  void message(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()), "msg_len");
+    raw(s.data(), s.size());
   }
+  void samples(const std::vector<Coord<2>>& coords,
+               const std::vector<c64>& values, std::uint32_t /*coils*/) {
+    u64(coords.size(), "m");
+    raw(coords.data(), coords.size() * sizeof(Coord<2>));
+    raw(values.data(), values.size() * sizeof(c64));
+  }
+  void image(const std::vector<c64>& pixels) {
+    u64(pixels.size(), "pixel_count");
+    raw(pixels.data(), pixels.size() * sizeof(c64));
+  }
+  void path(const std::string& p, std::uint32_t /*path_len*/) {
+    raw(p.data(), p.size());
+  }
+  void check(bool, const char*) {}
+
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    buf_.insert(buf_.end(), b, b + n);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
+/// The decoding side of a layout: reads every field into the message and
+/// validates it. Counts are checked against the bytes actually present
+/// before anything is allocated, so a tiny body advertising a huge count
+/// is refused instead of making the receiver allocate gigabytes. With
+/// `skip_pixels` an image is checked like any other but not copied.
 class Reader {
  public:
-  Reader(const std::uint8_t* data, std::size_t len)
-      : data_(data), len_(len) {}
+  Reader(const std::uint8_t* data, std::size_t len, bool skip_pixels = false)
+      : data_(data), len_(len), skip_pixels_(skip_pixels) {}
 
-  std::uint32_t u32(const char* field) {
+  void u32(std::uint32_t& v, const char* field) { raw(&v, sizeof v, field); }
+  void u64(std::uint64_t& v, const char* field) { raw(&v, sizeof v, field); }
+  void f64(double& v, const char* field) { raw(&v, sizeof v, field); }
+  void pad() {
+    std::uint32_t ignored;
+    u32(ignored, "pad");
+  }
+  void version() {
     std::uint32_t v;
-    raw(&v, sizeof v, field);
-    return v;
-  }
-  std::uint64_t u64(const char* field) {
-    std::uint64_t v;
-    raw(&v, sizeof v, field);
-    return v;
-  }
-  double f64(const char* field) {
-    double v;
-    raw(&v, sizeof v, field);
-    return v;
-  }
-  void raw(void* out, std::size_t n, const char* field) {
-    if (len_ - pos_ < n) {
-      throw ProtocolError(std::string("truncated body reading '") + field +
-                          "' (need " + std::to_string(n) + " bytes, have " +
-                          std::to_string(len_ - pos_) + ")");
+    u32(v, "version");
+    if (v != kProtocolVersion) {
+      throw ProtocolError("version: unsupported protocol version " +
+                          std::to_string(v));
     }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
   }
+  void status(Status& s) {
+    std::uint32_t v;
+    u32(v, "status");
+    if (v > static_cast<std::uint32_t>(Status::kError)) {
+      throw ProtocolError("status: unknown status code " + std::to_string(v));
+    }
+    s = static_cast<Status>(v);
+  }
+  void message(std::string& s) {
+    std::uint32_t len;
+    u32(len, "msg_len");
+    check(len <= kMaxMessageBytes, "msg_len: message implausibly long");
+    s.assign(reinterpret_cast<const char*>(take(len, "message")), len);
+  }
+  void samples(std::vector<Coord<2>>& coords, std::vector<c64>& values,
+               std::uint32_t coils) {
+    std::uint64_t m;
+    u64(m, "m");
+    if (m > kAbsoluteMaxElements || coils > kMaxCoils ||
+        m * coils > kAbsoluteMaxElements) {
+      throw ProtocolError("m: " + std::to_string(m) + " samples x " +
+                          std::to_string(coils) + " coils implausibly large");
+    }
+    tail_is("m", m * sizeof(Coord<2>) + m * coils * sizeof(c64));
+    coords.resize(static_cast<std::size_t>(m));
+    raw(coords.data(), coords.size() * sizeof(Coord<2>), "coords");
+    values.resize(static_cast<std::size_t>(m * coils));
+    raw(values.data(), values.size() * sizeof(c64), "values");
+  }
+  void image(std::vector<c64>& pixels) {
+    std::uint64_t count;
+    u64(count, "pixel_count");
+    check(count <= kAbsoluteMaxElements, "pixel_count: implausibly large");
+    tail_is("pixel_count", count * sizeof(c64));
+    if (skip_pixels_) {
+      pos_ = len_;
+      return;
+    }
+    pixels.resize(static_cast<std::size_t>(count));
+    raw(pixels.data(), pixels.size() * sizeof(c64), "image");
+  }
+  void path(std::string& p, std::uint32_t path_len) {
+    tail_is("path_len", path_len);
+    p.assign(reinterpret_cast<const char*>(take(path_len, "path")), path_len);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) throw ProtocolError(what);
+  }
+
   void expect_consumed() const {
     if (pos_ != len_) {
       throw ProtocolError("trailing garbage: " + std::to_string(len_ - pos_) +
                           " unconsumed bytes");
     }
   }
-  std::size_t remaining() const { return len_ - pos_; }
 
  private:
+  const std::uint8_t* take(std::size_t n, const char* field) {
+    if (len_ - pos_ < n) {
+      throw ProtocolError(std::string(field) + ": truncated body (need " +
+                          std::to_string(n) + " bytes, have " +
+                          std::to_string(len_ - pos_) + ")");
+    }
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+  void raw(void* out, std::size_t n, const char* field) {
+    const std::uint8_t* p = take(n, field);
+    if (n > 0) std::memcpy(out, p, n);
+  }
+  /// The payload that `field` counts is the rest of the body: exactly
+  /// `bytes` must remain.
+  void tail_is(const char* field, std::uint64_t bytes) const {
+    if (bytes != len_ - pos_) {
+      throw ProtocolError(std::string(field) + ": body carries " +
+                          std::to_string(len_ - pos_) +
+                          " payload bytes, expected " + std::to_string(bytes));
+    }
+  }
+
   const std::uint8_t* data_;
   std::size_t len_;
   std::size_t pos_ = 0;
+  bool skip_pixels_;
 };
+
+// --- one layout per body ---------------------------------------------------
+//
+// Each layout lists its body's fields once, in wire order; Writer encodes
+// through it and Reader decodes through it. M is the wire struct, const
+// when encoding. Checks that belong to one message type sit in its layout
+// as io.check(), which only the Reader enforces.
+
+template <class M, class Wire>
+concept Is = std::same_as<std::remove_const_t<M>, Wire>;
+
+template <class IO, Is<ReconRequestWire> M>
+void layout(IO& io, M& m) {
+  io.version();
+  io.u32(m.engine, "engine");
+  io.u32(m.n, "n");
+  io.u32(m.iters, "iters");
+  io.u32(m.coils, "coils");
+  io.u32(m.sanitize, "sanitize");
+  io.u32(m.kernel_width, "kernel_width");
+  io.pad();  // 8-byte alignment of the doubles that follow
+  io.f64(m.sigma, "sigma");
+  io.u64(m.deadline_ms, "deadline_ms");
+  io.u64(m.client_tag, "client_tag");
+  io.check(m.coils != 0, "coils: must be >= 1");
+  io.samples(m.coords, m.values, m.coils);
+  io.check(!m.coords.empty(), "m: empty sample set");
+}
+
+template <class IO, Is<ReconReplyWire> M>
+void layout(IO& io, M& m) {
+  io.status(m.status);
+  io.u32(m.n, "n");
+  io.u64(m.client_tag, "client_tag");
+  io.u64(m.sanitize_dropped, "sanitize_dropped");
+  io.u64(m.sanitize_repaired, "sanitize_repaired");
+  io.message(m.message);
+  io.image(m.image);
+}
+
+template <class IO, Is<DatasetRequestWire> M>
+void layout(IO& io, M& m) {
+  io.version();
+  io.u32(m.engine, "engine");
+  io.u32(m.iters, "iters");
+  io.u32(m.dcf, "dcf");
+  auto path_len = static_cast<std::uint32_t>(m.path.size());
+  io.u32(path_len, "path_len");
+  io.pad();  // 8-byte alignment of the u64s that follow
+  io.u64(m.deadline_ms, "deadline_ms");
+  io.u64(m.client_tag, "client_tag");
+  io.check(m.dcf <= 2, "dcf: unknown dcf mode");
+  io.check(path_len != 0, "path_len: empty dataset path");
+  io.check(path_len <= kMaxPathBytes,
+           "path_len: dataset path implausibly long");
+  io.path(m.path, path_len);
+  io.check(m.path.find('\0') == std::string::npos,
+           "path: dataset path contains NUL");
+}
+
+template <class IO, Is<OpenSessionWire> M>
+void layout(IO& io, M& m) {
+  io.version();
+  io.u32(m.engine, "engine");
+  io.u32(m.n, "n");
+  io.u32(m.iters, "iters");
+  io.u32(m.coils, "coils");
+  io.u32(m.kernel_width, "kernel_width");
+  io.u32(m.warm_start, "warm_start");
+  io.pad();  // 8-byte alignment of the doubles that follow
+  io.f64(m.sigma, "sigma");
+  io.f64(m.divergence_guard, "divergence_guard");
+  io.u64(m.frame_deadline_ms, "frame_deadline_ms");
+  io.u64(m.client_tag, "client_tag");
+  io.check(m.iters != 0, "iters: a session needs >= 1 iteration");
+  io.check(m.coils != 0 && m.coils <= kMaxCoils,
+           "coils: session coils outside [1, 1024]");
+  io.check(m.warm_start <= 1, "warm_start: must be 0 or 1");
+}
+
+template <class IO, Is<SessionReplyWire> M>
+void layout(IO& io, M& m) {
+  io.status(m.status);
+  io.pad();
+  io.u64(m.session_id, "session_id");
+  io.u64(m.client_tag, "client_tag");
+  io.u64(m.frames, "frames");
+  io.u64(m.total_iterations, "total_iterations");
+  io.message(m.message);
+}
+
+template <class IO, Is<PushFrameWire> M>
+void layout(IO& io, M& m) {
+  io.version();
+  io.u32(m.coils, "coils");
+  io.u64(m.session_id, "session_id");
+  io.u64(m.frame_index, "frame_index");
+  io.u64(m.deadline_ms, "deadline_ms");
+  io.u64(m.client_tag, "client_tag");
+  io.check(m.coils != 0, "coils: must be >= 1");
+  io.samples(m.coords, m.values, m.coils);
+  io.check(!m.coords.empty(), "m: empty frame");
+}
+
+template <class IO, Is<FrameReplyWire> M>
+void layout(IO& io, M& m) {
+  io.status(m.status);
+  io.u32(m.n, "n");
+  io.u32(m.iterations, "iterations");
+  io.u32(m.flags, "flags");
+  io.u64(m.session_id, "session_id");
+  io.u64(m.frame_index, "frame_index");
+  io.u64(m.client_tag, "client_tag");
+  io.f64(m.residual, "residual");
+  io.message(m.message);
+  io.image(m.image);
+}
+
+template <class IO, Is<CloseSessionWire> M>
+void layout(IO& io, M& m) {
+  io.version();
+  io.pad();
+  io.u64(m.session_id, "session_id");
+  io.u64(m.client_tag, "client_tag");
+}
+
+template <class M>
+std::vector<std::uint8_t> encode(const M& m) {
+  Writer w;
+  layout(w, m);
+  return w.take();
+}
+
+template <class M>
+M decode(const std::uint8_t* data, std::size_t len, bool skip_pixels = false) {
+  Reader r(data, len, skip_pixels);
+  M m;
+  layout(r, m);
+  r.expect_consumed();
+  return m;
+}
 
 /// Write exactly `len` bytes. `timeout_ms < 0` blocks indefinitely;
 /// otherwise the WHOLE write must finish within `timeout_ms` of wall clock
@@ -187,428 +436,44 @@ const char* to_string(Status s) {
   return "UNKNOWN";
 }
 
-std::vector<std::uint8_t> encode_recon_request(const ReconRequestWire& req) {
-  Writer w;
-  w.u32(kProtocolVersion);
-  w.u32(req.engine);
-  w.u32(req.n);
-  w.u32(req.iters);
-  w.u32(req.coils);
-  w.u32(req.sanitize);
-  w.u32(req.kernel_width);
-  w.u32(0);  // pad to 8-byte alignment of the doubles that follow
-  w.f64(req.sigma);
-  w.u64(req.deadline_ms);
-  w.u64(req.client_tag);
-  w.u64(req.coords.size());
-  for (const auto& c : req.coords) {
-    w.f64(c[0]);
-    w.f64(c[1]);
+// Every public encode_X / decode_X pair runs X's layout.
+#define JIGSAW_SERVE_CODEC(name, Wire)                                    \
+  std::vector<std::uint8_t> encode_##name(const Wire& m) {                \
+    return encode(m);                                                     \
+  }                                                                       \
+  Wire decode_##name(const std::uint8_t* data, std::size_t len) {         \
+    return decode<Wire>(data, len);                                       \
   }
-  for (const auto& v : req.values) {
-    w.f64(v.real());
-    w.f64(v.imag());
-  }
-  return w.take();
-}
+JIGSAW_SERVE_CODEC(recon_request, ReconRequestWire)
+JIGSAW_SERVE_CODEC(recon_reply, ReconReplyWire)
+JIGSAW_SERVE_CODEC(dataset_request, DatasetRequestWire)
+JIGSAW_SERVE_CODEC(open_session, OpenSessionWire)
+JIGSAW_SERVE_CODEC(session_reply, SessionReplyWire)
+JIGSAW_SERVE_CODEC(push_frame, PushFrameWire)
+JIGSAW_SERVE_CODEC(frame_reply, FrameReplyWire)
+JIGSAW_SERVE_CODEC(close_session, CloseSessionWire)
+#undef JIGSAW_SERVE_CODEC
 
-ReconRequestWire decode_recon_request(const std::uint8_t* data,
-                                      std::size_t len) {
-  Reader r(data, len);
-  const std::uint32_t version = r.u32("version");
-  if (version != kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " +
-                        std::to_string(version));
+ReplyHead peek_reply(MsgType type, const std::uint8_t* data, std::size_t len) {
+  const auto head = [](auto&& reply) {
+    return ReplyHead{reply.status, std::move(reply.message)};
+  };
+  switch (type) {
+    case MsgType::kReconReply:
+      return head(decode<ReconReplyWire>(data, len, /*skip_pixels=*/true));
+    case MsgType::kSessionReply:
+      return head(decode<SessionReplyWire>(data, len));
+    default:
+      throw ProtocolError("type: " +
+                          std::to_string(static_cast<std::uint32_t>(type)) +
+                          " is not a reply with a status");
   }
-  ReconRequestWire req;
-  req.engine = r.u32("engine");
-  req.n = r.u32("n");
-  req.iters = r.u32("iters");
-  req.coils = r.u32("coils");
-  req.sanitize = r.u32("sanitize");
-  req.kernel_width = r.u32("kernel_width");
-  r.u32("pad");
-  req.sigma = r.f64("sigma");
-  req.deadline_ms = r.u64("deadline_ms");
-  req.client_tag = r.u64("client_tag");
-  const std::uint64_t m = r.u64("m");
-  if (req.coils == 0) throw ProtocolError("coils must be >= 1");
-  if (m == 0) throw ProtocolError("empty sample set");
-  if (m > kAbsoluteMaxElements || req.coils > 1024 ||
-      m * req.coils > kAbsoluteMaxElements) {
-    throw ProtocolError("sample count " + std::to_string(m) + " x " +
-                        std::to_string(req.coils) + " coils implausibly large");
-  }
-  // Preflight BEFORE allocating: the claimed counts must match the payload
-  // bytes actually present, or a tiny body advertising a huge m would make
-  // the receiver allocate gigabytes just to throw on the first read.
-  const std::uint64_t payload =
-      m * sizeof(double) * 2 + m * req.coils * sizeof(double) * 2;
-  if (payload != r.remaining()) {
-    throw ProtocolError("body carries " + std::to_string(r.remaining()) +
-                        " payload bytes, expected " + std::to_string(payload) +
-                        " for " + std::to_string(m) + " samples x " +
-                        std::to_string(req.coils) + " coils");
-  }
-  req.coords.resize(static_cast<std::size_t>(m));
-  for (auto& c : req.coords) {
-    c[0] = r.f64("coord");
-    c[1] = r.f64("coord");
-  }
-  req.values.resize(static_cast<std::size_t>(m * req.coils));
-  for (auto& v : req.values) {
-    const double re = r.f64("value");
-    const double im = r.f64("value");
-    v = c64(re, im);
-  }
-  r.expect_consumed();
-  return req;
-}
-
-std::vector<std::uint8_t> encode_recon_reply(const ReconReplyWire& reply) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(reply.status));
-  w.u32(reply.n);
-  w.u64(reply.client_tag);
-  w.u64(reply.sanitize_dropped);
-  w.u64(reply.sanitize_repaired);
-  w.u32(static_cast<std::uint32_t>(reply.message.size()));
-  w.raw(reply.message.data(), reply.message.size());
-  w.u64(reply.image.size());
-  for (const auto& v : reply.image) {
-    w.f64(v.real());
-    w.f64(v.imag());
-  }
-  return w.take();
-}
-
-ReconReplyWire decode_recon_reply(const std::uint8_t* data, std::size_t len) {
-  Reader r(data, len);
-  ReconReplyWire reply;
-  const std::uint32_t status = r.u32("status");
-  if (status > static_cast<std::uint32_t>(Status::kError)) {
-    throw ProtocolError("unknown status code " + std::to_string(status));
-  }
-  reply.status = static_cast<Status>(status);
-  reply.n = r.u32("n");
-  reply.client_tag = r.u64("client_tag");
-  reply.sanitize_dropped = r.u64("sanitize_dropped");
-  reply.sanitize_repaired = r.u64("sanitize_repaired");
-  const std::uint32_t msg_len = r.u32("msg_len");
-  if (msg_len > (1u << 20)) throw ProtocolError("message implausibly long");
-  reply.message.resize(msg_len);
-  if (msg_len > 0) r.raw(reply.message.data(), msg_len, "message");
-  const std::uint64_t pixels = r.u64("pixel_count");
-  if (pixels > kAbsoluteMaxElements) {
-    throw ProtocolError("pixel count implausibly large");
-  }
-  if (pixels * sizeof(double) * 2 != r.remaining()) {
-    throw ProtocolError("body carries " + std::to_string(r.remaining()) +
-                        " image bytes, expected " +
-                        std::to_string(pixels * sizeof(double) * 2) + " for " +
-                        std::to_string(pixels) + " pixels");
-  }
-  reply.image.resize(static_cast<std::size_t>(pixels));
-  for (auto& v : reply.image) {
-    const double re = r.f64("pixel");
-    const double im = r.f64("pixel");
-    v = c64(re, im);
-  }
-  r.expect_consumed();
-  return reply;
-}
-
-std::vector<std::uint8_t> encode_dataset_request(const DatasetRequestWire& req) {
-  Writer w;
-  w.u32(kProtocolVersion);
-  w.u32(req.engine);
-  w.u32(req.iters);
-  w.u32(req.dcf);
-  w.u32(static_cast<std::uint32_t>(req.path.size()));
-  w.u32(0);  // pad to 8-byte alignment of the u64s that follow
-  w.u64(req.deadline_ms);
-  w.u64(req.client_tag);
-  w.raw(req.path.data(), req.path.size());
-  return w.take();
-}
-
-DatasetRequestWire decode_dataset_request(const std::uint8_t* data,
-                                          std::size_t len) {
-  Reader r(data, len);
-  const std::uint32_t version = r.u32("version");
-  if (version != kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " +
-                        std::to_string(version));
-  }
-  DatasetRequestWire req;
-  req.engine = r.u32("engine");
-  req.iters = r.u32("iters");
-  req.dcf = r.u32("dcf");
-  const std::uint32_t path_len = r.u32("path_len");
-  r.u32("pad");
-  req.deadline_ms = r.u64("deadline_ms");
-  req.client_tag = r.u64("client_tag");
-  if (req.dcf > 2) {
-    throw ProtocolError("unknown dcf mode " + std::to_string(req.dcf));
-  }
-  if (path_len == 0) throw ProtocolError("empty dataset path");
-  if (path_len > 4096) throw ProtocolError("dataset path implausibly long");
-  if (path_len != r.remaining()) {
-    throw ProtocolError("body carries " + std::to_string(r.remaining()) +
-                        " path bytes, expected " + std::to_string(path_len));
-  }
-  req.path.resize(path_len);
-  r.raw(req.path.data(), path_len, "path");
-  if (req.path.find('\0') != std::string::npos) {
-    throw ProtocolError("dataset path contains NUL");
-  }
-  r.expect_consumed();
-  return req;
-}
-
-std::vector<std::uint8_t> encode_open_session(const OpenSessionWire& req) {
-  Writer w;
-  w.u32(kProtocolVersion);
-  w.u32(req.engine);
-  w.u32(req.n);
-  w.u32(req.iters);
-  w.u32(req.coils);
-  w.u32(req.kernel_width);
-  w.u32(req.warm_start);
-  w.u32(0);  // pad to 8-byte alignment of the doubles that follow
-  w.f64(req.sigma);
-  w.f64(req.divergence_guard);
-  w.u64(req.frame_deadline_ms);
-  w.u64(req.client_tag);
-  return w.take();
-}
-
-OpenSessionWire decode_open_session(const std::uint8_t* data,
-                                    std::size_t len) {
-  Reader r(data, len);
-  const std::uint32_t version = r.u32("version");
-  if (version != kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " +
-                        std::to_string(version));
-  }
-  OpenSessionWire req;
-  req.engine = r.u32("engine");
-  req.n = r.u32("n");
-  req.iters = r.u32("iters");
-  req.coils = r.u32("coils");
-  req.kernel_width = r.u32("kernel_width");
-  req.warm_start = r.u32("warm_start");
-  r.u32("pad");
-  req.sigma = r.f64("sigma");
-  req.divergence_guard = r.f64("divergence_guard");
-  req.frame_deadline_ms = r.u64("frame_deadline_ms");
-  req.client_tag = r.u64("client_tag");
-  if (req.iters == 0) throw ProtocolError("session iters must be >= 1");
-  if (req.coils == 0 || req.coils > 1024) {
-    throw ProtocolError("session coils outside [1, 1024]");
-  }
-  if (req.warm_start > 1) {
-    throw ProtocolError("warm_start must be 0 or 1");
-  }
-  r.expect_consumed();
-  return req;
-}
-
-std::vector<std::uint8_t> encode_session_reply(const SessionReplyWire& reply) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(reply.status));
-  w.u32(0);  // pad
-  w.u64(reply.session_id);
-  w.u64(reply.client_tag);
-  w.u64(reply.frames);
-  w.u64(reply.total_iterations);
-  w.u32(static_cast<std::uint32_t>(reply.message.size()));
-  w.raw(reply.message.data(), reply.message.size());
-  return w.take();
-}
-
-SessionReplyWire decode_session_reply(const std::uint8_t* data,
-                                      std::size_t len) {
-  Reader r(data, len);
-  SessionReplyWire reply;
-  const std::uint32_t status = r.u32("status");
-  if (status > static_cast<std::uint32_t>(Status::kError)) {
-    throw ProtocolError("unknown status code " + std::to_string(status));
-  }
-  reply.status = static_cast<Status>(status);
-  r.u32("pad");
-  reply.session_id = r.u64("session_id");
-  reply.client_tag = r.u64("client_tag");
-  reply.frames = r.u64("frames");
-  reply.total_iterations = r.u64("total_iterations");
-  const std::uint32_t msg_len = r.u32("msg_len");
-  if (msg_len > (1u << 20)) throw ProtocolError("message implausibly long");
-  reply.message.resize(msg_len);
-  if (msg_len > 0) r.raw(reply.message.data(), msg_len, "message");
-  r.expect_consumed();
-  return reply;
-}
-
-std::vector<std::uint8_t> encode_push_frame(const PushFrameWire& req) {
-  Writer w;
-  w.u32(kProtocolVersion);
-  w.u32(req.coils);
-  w.u64(req.session_id);
-  w.u64(req.frame_index);
-  w.u64(req.deadline_ms);
-  w.u64(req.client_tag);
-  w.u64(req.coords.size());
-  for (const auto& c : req.coords) {
-    w.f64(c[0]);
-    w.f64(c[1]);
-  }
-  for (const auto& v : req.values) {
-    w.f64(v.real());
-    w.f64(v.imag());
-  }
-  return w.take();
-}
-
-PushFrameWire decode_push_frame(const std::uint8_t* data, std::size_t len) {
-  Reader r(data, len);
-  const std::uint32_t version = r.u32("version");
-  if (version != kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " +
-                        std::to_string(version));
-  }
-  PushFrameWire req;
-  req.coils = r.u32("coils");
-  req.session_id = r.u64("session_id");
-  req.frame_index = r.u64("frame_index");
-  req.deadline_ms = r.u64("deadline_ms");
-  req.client_tag = r.u64("client_tag");
-  const std::uint64_t m = r.u64("m");
-  if (req.coils == 0) throw ProtocolError("coils must be >= 1");
-  if (m == 0) throw ProtocolError("empty frame");
-  if (m > kAbsoluteMaxElements || req.coils > 1024 ||
-      m * req.coils > kAbsoluteMaxElements) {
-    throw ProtocolError("frame sample count " + std::to_string(m) + " x " +
-                        std::to_string(req.coils) +
-                        " coils implausibly large");
-  }
-  // Preflight BEFORE allocating — same defense as decode_recon_request.
-  const std::uint64_t payload =
-      m * sizeof(double) * 2 + m * req.coils * sizeof(double) * 2;
-  if (payload != r.remaining()) {
-    throw ProtocolError("body carries " + std::to_string(r.remaining()) +
-                        " payload bytes, expected " + std::to_string(payload) +
-                        " for " + std::to_string(m) + " samples x " +
-                        std::to_string(req.coils) + " coils");
-  }
-  req.coords.resize(static_cast<std::size_t>(m));
-  for (auto& c : req.coords) {
-    c[0] = r.f64("coord");
-    c[1] = r.f64("coord");
-  }
-  req.values.resize(static_cast<std::size_t>(m * req.coils));
-  for (auto& v : req.values) {
-    const double re = r.f64("value");
-    const double im = r.f64("value");
-    v = c64(re, im);
-  }
-  r.expect_consumed();
-  return req;
-}
-
-std::vector<std::uint8_t> encode_frame_reply(const FrameReplyWire& reply) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(reply.status));
-  w.u32(reply.n);
-  w.u32(reply.iterations);
-  w.u32(reply.flags);
-  w.u64(reply.session_id);
-  w.u64(reply.frame_index);
-  w.u64(reply.client_tag);
-  w.f64(reply.residual);
-  w.u32(static_cast<std::uint32_t>(reply.message.size()));
-  w.raw(reply.message.data(), reply.message.size());
-  w.u64(reply.image.size());
-  for (const auto& v : reply.image) {
-    w.f64(v.real());
-    w.f64(v.imag());
-  }
-  return w.take();
-}
-
-FrameReplyWire decode_frame_reply(const std::uint8_t* data, std::size_t len) {
-  Reader r(data, len);
-  FrameReplyWire reply;
-  const std::uint32_t status = r.u32("status");
-  if (status > static_cast<std::uint32_t>(Status::kError)) {
-    throw ProtocolError("unknown status code " + std::to_string(status));
-  }
-  reply.status = static_cast<Status>(status);
-  reply.n = r.u32("n");
-  reply.iterations = r.u32("iterations");
-  reply.flags = r.u32("flags");
-  reply.session_id = r.u64("session_id");
-  reply.frame_index = r.u64("frame_index");
-  reply.client_tag = r.u64("client_tag");
-  reply.residual = r.f64("residual");
-  const std::uint32_t msg_len = r.u32("msg_len");
-  if (msg_len > (1u << 20)) throw ProtocolError("message implausibly long");
-  reply.message.resize(msg_len);
-  if (msg_len > 0) r.raw(reply.message.data(), msg_len, "message");
-  const std::uint64_t pixels = r.u64("pixel_count");
-  if (pixels > kAbsoluteMaxElements) {
-    throw ProtocolError("pixel count implausibly large");
-  }
-  if (pixels * sizeof(double) * 2 != r.remaining()) {
-    throw ProtocolError("body carries " + std::to_string(r.remaining()) +
-                        " image bytes, expected " +
-                        std::to_string(pixels * sizeof(double) * 2) + " for " +
-                        std::to_string(pixels) + " pixels");
-  }
-  reply.image.resize(static_cast<std::size_t>(pixels));
-  for (auto& v : reply.image) {
-    const double re = r.f64("pixel");
-    const double im = r.f64("pixel");
-    v = c64(re, im);
-  }
-  r.expect_consumed();
-  return reply;
-}
-
-std::vector<std::uint8_t> encode_close_session(const CloseSessionWire& req) {
-  Writer w;
-  w.u32(kProtocolVersion);
-  w.u32(0);  // pad
-  w.u64(req.session_id);
-  w.u64(req.client_tag);
-  return w.take();
-}
-
-CloseSessionWire decode_close_session(const std::uint8_t* data,
-                                      std::size_t len) {
-  Reader r(data, len);
-  const std::uint32_t version = r.u32("version");
-  if (version != kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " +
-                        std::to_string(version));
-  }
-  CloseSessionWire req;
-  r.u32("pad");
-  req.session_id = r.u64("session_id");
-  req.client_tag = r.u64("client_tag");
-  r.expect_consumed();
-  return req;
 }
 
 void send_frame(int fd, MsgType type, const std::uint8_t* body,
                 std::size_t len, int timeout_ms) {
-  std::uint8_t header[16];
-  const std::uint32_t magic = kMagic;
-  const auto type_u32 = static_cast<std::uint32_t>(type);
-  const auto body_len = static_cast<std::uint64_t>(len);
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &type_u32, 4);
-  std::memcpy(header + 8, &body_len, 8);
-  write_all(fd, header, sizeof header, timeout_ms);
+  const FrameHeader header{kMagic, static_cast<std::uint32_t>(type), len};
+  write_all(fd, &header, sizeof header, timeout_ms);
   if (len > 0) write_all(fd, body, len, timeout_ms);
 }
 
@@ -620,20 +485,15 @@ bool recv_frame(int fd, Frame& out, std::size_t max_body, int timeout_ms) {
                        std::chrono::milliseconds(timeout_ms);
     deadline = &deadline_storage;
   }
-  std::uint8_t header[16];
-  if (!read_all(fd, header, sizeof header, /*eof_ok=*/true, deadline,
+  FrameHeader header;
+  if (!read_all(fd, &header, sizeof header, /*eof_ok=*/true, deadline,
                 timeout_ms)) {
     return false;
   }
-  std::uint32_t magic, type_u32;
-  std::uint64_t body_len;
-  std::memcpy(&magic, header + 0, 4);
-  std::memcpy(&type_u32, header + 4, 4);
-  std::memcpy(&body_len, header + 8, 8);
-  if (magic != kMagic) {
-    throw ProtocolError("bad magic 0x" + std::to_string(magic));
+  if (header.magic != kMagic) {
+    throw ProtocolError("bad magic 0x" + std::to_string(header.magic));
   }
-  switch (static_cast<MsgType>(type_u32)) {
+  switch (static_cast<MsgType>(header.type)) {
     case MsgType::kRecon:
     case MsgType::kStats:
     case MsgType::kOpenSession:
@@ -646,12 +506,15 @@ bool recv_frame(int fd, Frame& out, std::size_t max_body, int timeout_ms) {
     case MsgType::kFrameReply:
       break;
     default:
-      throw ProtocolError("unknown message type " + std::to_string(type_u32));
+      throw ProtocolError("unknown message type " +
+                          std::to_string(header.type));
   }
-  if (body_len > max_body) throw FrameTooLarge(body_len, max_body);
-  out.type = static_cast<MsgType>(type_u32);
-  out.body.resize(static_cast<std::size_t>(body_len));
-  if (body_len > 0) {
+  if (header.body_len > max_body) {
+    throw FrameTooLarge(header.body_len, max_body);
+  }
+  out.type = static_cast<MsgType>(header.type);
+  out.body.resize(static_cast<std::size_t>(header.body_len));
+  if (header.body_len > 0) {
     read_all(fd, out.body.data(), out.body.size(), /*eof_ok=*/false, deadline,
              timeout_ms);
   }

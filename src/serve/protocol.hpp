@@ -1,7 +1,8 @@
 // Wire protocol for the jigsaw_serve reconstruction daemon.
 //
 // Transport: a Unix-domain stream socket carrying length-prefixed frames.
-// Every frame is a 16-byte header followed by `body_len` payload bytes:
+// Every frame is a 16-byte header (FrameHeader) followed by `body_len`
+// payload bytes:
 //
 //   u32 magic      0x4A535256 ("JSRV")
 //   u32 type       MsgType
@@ -9,16 +10,20 @@
 //
 // Integers and doubles are host-endian: the socket never leaves the
 // machine, so the protocol trades portability for zero-copy encode/decode
-// of multi-megabyte sample payloads. docs/serving.md documents the framing
+// of multi-megabyte sample payloads (coordinates and values travel as the
+// host's arrays, one bulk copy each). docs/serving.md documents the framing
 // and the per-field layout below.
 //
-// Request/reply bodies are encoded by the functions here; decode_* performs
-// a *recovering* parse — every length, range and enum is validated and any
-// violation raises ProtocolError, which the server maps to a Status::kError
-// reply instead of tearing down the process. A frame whose advertised
-// body_len exceeds the receiver's limit raises FrameTooLarge *before* the
-// body is read, which the server maps to Status::kRejected (admission
-// control, not a malformed client).
+// Each body's layout is stated once, in its layout() in protocol.cpp; the
+// encode_* and decode_* pair of a body both run it. decode_* performs a
+// *recovering* parse — every length, range and enum is validated, every
+// count is preflighted against the bytes actually present before anything
+// is allocated, and any violation raises ProtocolError, which the server
+// maps to a Status::kError reply instead of tearing down the process.
+// Encoders never validate. A frame whose advertised body_len exceeds the
+// receiver's limit raises FrameTooLarge *before* the body is read, which
+// the server maps to Status::kRejected (admission control, not a malformed
+// client).
 #pragma once
 
 #include <cstdint>
@@ -264,6 +269,27 @@ FrameReplyWire decode_frame_reply(const std::uint8_t* data, std::size_t len);
 std::vector<std::uint8_t> encode_close_session(const CloseSessionWire& req);
 CloseSessionWire decode_close_session(const std::uint8_t* data,
                                       std::size_t len);
+
+/// Status and message of a reply body, as decode_* would return them.
+struct ReplyHead {
+  Status status = Status::kError;
+  std::string message;
+};
+
+/// Read only the status and message of a kReconReply or kSessionReply
+/// body. Accepts and rejects exactly the bodies the full decoder does
+/// (image byte count included) but never allocates or copies pixels — the
+/// router's per-reply peek. Throws ProtocolError on any other type.
+ReplyHead peek_reply(MsgType type, const std::uint8_t* data, std::size_t len);
+
+/// The frame header in wire order; frames are sent and received as its
+/// bytes.
+struct FrameHeader {
+  std::uint32_t magic = kMagic;
+  std::uint32_t type = 0;
+  std::uint64_t body_len = 0;
+};
+static_assert(sizeof(FrameHeader) == 16, "the frame header is 16 bytes");
 
 /// One received frame.
 struct Frame {

@@ -49,18 +49,6 @@ Clock::time_point wait_deadline(const RouterConfig& config,
                          : static_cast<long long>(config.forward_timeout_ms));
 }
 
-/// Status and message of a worker's recon or session reply; throws on a
-/// malformed body.
-std::pair<Status, std::string> reply_status(
-    MsgType type, const std::vector<std::uint8_t>& body) {
-  if (type == MsgType::kReconReply) {
-    ReconReplyWire r = decode_recon_reply(body.data(), body.size());
-    return {r.status, std::move(r.message)};
-  }
-  SessionReplyWire r = decode_session_reply(body.data(), body.size());
-  return {r.status, std::move(r.message)};
-}
-
 enum class Route {
   kSharded,       // rendezvous rank order of a shard key, with spill
   kSticky,        // the session's pinned worker, no failover
@@ -417,16 +405,16 @@ Router::ForwardResult Router::attempt(Worker& w, const Frame& frame,
       // everything it did not admit — that request belongs on the next
       // worker, which is what makes a rolling restart lossless. A sticky
       // request has no next worker, so its reply is relayed as it is.
-      std::pair<Status, std::string> status;
+      ReplyHead head;
       try {
-        status = reply_status(policy.reply, reply.body);
+        head = peek_reply(policy.reply, reply.body.data(), reply.body.size());
       } catch (const std::exception&) {
         close_quietly(fd);
         out.message = "router: worker " + w.spec + " sent a malformed reply";
         return out;
       }
-      if (status.first == Status::kRejected &&
-          status.second.find("draining") != std::string::npos) {
+      if (head.status == Status::kRejected &&
+          head.message.find("draining") != std::string::npos) {
         ++w.drain_rejects;
         close_quietly(fd);  // the worker is going away; never pool it
         return not_executed("draining", " is draining");

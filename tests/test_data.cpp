@@ -415,6 +415,59 @@ TEST(Estimate, CoilMapsApproachGroundTruthAndRssIsNormalized) {
   EXPECT_LT(std::sqrt(err / ref), 0.15);
 }
 
+// recon_dataset's weighted solve is cg_sense with DCF weights. It must equal
+// CG on  sum_c S_c^H A^H W A S_c x = sum_c S_c^H A^H W y_c  written out by
+// hand with the same operation order, bit for bit.
+TEST(Driver, WeightedCgSenseMatchesHandRolledWeightedCg) {
+  const std::int64_t n = 32;
+  const int coils = 2;
+  auto coords = trajectory::make_2d(trajectory::TrajectoryType::Radial, 1500);
+  core::NufftPlan<2> plan(n, coords, core::GridderOptions{});
+  const auto maps = core::make_birdcage_maps(n, coils);
+  const auto image = trajectory::rasterize(trajectory::shepp_logan(),
+                                           static_cast<int>(n));
+  const auto y = core::simulate_multicoil(
+      plan, maps, std::vector<c64>(image.begin(), image.end()));
+  const auto w = core::pipe_menon_weights<2>(plan.gridder(), plan.coords());
+  const std::size_t pixels = image.size();
+
+  const auto weigh = [&](std::vector<c64> v) {
+    for (std::size_t j = 0; j < v.size(); ++j) v[j] *= w[j];
+    return v;
+  };
+  std::vector<c64> b(pixels);
+  for (int c = 0; c < coils; ++c) {
+    const auto img = plan.adjoint(weigh(y[c]));
+    for (std::size_t p = 0; p < pixels; ++p) {
+      b[p] += std::conj(maps.map(c)[p]) * img[p];
+    }
+  }
+  const auto gram = [&](const std::vector<c64>& x) {
+    std::vector<c64> out(pixels), sx(pixels);
+    for (int c = 0; c < coils; ++c) {
+      for (std::size_t p = 0; p < pixels; ++p) sx[p] = maps.map(c)[p] * x[p];
+      const auto img = plan.adjoint(weigh(plan.forward(sx)));
+      for (std::size_t p = 0; p < pixels; ++p) {
+        out[p] += std::conj(maps.map(c)[p]) * img[p];
+      }
+    }
+    return out;
+  };
+  std::vector<c64> expected(pixels);
+  const auto cg_ref = core::conjugate_gradient(gram, b, expected, 5, 0.0);
+
+  core::CgResult cg;
+  const auto got = core::cg_sense(plan, maps, y, 5, 0.0, &cg, 1, Deadline(),
+                                  nullptr, w);
+  EXPECT_EQ(cg.iterations, cg_ref.iterations);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t p = 0; p < pixels; ++p) {
+    ASSERT_EQ(got[p], expected[p]) << "pixel " << p;
+  }
+  // Unweighted is a different problem: the weights are really applied.
+  EXPECT_NE(core::cg_sense(plan, maps, y, 5, 0.0), got);
+}
+
 TEST(Driver, ParsesDcfModes) {
   EXPECT_EQ(parse_dcf_mode("none"), DcfMode::kNone);
   EXPECT_EQ(parse_dcf_mode("embedded"), DcfMode::kEmbedded);

@@ -145,7 +145,9 @@ TEST(Fft1D, StridedMatchesContiguous) {
   }
   // Elements off the stride lattice are untouched.
   for (std::size_t i = 0; i < n * stride; ++i) {
-    if (i % stride != 0) EXPECT_EQ(strided[i], base[i]);
+    if (i % stride != 0) {
+      EXPECT_EQ(strided[i], base[i]);
+    }
   }
 }
 

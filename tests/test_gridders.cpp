@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "core/binning_gridder.hpp"
@@ -20,6 +21,11 @@
 #include "test_names.hpp"
 
 namespace jigsaw::core {
+
+// gtest finds PrintTo by argument-dependent lookup: failure messages then
+// show a parameter's fields instead of its raw bytes.
+void PrintTo(GridderKind kind, std::ostream* os) { *os << to_string(kind); }
+
 namespace {
 
 template <int D>
@@ -52,6 +58,11 @@ struct EquivCase {
   kernels::KernelType kernel;
   bool exact_weights;
 };
+
+void PrintTo(const EquivCase& p, std::ostream* os) {
+  *os << kernels::to_string(p.kernel) << " W=" << p.width
+      << " sigma=" << p.sigma << (p.exact_weights ? " exact" : " lut");
+}
 
 class GridderEquivalence2D : public ::testing::TestWithParam<EquivCase> {};
 

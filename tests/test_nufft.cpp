@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "core/metrics.hpp"
@@ -45,6 +46,15 @@ struct NufftCase {
   int table;           // LUT oversampling factor L
   double tolerance;    // NRMSD vs NuDFT
 };
+
+// Found by gtest through argument-dependent lookup: failure messages show
+// the case's fields instead of its raw bytes.
+void PrintTo(const NufftCase& p, std::ostream* os) {
+  *os << to_string(p.kind) << " " << kernels::to_string(p.kernel)
+      << " W=" << p.width << " sigma=" << p.sigma
+      << (p.exact_weights ? " exact" : " lut") << " L=" << p.table
+      << " tol=" << p.tolerance;
+}
 // Accuracy regimes: with on-line ("exact") weights the Kaiser-Bessel W=6,
 // sigma=2 NuFFT reaches ~1e-5 NRMSD — the kernel aliasing floor. The
 // nearest-neighbor weight table of the paper (L=32) adds ~1% quantization

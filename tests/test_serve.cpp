@@ -9,14 +9,19 @@
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <dirent.h>
 #include <unistd.h>
 
+#include "common/hash.hpp"
 #include "core/nufft.hpp"
 #include "core/sense.hpp"
 #include "data/synthetic.hpp"
@@ -187,6 +192,257 @@ TEST(ServeProtocol, JobFromWireValidatesEnums) {
   const ReconJob job = job_from_wire(req);
   EXPECT_EQ(job.n, 128);
   EXPECT_FALSE(job.deadline.bounded());
+}
+
+// Every body type, encoded from one fixed message with non-trivial fields
+// (2 coils where samples travel), plus the FNV-1a and length of the bytes
+// it must encode to. The goldens pin the wire format: a codec change that
+// moves one byte fails GoldenBodiesAreByteStable.
+struct WireCase {
+  const char* name;
+  std::vector<std::uint8_t> body;
+  std::uint64_t golden_fnv1a;
+  std::size_t golden_len;
+  bool request;  // leads with a version (else a reply: leads with a status)
+  std::function<std::vector<std::uint8_t>(const std::uint8_t*, std::size_t)>
+      reencode;  // full decode, then encode again
+};
+
+template <class Wire>
+std::function<std::vector<std::uint8_t>(const std::uint8_t*, std::size_t)>
+reencoder(Wire (*decode)(const std::uint8_t*, std::size_t),
+          std::vector<std::uint8_t> (*encode)(const Wire&)) {
+  return [=](const std::uint8_t* data, std::size_t len) {
+    return encode(decode(data, len));
+  };
+}
+
+std::vector<Coord<2>> fixed_coords(std::size_t m) {
+  std::vector<Coord<2>> c(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    c[i] = {-0.5 + 0.125 * static_cast<double>(i),
+            0.25 - 0.0625 * static_cast<double>(i)};
+  }
+  return c;
+}
+
+std::vector<c64> fixed_values(std::size_t count) {
+  std::vector<c64> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    v[i] = c64(static_cast<double>(i) + 0.5, -0.25 * static_cast<double>(i));
+  }
+  return v;
+}
+
+std::vector<WireCase> wire_cases() {
+  ReconRequestWire recon;
+  recon.engine = 3 | kEngineSimdFlag;
+  recon.n = 48;
+  recon.iters = 5;
+  recon.coils = 2;
+  recon.sanitize = 1;
+  recon.kernel_width = 4;
+  recon.sigma = 1.75;
+  recon.deadline_ms = 1234;
+  recon.client_tag = 0x0123456789ABCDEFull;
+  recon.coords = fixed_coords(5);
+  recon.values = fixed_values(10);
+
+  ReconReplyWire recon_reply;
+  recon_reply.status = Status::kSanitizedPartial;
+  recon_reply.n = 2;
+  recon_reply.client_tag = 7;
+  recon_reply.sanitize_dropped = 3;
+  recon_reply.sanitize_repaired = 1;
+  recon_reply.message = "three samples dropped";
+  recon_reply.image = fixed_values(4);
+
+  DatasetRequestWire dataset;
+  dataset.engine = 4;
+  dataset.iters = 8;
+  dataset.dcf = 1;
+  dataset.deadline_ms = 2500;
+  dataset.client_tag = 0xFEEDBEEFull;
+  dataset.path = "/data/scan042.jksd";
+
+  OpenSessionWire open;
+  open.engine = 3;
+  open.n = 64;
+  open.iters = 6;
+  open.coils = 2;
+  open.kernel_width = 4;
+  open.warm_start = 1;
+  open.sigma = 1.5;
+  open.divergence_guard = 0.75;
+  open.frame_deadline_ms = 40;
+  open.client_tag = 11;
+
+  SessionReplyWire session_reply;
+  session_reply.status = Status::kOk;
+  session_reply.session_id = 0x42;
+  session_reply.client_tag = 11;
+  session_reply.frames = 9;
+  session_reply.total_iterations = 37;
+  session_reply.message = "closed";
+
+  PushFrameWire push;
+  push.coils = 2;
+  push.session_id = 0x42;
+  push.frame_index = 3;
+  push.deadline_ms = 25;
+  push.client_tag = 12;
+  push.coords = fixed_coords(4);
+  push.values = fixed_values(8);
+
+  FrameReplyWire frame_reply;
+  frame_reply.status = Status::kTimeout;
+  frame_reply.n = 2;
+  frame_reply.iterations = 4;
+  frame_reply.flags = kFrameWarmFlag | kFramePlanReusedFlag;
+  frame_reply.session_id = 0x42;
+  frame_reply.frame_index = 3;
+  frame_reply.client_tag = 12;
+  frame_reply.residual = 0.125;
+  frame_reply.message = "late";
+  frame_reply.image = fixed_values(4);
+
+  CloseSessionWire close;
+  close.session_id = 0x42;
+  close.client_tag = 13;
+
+  return {
+      {"recon_request", encode_recon_request(recon),
+       0xBA808B29C3F3CE3Eull, 304, true,
+       reencoder(&decode_recon_request, &encode_recon_request)},
+      {"recon_reply", encode_recon_reply(recon_reply),
+       0x333B064E4EF76AC2ull, 129, false,
+       reencoder(&decode_recon_reply, &encode_recon_reply)},
+      {"dataset_request", encode_dataset_request(dataset),
+       0xD977590DA1764721ull, 58, true,
+       reencoder(&decode_dataset_request, &encode_dataset_request)},
+      {"open_session", encode_open_session(open),
+       0x36BBF3F5A84423E5ull, 64, true,
+       reencoder(&decode_open_session, &encode_open_session)},
+      {"session_reply", encode_session_reply(session_reply),
+       0x52F0216A8E47C8B2ull, 50, false,
+       reencoder(&decode_session_reply, &encode_session_reply)},
+      {"push_frame", encode_push_frame(push),
+       0xDD86BA5E50315FFFull, 240, true,
+       reencoder(&decode_push_frame, &encode_push_frame)},
+      {"frame_reply", encode_frame_reply(frame_reply),
+       0xAA3B5FC642EAC6FDull, 128, false,
+       reencoder(&decode_frame_reply, &encode_frame_reply)},
+      {"close_session", encode_close_session(close),
+       0x5392175D64EEEC0Bull, 24, true,
+       reencoder(&decode_close_session, &encode_close_session)},
+  };
+}
+
+std::uint64_t body_hash(const std::vector<std::uint8_t>& body) {
+  return fnv1a(body.data(), body.size(), kFnv1aBasis);
+}
+
+TEST(ServeProtocol, GoldenBodiesAreByteStable) {
+  for (const WireCase& w : wire_cases()) {
+    SCOPED_TRACE(w.name);
+    EXPECT_EQ(w.body.size(), w.golden_len);
+    EXPECT_EQ(body_hash(w.body), w.golden_fnv1a);
+    // Decoding and encoding again reproduces the body byte for byte.
+    EXPECT_EQ(w.reencode(w.body.data(), w.body.size()), w.body);
+  }
+}
+
+// The seed of a mutation harness over every body type: each strict prefix
+// and the body plus one trailing byte must be refused, never accepted or
+// crashed on.
+TEST(ServeProtocol, EveryPrefixAndTrailingByteIsRejected) {
+  for (const WireCase& w : wire_cases()) {
+    SCOPED_TRACE(w.name);
+    for (std::size_t len = 0; len < w.body.size(); ++len) {
+      EXPECT_THROW(w.reencode(w.body.data(), len), ProtocolError)
+          << "prefix of " << len << " bytes";
+    }
+    auto extended = w.body;
+    extended.push_back(0);
+    EXPECT_THROW(w.reencode(extended.data(), extended.size()), ProtocolError);
+  }
+}
+
+TEST(ServeProtocol, BadVersionAndUnknownStatusAreRejected) {
+  int requests = 0, replies = 0;
+  for (const WireCase& w : wire_cases()) {
+    SCOPED_TRACE(w.name);
+    auto bad = w.body;
+    const std::uint32_t lead =
+        w.request ? kProtocolVersion + 1
+                  : static_cast<std::uint32_t>(Status::kError) + 1;
+    std::memcpy(bad.data(), &lead, sizeof lead);
+    EXPECT_THROW(w.reencode(bad.data(), bad.size()), ProtocolError);
+    ++(w.request ? requests : replies);
+  }
+  EXPECT_EQ(requests, 5);
+  EXPECT_EQ(replies, 3);
+}
+
+template <class Wire>
+ReplyHead full_head(Wire (*decode)(const std::uint8_t*, std::size_t),
+                    const std::vector<std::uint8_t>& body) {
+  Wire reply = decode(body.data(), body.size());
+  return {reply.status, std::move(reply.message)};
+}
+
+// peek_reply reads status and message without the image; it must accept
+// and reject exactly the recon- and session-reply bodies the full decoder
+// does. The mutants are the sweep above plus every single-byte flip.
+TEST(ServeProtocol, ReplyPeekAgreesWithFullDecode) {
+  using FullHead = std::function<ReplyHead(const std::vector<std::uint8_t>&)>;
+  const std::map<std::string, std::pair<MsgType, FullHead>> replies = {
+      {"recon_reply",
+       {MsgType::kReconReply,
+        [](const auto& b) { return full_head(&decode_recon_reply, b); }}},
+      {"session_reply",
+       {MsgType::kSessionReply,
+        [](const auto& b) { return full_head(&decode_session_reply, b); }}},
+  };
+  int covered = 0;
+  for (const WireCase& w : wire_cases()) {
+    const auto kind = replies.find(w.name);
+    if (kind == replies.end()) continue;
+    SCOPED_TRACE(w.name);
+    ++covered;
+    const auto& [type, full] = kind->second;
+    std::vector<std::vector<std::uint8_t>> mutants;
+    for (std::size_t len = 0; len <= w.body.size(); ++len) {
+      mutants.emplace_back(w.body.begin(), w.body.begin() + len);
+    }
+    mutants.push_back(w.body);
+    mutants.back().push_back(0);
+    for (std::size_t i = 0; i < w.body.size(); ++i) {
+      mutants.push_back(w.body);
+      mutants.back()[i] ^= 0xFF;
+    }
+    int accepted = 0;
+    for (const auto& body : mutants) {
+      std::optional<ReplyHead> peeked, decoded;
+      try {
+        peeked = peek_reply(type, body.data(), body.size());
+      } catch (const ProtocolError&) {
+      }
+      try {
+        decoded = full(body);
+      } catch (const ProtocolError&) {
+      }
+      ASSERT_EQ(peeked.has_value(), decoded.has_value())
+          << "disagree on a " << body.size() << "-byte body";
+      if (peeked) {
+        ++accepted;
+        EXPECT_EQ(peeked->status, decoded->status);
+        EXPECT_EQ(peeked->message, decoded->message);
+      }
+    }
+    EXPECT_GT(accepted, 0);  // the unmutated body, at least
+  }
+  EXPECT_EQ(covered, 2);
 }
 
 // ----------------------------------------------------------------- session

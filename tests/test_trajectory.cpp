@@ -164,7 +164,9 @@ TEST(DensityWeights, RampShapeAndNormalization) {
     for (std::size_t j = 0; j < t.size(); j += 97) {
       const double ri = std::hypot(t[i][0], t[i][1]);
       const double rj = std::hypot(t[j][0], t[j][1]);
-      if (ri > rj + 0.01) EXPECT_GT(w[i], w[j]);
+      if (ri > rj + 0.01) {
+        EXPECT_GT(w[i], w[j]);
+      }
     }
     if (i > 200) break;
   }

@@ -113,7 +113,7 @@ core::GridderOptions resolve_auto(core::GridderOptions opt, const CliArgs& args,
   tune::Autotuner tuner(config);
   // Key the decision on the execution shape the CLI will actually run.
   // Multi-coil recon parallelizes across min(coils, --coil-threads) plan
-  // lanes (SenseOperator::for_each_coil), each applying this gridder; the
+  // lanes (SenseOperator::coil_sum), each applying this gridder; the
   // per-gridder thread budget is what remains of the --coil-threads budget
   // once those lanes are occupied.
   const int coils = static_cast<int>(args.get_int("coils", 1));
