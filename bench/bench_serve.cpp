@@ -10,12 +10,12 @@
 //
 //   bench_serve [--smoke] [--tag ci-serve] [--out BENCH_serve.json]
 //               [--threads 2] [--n 64] [--samples 8192]
-//               [--engine slice-dice|auto] [--wisdom <path>] [--no-trials]
-//               [--workers N]
+//               [--engine slice-dice|auto] [--workers N]
 //
-// --engine auto routes requests through the engine's autotuner; each serve
-// block then reports the CONCRETE engine the tuner picked plus
-// "tuned": true, so a tuned run and a default run are directly comparable.
+// --engine auto lets each worker resolve the engine by plan reuse
+// (core::resolve_auto); each serve block then reports the CONCRETE engine
+// plus "tuned": true, so an auto run and a default run are directly
+// comparable.
 //
 // --workers N switches to the scale-out topology: N real jigsaw_serve
 // workers on loopback TCP behind an in-process Router, closed-loop clients
@@ -66,9 +66,9 @@ struct ServeResult {
   std::uint64_t plan_builds = 0;
   std::uint64_t batches = 0;
   std::uint64_t batched_jobs = 0;
-  std::string engine;  // concrete engine the plans ran on (tuner-resolved
-                       // when the request asked for auto)
-  bool tuned = false;  // true when the engine came from the autotuner
+  std::string engine;  // concrete engine the plans ran on (resolved when
+                       // the request asked for auto)
+  bool tuned = false;  // true when plans resolved engine=auto
   int workers = 0;                      // routed mode: worker tier size
   std::vector<WorkerBench> per_worker;  // routed mode: per-worker shares
 };
@@ -80,18 +80,25 @@ double percentile(std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+/// The engine a one-shot adjoint plan of side n runs on: engine=auto
+/// resolves by core::resolve_auto, as the workers' plan pools do.
+std::string resolved_engine(std::int64_t n, core::GridderKind kind) {
+  core::GridderOptions options;
+  options.kind = kind;
+  options.width = 4;
+  return core::to_string(
+      core::resolve_auto(n, options, /*reused=*/false).kind);
+}
+
 ServeResult run_closed_loop(int clients, int requests_per_client,
                             std::int64_t n,
                             const std::vector<Coord<2>>& coords,
                             const std::vector<c64>& values,
                             unsigned exec_threads,
-                            core::GridderKind engine_kind,
-                            const std::string& wisdom_path, bool tune_trials) {
+                            core::GridderKind engine_kind) {
   serve::ServeConfig config;
   config.max_queue = static_cast<std::size_t>(clients) * 2 + 8;
   config.exec_threads = exec_threads;
-  config.wisdom_path = wisdom_path;
-  config.tune_trials = tune_trials;
   serve::ServeSession session(config);
 
   std::vector<std::vector<double>> latencies(
@@ -151,28 +158,14 @@ ServeResult run_closed_loop(int clients, int requests_per_client,
   result.batches = counts.batches;
   result.batched_jobs = counts.batched_jobs;
   result.tuned = counts.tuned_plans > 0;
-  if (result.tuned) {
-    // The tuner memoized its decision when the first plan was built; a
-    // second decide() is a pure lookup that names the concrete engine.
-    core::GridderOptions options;
-    options.width = 4;
-    const auto key = tune::TuneKey::of(
-        2, n, static_cast<std::int64_t>(coords.size()), options,
-        /*coils=*/1, /*threads=*/1);
-    result.engine =
-        core::to_string(session.engine().tuner().decide(key, options).kind);
-  } else {
-    result.engine = core::to_string(engine_kind);
-  }
+  result.engine = resolved_engine(n, engine_kind);
   return result;
 }
 
 ServeResult run_routed_loop(int workers, int clients, int requests_per_client,
                             std::int64_t n, std::int64_t m_base,
                             unsigned exec_threads,
-                            core::GridderKind engine_kind,
-                            const std::string& wisdom_path,
-                            bool tune_trials) {
+                            core::GridderKind engine_kind) {
   // Several geometry classes (distinct N — the trajectory generator rounds
   // M to whole spokes, so distinct-M classes could collide): rendezvous
   // sharding pins each class to one worker, and repeats of a class must hit
@@ -200,10 +193,6 @@ ServeResult run_routed_loop(int workers, int clients, int requests_per_client,
     config.listen = "127.0.0.1:0";
     config.max_queue = static_cast<std::size_t>(clients) * 2 + 8;
     config.exec_threads = exec_threads;
-    // Each worker owns its wisdom file — shards never contend on one store.
-    config.wisdom_path =
-        wisdom_path.empty() ? "" : wisdom_path + ".w" + std::to_string(w);
-    config.tune_trials = tune_trials;
     fleet.push_back(std::make_unique<serve::ReconServer>(config));
     fleet.back()->start();
     specs.push_back(serve::to_string(fleet.back()->bound_endpoints().front()));
@@ -261,7 +250,7 @@ ServeResult run_routed_loop(int workers, int clients, int requests_per_client,
   result.rps = static_cast<double>(all.size()) / elapsed;
   result.p50_ms = percentile(all, 0.50);
   result.p99_ms = percentile(all, 0.99);
-  result.engine = core::to_string(engine_kind);
+  result.engine = resolved_engine(n, engine_kind);
   for (int w = 0; w < workers; ++w) {
     const serve::EngineCounts c = fleet[static_cast<std::size_t>(w)]
                                       ->engine()
@@ -373,7 +362,7 @@ int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv,
                        {"smoke", "tag", "out", "threads", "n", "samples",
-                        "engine", "wisdom", "no-trials", "workers"});
+                        "engine", "workers"});
     const bool smoke = args.has("smoke");
     const std::string tag = args.get("tag", smoke ? "serve-smoke" : "serve");
     const std::string out_path = args.get("out", "BENCH_" + tag + ".json");
@@ -383,8 +372,6 @@ int main(int argc, char** argv) {
     const std::int64_t m = args.get_int("samples", smoke ? 4000 : 8192);
     const core::GridderKind engine_kind =
         core::parse_gridder_kind(args.get("engine", "slice-dice"));
-    const std::string wisdom_path = args.get("wisdom", "");
-    const bool tune_trials = !args.has("no-trials");
     const int requests_per_client = smoke ? 20 : 100;
     const std::vector<int> client_counts =
         smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
@@ -406,11 +393,9 @@ int main(int argc, char** argv) {
       results.push_back(
           workers > 0
               ? run_routed_loop(workers, clients, requests_per_client, n, m,
-                                exec_threads, engine_kind, wisdom_path,
-                                tune_trials)
+                                exec_threads, engine_kind)
               : run_closed_loop(clients, requests_per_client, n, coords,
-                                values, exec_threads, engine_kind,
-                                wisdom_path, tune_trials));
+                                values, exec_threads, engine_kind));
       const ServeResult& r = results.back();
       std::printf("  %-22s %6.1f req/s  p50 %6.2f ms  p99 %6.2f ms  "
                   "batches %llu (fused jobs %llu), plans %llu, engine %s%s\n",

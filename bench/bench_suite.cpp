@@ -38,7 +38,6 @@
 #include "obs/obs.hpp"
 #include "trajectory/phantom.hpp"
 #include "trajectory/trajectory.hpp"
-#include "tune/autotuner.hpp"
 
 using namespace jigsaw;
 
@@ -53,10 +52,10 @@ struct Entry {
   std::vector<std::pair<std::string, double>> phases;
   double checksum = 0.0;
   std::vector<std::pair<std::string, double>> extra;
-  // Non-empty only on autotuned ("/auto/") entries: the concrete engine the
-  // tuner resolved to, in kEngines spelling ("-simd" suffix for vectorized
-  // winners). Lets bench_compare.py work-gate the entry against that
-  // engine's own baseline counters instead of exempting it wholesale.
+  // Non-empty only on "/auto/" entries: the concrete engine auto resolved
+  // to, in kEngines spelling ("-simd" suffix for vectorized engines). Lets
+  // bench_compare.py work-gate the entry against that engine's own
+  // baseline counters instead of exempting it wholesale.
   std::string resolved_engine;
   // Registry counter deltas for ONE invocation of the workload (captured
   // outside the timing loop — time_best's rep count varies run to run, so
@@ -108,9 +107,9 @@ const EngineSpec kEngines[] = {
     {"jigsaw", core::GridderKind::Jigsaw, false},
 };
 
-/// The bench-local name of the engine a tuning decision resolved to —
-/// kEngines spelling ("slice-dice", not "slice-and-dice"), "-simd" suffix
-/// for vectorized winners. bench_compare.py uses this to work-gate /auto/
+/// The bench-local name of the engine auto resolved to — kEngines
+/// spelling ("slice-dice", not "slice-and-dice"), "-simd" suffix for
+/// vectorized engines. bench_compare.py uses this to work-gate /auto/
 /// entries against the matching concrete entry's counters.
 std::string bench_engine_name(core::GridderKind kind, bool simd) {
   for (const EngineSpec& spec : kEngines) {
@@ -191,34 +190,25 @@ void bench_gridder(const EngineSpec& spec, std::int64_t n, std::int64_t m,
   }
 }
 
-/// The tuned configuration: resolve engine=auto with an in-memory tuner
-/// (fresh trials each run — this IS the tuner benchmark), then time the
-/// winner like any other engine. The resolved engine is machine-dependent,
-/// so bench_compare.py exempts "/auto" entries from the work-counter gate;
-/// the checksum gate still applies because trial candidates are exact
-/// double-precision engines only.
+/// engine=auto as a one-shot gridding pass resolves it (core::resolve_auto),
+/// timed like any other engine. bench_compare.py work-gates the entries
+/// against the resolved engine's own entries; the checksum gate applies as
+/// everywhere.
 void bench_auto(std::int64_t n, std::int64_t m, int width,
                 std::vector<Entry>& out) {
   core::GridderOptions opt;
   opt.kind = core::GridderKind::Auto;
   opt.width = width;
   opt.tile = 8;
-  tune::Autotuner tuner(tune::TunerConfig{});  // in-memory, trials enabled
-  const auto key = tune::TuneKey::of(2, n, m, opt, /*coils=*/1, /*threads=*/1);
-  Timer tune_timer;
-  const auto decision = tuner.decide(key, opt);
-  const double tune_seconds = tune_timer.seconds();
-  const auto resolved = tune::Autotuner::apply(decision, opt);
+  const auto resolved = core::resolve_auto(n, opt, /*reused=*/false);
   const std::string resolved_name =
-      bench_engine_name(decision.kind, decision.simd);
-  std::printf("auto: %s -> %s (tile %d, %.1f ms of trials)\n",
-              key.label().c_str(), resolved_name.c_str(), decision.tile,
-              1e3 * tune_seconds);
+      bench_engine_name(resolved.kind, resolved.simd);
+  std::printf("auto: n%lld -> %s (tile %d)\n", static_cast<long long>(n),
+              resolved_name.c_str(), resolved.tile);
 
   auto g = core::make_gridder<2>(n, resolved);
   const auto in = random_samples<2>(m, 42 + static_cast<std::uint64_t>(n));
   core::Grid<2> grid(g->grid_size());
-  const auto stats = tuner.stats();
   {
     Entry e;
     e.name = "grid2d/adjoint/auto" + size_suffix(n, m);
@@ -229,11 +219,9 @@ void bench_auto(std::int64_t n, std::int64_t m, int width,
     e.seconds = time_best([&] { g->adjoint(in, grid); }, 0.1, 3);
     e.checksum = core::norm2(
         std::vector<c64>(grid.data(), grid.data() + grid.total()));
-    e.extra = {{"tune_seconds", tune_seconds},
-               {"tune_trials", static_cast<double>(stats.trials)},
-               {"resolved_engine_code",
-                static_cast<double>(static_cast<int>(decision.kind))},
-               {"resolved_simd", decision.simd ? 1.0 : 0.0}};
+    e.extra = {{"resolved_engine_code",
+                static_cast<double>(static_cast<int>(resolved.kind))},
+               {"resolved_simd", resolved.simd ? 1.0 : 0.0}};
     e.resolved_engine = resolved_name;
     out.push_back(std::move(e));
   }
@@ -590,7 +578,7 @@ int main(int argc, char** argv) {
     std::printf("done: gridders/%s\n", spec.name);
   }
 
-  // The tuned configuration (engine=auto) on the main 2D problem.
+  // engine=auto on the main 2D problem.
   bench_auto(smoke ? 64 : 128, smoke ? 32768 : 131072, /*width=*/6, entries);
   std::printf("done: auto\n");
 

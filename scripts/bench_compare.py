@@ -19,11 +19,11 @@ Exit status 1 when:
     means the algorithm now does different work. The gate only engages
     when both files were produced by JIGSAW_OBS=ON builds and both entries
     carry counters; an OFF-build candidate is reported, never failed.
-    Benchmarks whose name contains "/auto/" get an indirect gate: the
-    autotuner resolves them to whichever engine measured fastest on the
-    producing machine, so their counters cannot be compared against the
-    baseline's auto entry (hosts and runs legitimately pick different
-    winners). When the candidate entry records "resolved_engine", the gate
+    Benchmarks whose name contains "/auto/" get an indirect gate: auto
+    resolves to a concrete engine, and the resolution rule may differ
+    between the baseline's producer and the candidate's, so their counters
+    are not compared against the baseline's auto entry. When the candidate
+    entry records "resolved_engine", the gate
     instead compares its counters against the BASELINE entry of that
     concrete engine's scalar twin at the same problem size — a SIMD winner
     must do bit-identical logical work to its scalar twin, so e.g. an auto
@@ -100,12 +100,12 @@ def main():
                 f"CHECKSUM  {name}: {b['checksum']:.12g} -> {c['checksum']:.12g} "
                 f"(rel drift {drift:.3g})")
 
-        # Autotuned entries run on whichever engine won the calibration
-        # trials on the producing machine, so their work counters cannot be
-        # diffed against the baseline's own auto entry. When the candidate
-        # says which engine it resolved to, gate against that engine's
-        # scalar twin in the baseline instead (SIMD variants perform
-        # identical logical work); otherwise fall back to exempting.
+        # Auto entries run on whichever engine auto resolved to when each
+        # file was produced, so their work counters are not diffed against
+        # the baseline's own auto entry. When the candidate says which
+        # engine it resolved to, gate against that engine's scalar twin in
+        # the baseline instead (SIMD variants perform identical logical
+        # work); otherwise fall back to exempting.
         tuned_entry = "/auto/" in name
         ref_counters = b.get("counters")
         if tuned_entry:

@@ -20,16 +20,12 @@
 #      BENCH_baseline.json — fails on >15% slowdown, any checksum drift,
 #      or any work-counter drift (see scripts/bench_compare.py); the JSON
 #      is schema-validated with counters required
-#   4b. jigsaw_tune smoke — calibrates two tiny geometries into a fresh
-#      wisdom store, schema-validates it, then reruns with --expect-hits:
-#      a cold process must serve both decisions from the reloaded store
-#      with zero new trials (the wisdom persistence round-trip)
-#   4c. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
+#   4b. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
 #      behind jigsaw_router on an ephemeral TCP port; interleaved requests
 #      across three geometry classes must all relay, each class must pin to
 #      exactly one worker (shard counts read from the router's stats JSON),
 #      and SIGTERM must drain router and workers to a clean exit 0
-#   4d. dataset smoke — jigsaw_dataset generate -> validate -> jigsaw_cli
+#   4c. dataset smoke — jigsaw_dataset generate -> validate -> jigsaw_cli
 #      recon --dataset with Pipe-Menon DCF under an NRMSE <= 0.30 quality
 #      gate, then a mid-file byte flip: validate must exit 2 naming the
 #      rejected chunk and the recon must complete on the survivors
@@ -115,20 +111,6 @@ echo "=== streaming smoke + warm-start gate ==="
 ./build/bench/bench_stream --smoke --tag ci-stream \
   --out build/BENCH_ci-stream.json
 python3 scripts/validate_bench.py build/BENCH_ci-stream.json
-
-echo "=== autotuner smoke + wisdom persistence gate ==="
-# Calibrate two tiny geometries into a throwaway wisdom store, validate the
-# store's schema, then rerun the same geometries from a cold process:
-# --expect-hits fails the stage unless every decision came from the reloaded
-# store with zero new trials — the persistence round-trip, end to end.
-# (--expect-hits must follow the positionals: boolean flags would otherwise
-# swallow the next token as their value.)
-TUNE_WISDOM=build/ci_wisdom.json
-rm -f "${TUNE_WISDOM}"
-./build/tools/jigsaw_tune --wisdom "${TUNE_WISDOM}" 48x4000 64x8192
-python3 scripts/validate_bench.py "${TUNE_WISDOM}"
-./build/tools/jigsaw_tune --wisdom "${TUNE_WISDOM}" 48x4000 64x8192 \
-  --expect-hits
 
 echo "=== dataset smoke: generate -> validate -> recon + corruption gate ==="
 # End-to-end ingest path: synthesize a multi-coil JKSD acquisition, validate

@@ -4,19 +4,12 @@
 Usage:
     validate_bench.py BENCH.json [--schema scripts/bench_schema.json]
         [--require-counters]
-    validate_bench.py wisdom.json          # autotuner wisdom store
 
 Stdlib-only on purpose (CI boxes have no jsonschema); the schema file uses
 a small declarative subset documented in its $comment. --require-counters
 additionally fails unless every benchmark entry carries a non-empty
 "counters" block and the document says obs_enabled — the CI assertion that
 a JIGSAW_OBS=ON build actually counted its work.
-
-A document whose "kind" is "jigsaw-wisdom" (the autotuner's persistent
-store, src/tune/wisdom.cpp) is validated against scripts/wisdom_schema.json
-instead, plus wisdom-specific invariants: every entry's engine must be a
-concrete known engine (never "auto"), and every key must be 16 lowercase
-hex digits.
 """
 import argparse
 import json
@@ -68,45 +61,6 @@ def check(value, schema, path, errors):
             check(item, schema["items"], f"{path}[{i}]", errors)
 
 
-# Engine names as serialized by core::to_string(GridderKind) — the only
-# values a wisdom entry's "engine" field may take ("auto" is a request, not
-# a decision, and must never be persisted).
-WISDOM_ENGINES = {"serial", "output-driven", "binning", "slice-and-dice",
-                  "jigsaw", "sparse-matrix", "serial-f32"}
-# Engines with a vectorized twin: the only ones a wisdom entry may mark
-# "simd": true ("engine" stays the concrete scalar name; the flag selects
-# the SIMD kernel table at plan time). Matches core::gridder_kind_has_simd.
-WISDOM_SIMD_ENGINES = {"serial", "binning", "slice-and-dice"}
-WISDOM_KEY_HEX = 16
-
-
-def check_wisdom(doc, errors):
-    """Wisdom-specific invariants beyond the declarative schema."""
-    if doc.get("kind") != "jigsaw-wisdom":
-        errors.append("$.kind: expected \"jigsaw-wisdom\"")
-    seen = set()
-    for i, e in enumerate(doc.get("entries", [])):
-        if not isinstance(e, dict):
-            continue
-        engine = e.get("engine")
-        if engine not in WISDOM_ENGINES:
-            errors.append(f"$.entries[{i}].engine: \"{engine}\" is not a "
-                          f"concrete engine (valid: {sorted(WISDOM_ENGINES)})")
-        if e.get("simd") and engine not in WISDOM_SIMD_ENGINES:
-            errors.append(f"$.entries[{i}].simd: true, but \"{engine}\" has "
-                          f"no SIMD variant (valid: "
-                          f"{sorted(WISDOM_SIMD_ENGINES)})")
-        key = e.get("key", "")
-        if not (isinstance(key, str) and len(key) == WISDOM_KEY_HEX
-                and all(c in "0123456789abcdef" for c in key)):
-            errors.append(f"$.entries[{i}].key: \"{key}\" is not "
-                          f"{WISDOM_KEY_HEX} lowercase hex digits")
-        elif key in seen:
-            errors.append(f"$.entries[{i}].key: duplicate key \"{key}\"")
-        else:
-            seen.add(key)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("bench")
@@ -121,24 +75,6 @@ def main():
         doc = json.load(f)
 
     errors = []
-    if isinstance(doc, dict) and doc.get("kind") == "jigsaw-wisdom":
-        wisdom_schema = os.path.join(os.path.dirname(__file__),
-                                     "wisdom_schema.json")
-        with open(wisdom_schema) as f:
-            schema = json.load(f)
-        check(doc, schema, "$", errors)
-        check_wisdom(doc, errors)
-        if errors:
-            print(f"{args.bench}: {len(errors)} schema violation(s):",
-                  file=sys.stderr)
-            for e in errors:
-                print("  " + e, file=sys.stderr)
-            return 1
-        print(f"OK: {args.bench} valid wisdom store "
-              f"({len(doc.get('entries', []))} entries, "
-              f"schema_version={doc.get('schema_version')})")
-        return 0
-
     with open(args.schema) as f:
         schema = json.load(f)
     check(doc, schema, "$", errors)

@@ -1,4 +1,4 @@
-// FNV-1a 64-bit: the one byte-range hash behind tuner keys, serve plan-pool
+// FNV-1a 64-bit: the one byte-range hash behind geometry keys, serve plan-pool
 // keys, router shard placement, the stream plan's coordinate identity and
 // the JKSD checksums. Fast and dependency-free; it detects accidents
 // (collisions, storage glitches), not adversaries.
@@ -16,8 +16,7 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
 /// The standard basis with its last decimal digit dropped
 /// (14695981039346656037 -> 1469598103934665603). TuneKey::hash(), the
 /// serve plan pool, router rendezvous scores and the stream coordinate hash
-/// were built on it; stored wisdom keys and shard placement depend on the
-/// values, so it stays.
+/// were built on it; shard placement depends on the values, so it stays.
 inline constexpr std::uint64_t kFnv1aShortBasis = 1469598103934665603ull;
 
 inline std::uint64_t fnv1a(const void* data, std::size_t len,

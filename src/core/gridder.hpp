@@ -47,9 +47,8 @@ enum class GridderKind {
   Jigsaw,
   Sparse,
   FloatSerial,  // single-precision (the paper's GPU numeric configuration)
-  Auto,         // defer the choice to the autotuner (src/tune/); sites that
-                // know the sample count resolve it against wisdom/trials,
-                // make_gridder falls back to SliceDice
+  Auto,         // choose by plan reuse: resolve_auto() below; make_gridder
+                // resolves it as a one-shot plan
 };
 
 std::string to_string(GridderKind k);
@@ -216,6 +215,24 @@ class Gridder {
   robustness::SanitizeReport sanitize_report_;
   memsim::MemTracer* tracer_ = nullptr;
 };
+
+/// True when make_gridder(n, options) can construct the engine
+/// options.kind with options.tile on the oversampled grid
+/// G = round(sigma * N): mirrors the constructor JIGSAW_REQUIREs (G >= W
+/// for every engine; T >= W and T | G for slice-and-dice; B | G, G > W and
+/// no window wrapping onto one bin twice for binning; G > W for
+/// output-driven).
+bool config_constructible(std::int64_t n, const GridderOptions& options);
+
+/// Resolve GridderKind::Auto by plan reuse; other kinds pass through.
+///   reused   -> Sparse with simd cleared (sparse has no SIMD twin): the
+///               matrix build pays for itself within a few applications.
+///   one-shot -> SliceDice, keeping the caller's simd and tile when the
+///               tile is constructible, else the first of {4, 8, 16, 32}
+///               that is; Serial when none is.
+/// Pure: the same arguments give the same options in every process.
+GridderOptions resolve_auto(std::int64_t n, GridderOptions options,
+                            bool reused);
 
 /// Factory: build a gridder for base grid size N (per dimension).
 template <int D>

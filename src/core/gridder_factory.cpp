@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include "core/binning_gridder.hpp"
 #include "core/gridder.hpp"
 #include "core/jigsaw_gridder.hpp"
@@ -9,12 +11,52 @@
 
 namespace jigsaw::core {
 
+bool config_constructible(std::int64_t n, const GridderOptions& options) {
+  const std::int64_t g =
+      std::llround(options.sigma * static_cast<double>(n));
+  const int w = options.width;
+  const int tile = options.tile;
+  if (g < w) return false;  // gridder_base precondition
+  switch (options.kind) {
+    case GridderKind::SliceDice:
+      return tile >= w && tile >= 1 && g % tile == 0;
+    case GridderKind::Binning:
+      if (tile < 1 || g % tile != 0 || g <= w) return false;
+      return g / tile >= (w - 1) / tile + 2;
+    case GridderKind::OutputDriven:
+      return g > w;
+    default:
+      return true;  // tile-free engines: base precondition only
+  }
+}
+
+GridderOptions resolve_auto(std::int64_t n, GridderOptions options,
+                            bool reused) {
+  if (options.kind != GridderKind::Auto) return options;
+  if (reused) {
+    options.kind = GridderKind::Sparse;
+    options.simd = false;
+    return options;
+  }
+  options.kind = GridderKind::SliceDice;
+  if (config_constructible(n, options)) return options;
+  const int caller_tile = options.tile;
+  for (const int tile : {4, 8, 16, 32}) {
+    options.tile = tile;
+    if (config_constructible(n, options)) return options;
+  }
+  options.kind = GridderKind::Serial;
+  options.tile = caller_tile;
+  return options;
+}
+
 template <int D>
 std::unique_ptr<Gridder<D>> make_gridder(std::int64_t n,
                                          const GridderOptions& options) {
-  // Auto is exempt: its static fallback (SliceDice) honors the flag.
-  if (options.simd && options.kind != GridderKind::Auto &&
-      !gridder_kind_has_simd(options.kind)) {
+  if (options.kind == GridderKind::Auto) {
+    return make_gridder<D>(n, resolve_auto(n, options, /*reused=*/false));
+  }
+  if (options.simd && !gridder_kind_has_simd(options.kind)) {
     throw std::invalid_argument("engine '" + to_string(options.kind) +
                                 "' has no SIMD variant (valid: serial-simd, "
                                 "slice-dice-simd, binning-simd)");
@@ -34,15 +76,8 @@ std::unique_ptr<Gridder<D>> make_gridder(std::int64_t n,
       return std::make_unique<SparseGridder<D>>(n, options);
     case GridderKind::FloatSerial:
       return std::make_unique<FloatGridder<D>>(n, options);
-    case GridderKind::Auto: {
-      // The factory has no sample count (the tuner's key needs M), so Auto
-      // here is a static fallback to the paper engine. Call sites that know
-      // the geometry — the CLI, the serve plan pool, jigsaw_tune — resolve
-      // Auto through tune::Autotuner before reaching this function.
-      GridderOptions resolved = options;
-      resolved.kind = GridderKind::SliceDice;
-      return std::make_unique<SliceDiceGridder<D>>(n, resolved);
-    }
+    case GridderKind::Auto:
+      break;  // resolved above
   }
   throw std::invalid_argument("jigsaw: unknown gridder kind");
 }

@@ -8,9 +8,8 @@
 // overridable with the JIGSAW_SIMD environment variable or force() (the
 // CLI's --simd flag). Accepted modes: auto|scalar|avx2|avx512|neon.
 //
-// The scalar table is always available, so a wisdom entry that recorded a
-// SIMD engine variant still executes (at scalar speed) on a host without
-// vector units.
+// The scalar table is always available, so a request for a SIMD engine
+// variant still executes (at scalar speed) on a host without vector units.
 #pragma once
 
 #include <string>

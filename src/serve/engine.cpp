@@ -48,13 +48,24 @@ const char* frame_status_counter(Status s) {
 
 }  // namespace
 
+WireEngine decode_engine(std::uint32_t engine) {
+  WireEngine out;
+  out.spec.simd = (engine & kEngineSimdFlag) != 0;
+  const std::uint32_t code = engine & ~kEngineSimdFlag;
+  if (code > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
+    out.error = "unknown engine code " + std::to_string(code);
+    return out;
+  }
+  out.spec.kind = static_cast<core::GridderKind>(code);
+  if (out.spec.simd && out.spec.kind != core::GridderKind::Auto &&
+      !core::gridder_kind_has_simd(out.spec.kind)) {
+    out.error = "engine '" + core::to_string(out.spec.kind) +
+                "' has no SIMD variant";
+  }
+  return out;
+}
+
 ServeEngine::ServeEngine(const ServeConfig& config) : config_(config) {
-  // Built before the dispatcher starts: an unwritable wisdom path must fail
-  // engine construction (daemon startup), not the first auto request.
-  tune::TunerConfig tuner_config;
-  tuner_config.wisdom_path = config_.wisdom_path;
-  tuner_config.enable_trials = config_.tune_trials;
-  tuner_ = std::make_unique<tune::Autotuner>(std::move(tuner_config));
   // Session ids must differ across workers (the router relays ids between
   // processes), so the high bits carry per-process entropy and the low bits
   // a sequence number.
@@ -188,21 +199,10 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
   SessionOutcome out;
   out.client_tag = req.client_tag;
 
-  // Decode the engine field exactly as the one-shot recon path does
-  // (job_from_wire): low bits select the kind, the high bit requests SIMD.
-  const bool simd = (req.engine & kEngineSimdFlag) != 0;
-  const std::uint32_t engine_code = req.engine & ~kEngineSimdFlag;
+  const WireEngine engine = decode_engine(req.engine);
   std::string error;
-  if (engine_code > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
-    error = "unknown engine code " + std::to_string(engine_code);
-  } else if (simd &&
-             static_cast<core::GridderKind>(engine_code) !=
-                 core::GridderKind::Auto &&
-             !core::gridder_kind_has_simd(
-                 static_cast<core::GridderKind>(engine_code))) {
-    error = "engine '" +
-            core::to_string(static_cast<core::GridderKind>(engine_code)) +
-            "' has no SIMD variant";
+  if (!engine.error.empty()) {
+    error = engine.error;
   } else if (req.kernel_width < 2 || req.kernel_width > 16) {
     error = "kernel width " + std::to_string(req.kernel_width) +
             " outside [2, 16]";
@@ -236,8 +236,8 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
 
   stream::PipelineConfig pc;
   pc.n = static_cast<std::int64_t>(req.n);
-  pc.options.kind = static_cast<core::GridderKind>(engine_code);
-  pc.options.simd = simd;
+  pc.options.kind = engine.spec.kind;
+  pc.options.simd = engine.spec.simd;
   pc.options.width = static_cast<int>(req.kernel_width);
   pc.options.sigma = req.sigma;
   pc.iters = static_cast<int>(req.iters);
@@ -763,14 +763,9 @@ std::shared_ptr<core::BatchedNufft<2>> ServeEngine::plan_for(
   options.soft_error = {};
   options.threads = 1;
   if (options.kind == core::GridderKind::Auto) {
-    // Resolve Auto against the shared tuner. The tune key uses a 1-thread
-    // budget: intra-transform threading stays off in the pool (parallelism
-    // comes from the lanes), so the tuned engine must win single-threaded.
-    const tune::TuneKey tkey = tune::TuneKey::of(
-        2, p.job.n, static_cast<std::int64_t>(p.key.m), options,
-        /*coils=*/1, /*threads=*/1);
-    options = tuner_->tuned_options(tkey, options);
-    options.threads = 1;
+    // CG and CG-SENSE apply the plan many times, an adjoint once.
+    options = core::resolve_auto(p.job.n, options,
+                                 p.job.iters > 0 || p.job.coils > 1);
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++counts_.tuned_plans;

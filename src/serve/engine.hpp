@@ -50,7 +50,6 @@
 #include "core/sample_set.hpp"
 #include "serve/protocol.hpp"
 #include "stream/frame_pipeline.hpp"
-#include "tune/autotuner.hpp"
 
 namespace jigsaw::serve {
 
@@ -74,10 +73,19 @@ struct ServeConfig {
                                       // peer that stops reading is cut off
                                       // instead of stalling the dispatcher
                                       // (< 0 = unbounded)
-  std::string wisdom_path;      // autotuner wisdom store ("" = in-memory)
-  bool tune_trials = true;      // false: cost-model only for cold Auto keys
   std::size_t max_sessions = 8;  // concurrent streaming sessions
 };
+
+/// The engine field of a request (ReconRequestWire, DatasetRequestWire,
+/// OpenSessionWire): the low bits a core::GridderKind, kEngineSimdFlag the
+/// SIMD variant. `error` is empty when the field is valid, else the reason
+/// it is refused: an unknown engine code, or the SIMD flag on an engine
+/// without a SIMD variant (auto is exempt).
+struct WireEngine {
+  core::GridderSpec spec;
+  std::string error;
+};
+WireEngine decode_engine(std::uint32_t engine);
 
 /// A parsed, validated-enough-to-try reconstruction job.
 struct ReconJob {
@@ -224,10 +232,6 @@ class ServeEngine {
   EngineCounts counts() const;
   const ServeConfig& config() const { return config_; }
 
-  /// The engine's autotuner (resolves GridderKind::Auto at plan build).
-  /// Shares the engine's wisdom store; safe to query concurrently.
-  tune::Autotuner& tuner() { return *tuner_; }
-
   /// JSON snapshot of counts + obs counters/gauges (the /statsz body).
   std::string statsz_json() const;
 
@@ -303,11 +307,10 @@ class ServeEngine {
 
   // Plan pool: dispatcher-thread-only (no lock needed beyond the queue's).
   // Keyed on the ORIGINAL options signature (Auto included), so a burst of
-  // engine=auto requests still resolves to one pooled plan; the tuner's
-  // substitution happens inside plan_for() at construction time.
+  // engine=auto requests still resolves to one pooled plan; plan_for()
+  // resolves Auto (core::resolve_auto) when it builds the plan.
   std::map<GeometryKey, PlanEntry> plans_;
   std::uint64_t plan_tick_ = 0;
-  std::unique_ptr<tune::Autotuner> tuner_;  // created in the constructor
 
   // Streaming sessions, keyed by id. Server-scoped (not per-connection):
   // the router pools worker connections, so a session must survive frames

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <concepts>
+#include <cstdio>
 #include <cstring>
 #include <type_traits>
 
@@ -491,7 +492,10 @@ bool recv_frame(int fd, Frame& out, std::size_t max_body, int timeout_ms) {
     return false;
   }
   if (header.magic != kMagic) {
-    throw ProtocolError("bad magic 0x" + std::to_string(header.magic));
+    char hex[9];
+    std::snprintf(hex, sizeof hex, "%08x",
+                  static_cast<unsigned>(header.magic));
+    throw ProtocolError("bad magic 0x" + std::string(hex));
   }
   switch (static_cast<MsgType>(header.type)) {
     case MsgType::kRecon:

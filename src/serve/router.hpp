@@ -3,11 +3,11 @@
 // One router listens on its own endpoint (Unix or TCP — same JSRV frames
 // as the workers) and forwards each recon request to one worker out of a
 // configured pool, chosen by RENDEZVOUS (highest-random-weight) hashing of
-// the request's geometry: the shard key is the same FNV-1a `TuneKey` hash
-// the autotuner uses ({dims, N, M, W, sigma, coils, threads=1} — see
-// src/tune/key.hpp), so every request of one geometry equivalence class
-// lands on the same worker and that worker's FFT plan pool and wisdom stay
-// hot for "its" geometries. Rendezvous hashing gives the spill property
+// the request's geometry: the shard key is the FNV-1a `TuneKey` hash
+// ({dims, N, M, W, sigma, coils, threads=1} — see src/tune/key.hpp), so
+// every request of one geometry equivalence class lands on the same worker
+// and that worker's NuFFT plan pool and FFT plan cache stay hot for "its"
+// geometries. Rendezvous hashing gives the spill property
 // for free: when a worker is unhealthy its keys fall to the next-ranked
 // worker, and only its keys — the rest of the fleet's assignment is
 // untouched; when it recovers, exactly those keys come back.

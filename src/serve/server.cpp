@@ -10,17 +10,8 @@
 namespace jigsaw::serve {
 
 ReconJob job_from_wire(const ReconRequestWire& wire) {
-  const bool simd = (wire.engine & kEngineSimdFlag) != 0;
-  const std::uint32_t engine_code = wire.engine & ~kEngineSimdFlag;
-  if (engine_code > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
-    throw ProtocolError("unknown engine code " + std::to_string(engine_code));
-  }
-  const auto kind = static_cast<core::GridderKind>(engine_code);
-  if (simd && kind != core::GridderKind::Auto &&
-      !core::gridder_kind_has_simd(kind)) {
-    throw ProtocolError("engine '" + core::to_string(kind) +
-                        "' has no SIMD variant");
-  }
+  const WireEngine engine = decode_engine(wire.engine);
+  if (!engine.error.empty()) throw ProtocolError(engine.error);
   if (wire.sanitize >
       static_cast<std::uint32_t>(robustness::SanitizePolicy::Clamp)) {
     throw ProtocolError("unknown sanitize code " +
@@ -38,8 +29,8 @@ ReconJob job_from_wire(const ReconRequestWire& wire) {
     throw ProtocolError("value count does not equal samples x coils");
   }
   ReconJob job;
-  job.options.kind = kind;
-  job.options.simd = simd;
+  job.options.kind = engine.spec.kind;
+  job.options.simd = engine.spec.simd;
   job.options.width = static_cast<int>(wire.kernel_width);
   job.options.sigma = wire.sigma;
   job.options.sanitize =
@@ -231,21 +222,11 @@ bool ReconServer::handle_dataset_request(
     const DatasetRequestWire wire =
         decode_dataset_request(frame.body.data(), frame.body.size());
     reply.client_tag = wire.client_tag;
-    const bool simd = (wire.engine & kEngineSimdFlag) != 0;
-    const std::uint32_t engine_code = wire.engine & ~kEngineSimdFlag;
-    if (engine_code > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
-      throw ProtocolError("unknown engine code " +
-                          std::to_string(engine_code));
-    }
-    const auto kind = static_cast<core::GridderKind>(engine_code);
-    if (simd && kind != core::GridderKind::Auto &&
-        !core::gridder_kind_has_simd(kind)) {
-      throw ProtocolError("engine '" + core::to_string(kind) +
-                          "' has no SIMD variant");
-    }
+    const WireEngine engine = decode_engine(wire.engine);
+    if (!engine.error.empty()) throw ProtocolError(engine.error);
     data::ReconDatasetOptions opt;
-    opt.gridding.kind = kind;
-    opt.gridding.simd = simd;
+    opt.gridding.kind = engine.spec.kind;
+    opt.gridding.simd = engine.spec.simd;
     opt.dcf = static_cast<data::DcfMode>(wire.dcf);
     opt.iters = static_cast<int>(wire.iters);
 

@@ -9,8 +9,7 @@ namespace jigsaw::tune {
 std::uint64_t TuneKey::hash() const {
   // Packed canonical encoding: fixed-width integers plus the raw double, so
   // the hash is stable across processes on one platform (the same contract
-  // the serve plan key makes — wisdom files never leave the machine class
-  // they were tuned on).
+  // the serve plan key makes).
   struct {
     std::int64_t dims, n, m, width, coils, threads;
     double sigma;

@@ -1,12 +1,12 @@
-// Geometry key for the autotuning subsystem.
+// Geometry key: the equivalence class of a gridding problem.
 //
-// A TuneKey names an equivalence class of gridding problems: everything the
-// engine-selection decision depends on (grid size, sample count, kernel
-// width, oversampling, dimensionality, coil count, thread budget) and
-// nothing it doesn't — deliberately NOT the trajectory hash the serve
-// scheduler keys its plan pool on, so one wisdom entry covers every
-// trajectory of the same shape. The hash is the shared FNV-1a
-// (common/hash.hpp) applied to a packed canonical encoding of the fields.
+// A TuneKey names everything that makes two requests "the same shape"
+// (grid size, sample count, kernel width, oversampling, dimensionality,
+// coil count, thread budget) and nothing else — deliberately NOT the
+// trajectory hash the serve scheduler keys its plan pool on. The router
+// shards on it (serve/router.hpp), so every request of one class lands on
+// one worker. The hash is the shared FNV-1a (common/hash.hpp) applied to a
+// packed canonical encoding of the fields.
 #pragma once
 
 #include <compare>
@@ -24,14 +24,14 @@ struct TuneKey {
   int width = 6;           // interpolation kernel width W
   double sigma = 2.0;      // grid oversampling factor
   int coils = 1;
-  unsigned threads = 1;    // thread budget the tuned config may use
+  unsigned threads = 1;    // thread budget of the execution
 
   auto operator<=>(const TuneKey&) const = default;
 
   /// FNV-1a over the packed canonical field encoding.
   std::uint64_t hash() const;
 
-  /// hash() as 16 lowercase hex digits — the "key" field of a wisdom entry.
+  /// hash() as 16 lowercase hex digits.
   std::string hex() const;
 
   /// Human-readable form, e.g. "2d/n128/m65536/w6/s2/c1/t4".

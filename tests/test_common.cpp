@@ -213,10 +213,10 @@ TEST(Fnv1a, StandardVectorsForBothBases) {
   EXPECT_EQ(fnv1a("a", 1, kFnv1aShortBasis), 0x44bd8ad473cd9906ull);
 }
 
-// Golden values of every persisted or placement-deciding hash. Wisdom files
-// store TuneKey::hash(), shard placement follows shard_hash and
-// rendezvous_score, and JKSD files on disk carry the checksums: a change to
-// any of these values orphans data that already exists.
+// Golden values of every persisted or placement-deciding hash. Shard
+// placement follows TuneKey::hash(), shard_hash and rendezvous_score, and
+// JKSD files on disk carry the checksums: a change to any of these values
+// moves geometries between workers or orphans data that already exists.
 TEST(Fnv1a, GoldenValuesOfWisdomShardAndJksdHashes) {
   tune::TuneKey key;
   key.dims = 2;

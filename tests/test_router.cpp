@@ -36,7 +36,7 @@ ReconRequestWire make_request(std::uint32_t n, std::int64_t m,
                               std::uint64_t seed = 42,
                               std::uint64_t tag = 0) {
   ReconRequestWire req;
-  req.engine = 3;  // slice-dice: deterministic, no tuner involvement
+  req.engine = 3;  // slice-dice: deterministic
   req.n = n;
   req.kernel_width = 4;
   req.coords = traj(m, seed);

@@ -16,15 +16,19 @@
 #include <map>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/hash.hpp"
 #include "core/nufft.hpp"
+#include "core/recon.hpp"
 #include "core/sense.hpp"
 #include "data/synthetic.hpp"
+#include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -494,12 +498,7 @@ TEST(ServeSession, SameGeometryBurstPlansExactlyOnce) {
 TEST(ServeSession, AutoEngineBurstTunesOncePlansOnce) {
   const std::int64_t n = 32;
   const auto coords = traj();
-  ServeConfig config;
-  // Cost-model resolution: deterministic and instant, so the test asserts
-  // the wiring (tuner consulted at plan build, plan pool keyed on the
-  // ORIGINAL auto options) rather than trial timings.
-  config.tune_trials = false;
-  ServeSession session(config);
+  ServeSession session;
 
   constexpr int kBurst = 12;
   std::vector<std::future<ReconOutcome>> futures;
@@ -517,16 +516,14 @@ TEST(ServeSession, AutoEngineBurstTunesOncePlansOnce) {
   }
   const EngineCounts c = session.counts();
   EXPECT_EQ(c.ok, static_cast<std::uint64_t>(kBurst));
-  // The acceptance invariant: the whole same-geometry burst resolved
-  // through the tuner exactly once and built exactly one plan.
+  // The acceptance invariant: the whole same-geometry burst resolved auto
+  // exactly once (the pool keys on the ORIGINAL auto options) and built
+  // exactly one plan.
   EXPECT_EQ(c.plan_builds, 1u);
   EXPECT_EQ(c.tuned_plans, 1u);
-  const tune::TunerStats stats = session.engine().tuner().stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.cost_model, 1u);
 
-  // The tuned result must be numerically identical to a direct recon: the
-  // tuner may only pick engines that match the serial oracle.
+  // A one-shot adjoint resolves to slice-and-dice: numerically identical
+  // to a direct recon with the default engine.
   ReconJob direct = make_job(n, coords);
   core::NufftPlan<2> plan(n, coords, direct.options);
   const auto expected = plan.adjoint(direct.samples.values);
@@ -534,6 +531,38 @@ TEST(ServeSession, AutoEngineBurstTunesOncePlansOnce) {
   tuned_job.options.kind = core::GridderKind::Auto;
   const ReconOutcome outcome = session.recon(std::move(tuned_job));
   ASSERT_EQ(outcome.status, Status::kOk) << outcome.message;
+  ASSERT_EQ(outcome.image.size(), expected.size());
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    num += std::norm(outcome.image[i] - expected[i]);
+    den += std::norm(expected[i]);
+  }
+  EXPECT_LE(std::sqrt(num / den), 1e-12);
+}
+
+TEST(ServeSession, AutoEngineIterativeRequestMatchesDirectSparse) {
+  // CG applies the plan every iteration, so auto resolves it to the
+  // sparse matrix.
+  const std::int64_t n = 32;
+  const auto coords = traj();
+  ServeSession session;
+  const char* const kSparseCalls = "grid.sparse-matrix.adjoint_calls";
+  const std::uint64_t sparse_before = obs::snapshot().counter(kSparseCalls);
+  ReconJob job = make_job(n, coords);
+  job.options.kind = core::GridderKind::Auto;
+  job.iters = 6;
+  const ReconOutcome outcome = session.recon(std::move(job));
+  ASSERT_EQ(outcome.status, Status::kOk) << outcome.message;
+  EXPECT_EQ(session.counts().tuned_plans, 1u);
+  if (obs::kEnabled) {
+    EXPECT_GT(obs::snapshot().counter(kSparseCalls), sparse_before);
+  }
+
+  ReconJob direct = make_job(n, coords);
+  direct.options.kind = core::GridderKind::Sparse;
+  core::NufftPlan<2> plan(n, coords, direct.options);
+  const auto expected = core::iterative_recon<2>(
+      plan, direct.samples.values, 6, ServeConfig{}.cg_tolerance);
   ASSERT_EQ(outcome.image.size(), expected.size());
   double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -820,6 +849,74 @@ TEST(ServeServer, MalformedBodyKeepsConnectionUsable) {
   const ReconReplyWire reply = client.recon(req);
   EXPECT_EQ(reply.status, Status::kOk) << reply.message;
   EXPECT_EQ(reply.image.size(), 32u * 32u);
+  server.stop();
+}
+
+TEST(ServeProtocol, BadMagicIsReportedInHex) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const FrameHeader header{0xdeadbeefu,
+                           static_cast<std::uint32_t>(MsgType::kRecon), 0};
+  ASSERT_EQ(::write(fds[0], &header, sizeof header),
+            static_cast<ssize_t>(sizeof header));
+  Frame frame;
+  try {
+    recv_frame(fds[1], frame, 1024, 1000);
+    ADD_FAILURE() << "a bad magic must throw";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("0xdeadbeef"), std::string::npos)
+        << e.what();
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// The engine field decodes the same way on every request type: an unknown
+// code and the SIMD flag on sparse (which has no SIMD variant) are refused
+// with one reason. Recon and dataset requests report it as a protocol
+// error; open-session answers it bare.
+TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
+  ServeConfig config;
+  config.socket_path = unique_socket_path("engine_field");
+  ReconServer server(config);
+  server.start();
+  {
+    ServeClient client(config.socket_path);
+    const std::pair<std::uint32_t, std::string> cases[] = {
+        {99u, "unknown engine code 99"},
+        {static_cast<std::uint32_t>(core::GridderKind::Sparse) |
+             kEngineSimdFlag,
+         "engine 'sparse-matrix' has no SIMD variant"},
+    };
+    for (const auto& [engine, reason] : cases) {
+      SCOPED_TRACE(reason);
+      EXPECT_EQ(decode_engine(engine).error, reason);
+
+      ReconRequestWire recon;
+      recon.engine = engine;
+      recon.n = 32;
+      recon.kernel_width = 4;
+      recon.coords = traj(64);
+      recon.values = phantom_data(recon.coords, 32);
+      const ReconReplyWire recon_reply = client.recon(recon);
+      EXPECT_EQ(recon_reply.status, Status::kError);
+      EXPECT_EQ(recon_reply.message, "protocol: " + reason);
+
+      OpenSessionWire open;
+      open.engine = engine;
+      open.n = 32;
+      const SessionReplyWire open_reply = client.open_session(open);
+      EXPECT_EQ(open_reply.status, Status::kError);
+      EXPECT_EQ(open_reply.message, reason);
+
+      DatasetRequestWire dataset;
+      dataset.engine = engine;
+      dataset.path = "/no/such/dataset.jksd";
+      const ReconReplyWire dataset_reply = client.recon_dataset(dataset);
+      EXPECT_EQ(dataset_reply.status, Status::kError);
+      EXPECT_EQ(dataset_reply.message, "protocol: " + reason);
+    }
+  }
   server.stop();
 }
 

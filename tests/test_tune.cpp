@@ -1,46 +1,21 @@
-// Autotuner subsystem tests: TuneKey hashing, wisdom persistence (round
-// trip, corrupt-file recovery, per-entry rejection), the decide() pipeline
-// (trials -> wisdom -> cost model), once-semantics under concurrent cold
-// queries, and the GridderKind::Auto factory fallback.
+// Engine-selection tests: TuneKey hashing (the router's shard key), the
+// constructibility predicate, and the GridderKind::Auto reuse rule
+// (core::resolve_auto): its table, the fields it preserves, SIMD handling,
+// thread agreement, fallback at awkward grid sizes, and the factory that
+// applies it.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/gridder.hpp"
-#include "tune/autotuner.hpp"
-#include "tune/cost_model.hpp"
 #include "tune/key.hpp"
-#include "tune/wisdom.hpp"
 
 namespace jigsaw::tune {
 namespace {
-
-std::string temp_path(const char* tag) {
-  return "/tmp/jigsaw_wisdom_test_" + std::string(tag) + "_" +
-         std::to_string(::getpid()) + ".json";
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  f << content;
-}
-
-/// Small geometry + tiny timing budget so trial-enabled tests stay fast.
-TunerConfig fast_config(const std::string& wisdom_path = "") {
-  TunerConfig config;
-  config.wisdom_path = wisdom_path;
-  config.trial_seconds = 0.002;
-  config.trial_reps = 1;
-  return config;
-}
 
 TuneKey small_key() {
   TuneKey key;
@@ -52,20 +27,13 @@ TuneKey small_key() {
   return key;
 }
 
-core::GridderOptions small_base() {
+core::GridderOptions options_of(core::GridderKind kind, int width, int tile) {
   core::GridderOptions options;
-  options.kind = core::GridderKind::Auto;
-  options.width = 4;
+  options.kind = kind;
+  options.width = width;
+  options.tile = tile;
   return options;
 }
-
-struct TempFile {
-  explicit TempFile(const char* tag) : path(temp_path(tag)) {
-    std::remove(path.c_str());
-  }
-  ~TempFile() { std::remove(path.c_str()); }
-  const std::string path;
-};
 
 // ------------------------------------------------------------------ TuneKey
 
@@ -103,374 +71,101 @@ TEST(TuneKey, OfCopiesKernelGeometryFromOptions) {
   EXPECT_EQ(key.label(), "3d/n48/m9000/w5/s1.5/c2/t4");
 }
 
-// -------------------------------------------------------------- WisdomStore
+// ------------------------------------------------------- constructibility
 
-TEST(WisdomStore, SaveLoadRoundTripPreservesEntries) {
-  const TempFile file("roundtrip");
-  WisdomStore store;
-  WisdomEntry entry;
-  entry.key = small_key();
-  entry.kind = core::GridderKind::Binning;
-  entry.tile = 16;
-  entry.exec_threads = 2;
-  entry.trial_ms = 1.25;
-  store.put(entry);
-  store.save(file.path);
-
-  WisdomStore reloaded;
-  const auto result = reloaded.load(file.path);
-  EXPECT_TRUE(result.file_present);
-  EXPECT_FALSE(result.corrupt);
-  EXPECT_EQ(result.entries, 1u);
-  EXPECT_EQ(result.skipped, 0u);
-  const WisdomEntry* found = reloaded.find(small_key());
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->kind, core::GridderKind::Binning);
-  EXPECT_EQ(found->tile, 16);
-  EXPECT_EQ(found->exec_threads, 2u);
-  EXPECT_DOUBLE_EQ(found->trial_ms, 1.25);
+TEST(CostModel, ConstructibilityMirrorsEngineRequirements) {
+  using core::GridderKind;
+  const std::int64_t n = 24;  // sigma=2 -> G=48, W=4
+  EXPECT_TRUE(core::config_constructible(
+      n, options_of(GridderKind::SliceDice, 4, 8)));
+  EXPECT_FALSE(core::config_constructible(
+      n, options_of(GridderKind::SliceDice, 4, 2)))
+      << "T < W must be rejected";
+  EXPECT_FALSE(core::config_constructible(
+      n, options_of(GridderKind::SliceDice, 4, 5)))
+      << "T must divide G";
+  EXPECT_TRUE(core::config_constructible(
+      n, options_of(GridderKind::Binning, 4, 8)));
+  EXPECT_FALSE(core::config_constructible(
+      n, options_of(GridderKind::Binning, 4, 5)))
+      << "B must divide G";
+  EXPECT_TRUE(core::config_constructible(
+      n, options_of(GridderKind::Serial, 4, 1)));
 }
 
-TEST(WisdomStore, SimdFlagRoundTripsAndDefaultsToFalse) {
-  const TempFile file("simdflag");
-  WisdomStore store;
-  WisdomEntry entry;
-  entry.key = small_key();
-  entry.kind = core::GridderKind::Binning;
-  entry.simd = true;
-  entry.tile = 8;
-  store.put(entry);
-  store.save(file.path);
+// ---------------------------------------------------------------- reuse rule
 
-  WisdomStore reloaded;
-  ASSERT_EQ(reloaded.load(file.path).entries, 1u);
-  ASSERT_NE(reloaded.find(small_key()), nullptr);
-  EXPECT_TRUE(reloaded.find(small_key())->simd);
+struct AutoCase {
+  const char* name;
+  std::int64_t n;
+  int width;
+  int tile;
+  bool simd;
+  bool reused;
+  core::GridderKind kind;  // expected resolution
+  int resolved_tile;
+  bool resolved_simd;
+};
 
-  // Pre-SIMD documents have no "simd" field: it must default to false, not
-  // reject the entry.
-  const TuneKey good = small_key();
-  std::ostringstream doc;
-  doc << "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 1, "
-      << "\"entries\": [{\"key\": \"" << good.hex() << "\", \"dims\": 2, "
-      << "\"n\": 24, \"m\": 600, \"width\": 4, \"sigma\": 2, \"coils\": 1, "
-      << "\"threads\": 1, \"engine\": \"slice-and-dice\", \"tile\": 8, "
-      << "\"exec_threads\": 1, \"trial_ms\": 0.5, \"source\": \"trial\"}]}";
-  write_file(file.path, doc.str());
-  WisdomStore legacy;
-  ASSERT_EQ(legacy.load(file.path).entries, 1u);
-  EXPECT_FALSE(legacy.find(good)->simd);
+// G = 2N throughout (sigma = 2).
+const AutoCase kAutoCases[] = {
+    {"reused_is_sparse_without_simd", 64, 6, 8, true, true,
+     core::GridderKind::Sparse, 8, false},
+    {"reused_scalar_is_sparse", 48, 4, 8, false, true,
+     core::GridderKind::Sparse, 8, false},
+    {"one_shot_is_slice_dice", 48, 4, 8, false, false,
+     core::GridderKind::SliceDice, 8, false},
+    {"one_shot_keeps_simd", 64, 6, 8, true, false,
+     core::GridderKind::SliceDice, 8, true},
+    {"one_shot_keeps_constructible_tile", 64, 6, 16, false, false,
+     core::GridderKind::SliceDice, 16, false},
+    // G=260: tile 8 does not divide it and 4 < W, so no tile of {4, 8, 16,
+    // 32} fits slice-and-dice; serial is the constructible fallback.
+    {"n130_falls_back_to_serial", 130, 6, 8, false, false,
+     core::GridderKind::Serial, 8, false},
+    // G=260 with W=4: tile 4 divides it and T >= W.
+    {"n130_takes_first_fitting_tile", 130, 4, 8, false, false,
+     core::GridderKind::SliceDice, 4, false},
+    {"tile_below_width_is_replaced", 64, 6, 4, false, false,
+     core::GridderKind::SliceDice, 8, false},
+};
+
+core::GridderOptions resolve(const AutoCase& c) {
+  core::GridderOptions options =
+      options_of(core::GridderKind::Auto, c.width, c.tile);
+  options.simd = c.simd;
+  return core::resolve_auto(c.n, options, c.reused);
 }
 
-TEST(WisdomStore, SimdFlagOnNonSimdEngineIsRejected) {
-  // sparse has no vectorized twin: a simd=true entry for it is a hand-edit
-  // or corruption, skipped like any other damaged entry.
-  const TempFile file("simdbad");
-  const TuneKey good = small_key();
-  std::ostringstream doc;
-  doc << "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 1, "
-      << "\"entries\": [{\"key\": \"" << good.hex() << "\", \"dims\": 2, "
-      << "\"n\": 24, \"m\": 600, \"width\": 4, \"sigma\": 2, \"coils\": 1, "
-      << "\"threads\": 1, \"engine\": \"sparse\", \"simd\": true, "
-      << "\"tile\": 8, \"exec_threads\": 1}]}";
-  write_file(file.path, doc.str());
-  WisdomStore store;
-  const auto result = store.load(file.path);
-  EXPECT_EQ(result.entries, 0u);
-  EXPECT_EQ(result.skipped, 1u);
-}
+TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
+  for (const AutoCase& c : kAutoCases) {
+    SCOPED_TRACE(c.name);
+    const core::GridderOptions resolved = resolve(c);
+    EXPECT_EQ(resolved.kind, c.kind);
+    EXPECT_EQ(resolved.tile, c.resolved_tile);
+    EXPECT_EQ(resolved.simd, c.resolved_simd);
+    EXPECT_EQ(resolved.width, c.width);
+    EXPECT_TRUE(core::config_constructible(c.n, resolved));
+    std::unique_ptr<core::Gridder<2>> gridder;
+    ASSERT_NO_THROW(gridder = core::make_gridder<2>(c.n, resolved));
+    EXPECT_EQ(gridder->kind(), c.kind);
 
-TEST(Autotuner, WisdomSimdEntryResolvesToSimdOptions) {
-  const TempFile file("simdwisdom");
-  const TuneKey key = small_key();
-  std::ostringstream doc;
-  doc << "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 1, "
-      << "\"entries\": [{\"key\": \"" << key.hex() << "\", \"dims\": "
-      << key.dims << ", \"n\": " << key.n << ", \"m\": " << key.m
-      << ", \"width\": " << key.width << ", \"sigma\": " << key.sigma
-      << ", \"coils\": " << key.coils << ", \"threads\": " << key.threads
-      << ", \"engine\": \"binning\", \"simd\": true, \"tile\": 8, "
-      << "\"exec_threads\": 1, \"trial_ms\": 0.5, \"source\": \"trial\"}]}";
-  write_file(file.path, doc.str());
-
-  TunerConfig config;
-  config.wisdom_path = file.path;
-  Autotuner tuner(config);
-  core::GridderOptions base;
-  base.kind = core::GridderKind::Auto;
-  base.width = key.width;
-  const TuneDecision d = tuner.decide(key, base);
-  EXPECT_EQ(d.source, DecisionSource::kWisdom);
-  EXPECT_EQ(d.kind, core::GridderKind::Binning);
-  EXPECT_TRUE(d.simd);
-  const core::GridderOptions opt = Autotuner::apply(d, base);
-  EXPECT_TRUE(opt.simd);
-  EXPECT_EQ(opt.kind, core::GridderKind::Binning);
-}
-
-TEST(WisdomStore, MissingFileIsNotCorrupt) {
-  WisdomStore store;
-  const auto result = store.load(temp_path("never_written"));
-  EXPECT_FALSE(result.file_present);
-  EXPECT_FALSE(result.corrupt);
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(WisdomStore, TruncatedDocumentRecoversEmpty) {
-  const TempFile file("truncated");
-  // A crash mid-write without the atomic rename would look like this.
-  write_file(file.path,
-             "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 1, "
-             "\"entries\": [{\"key\": \"00");
-  WisdomStore store;
-  const auto result = store.load(file.path);
-  EXPECT_TRUE(result.file_present);
-  EXPECT_TRUE(result.corrupt);
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(WisdomStore, WrongKindAndVersionAreCorrupt) {
-  const TempFile file("wrongmeta");
-  write_file(file.path,
-             "{\"kind\": \"not-wisdom\", \"schema_version\": 1, "
-             "\"entries\": []}");
-  WisdomStore store;
-  EXPECT_TRUE(store.load(file.path).corrupt);
-
-  write_file(file.path,
-             "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 999, "
-             "\"entries\": []}");
-  EXPECT_TRUE(store.load(file.path).corrupt);
-}
-
-TEST(WisdomStore, DamagedEntriesAreSkippedIntactOnesKept) {
-  const TempFile file("mixed");
-  const TuneKey good = small_key();
-  std::ostringstream doc;
-  doc << "{\"kind\": \"jigsaw-wisdom\", \"schema_version\": 1, "
-      << "\"entries\": [";
-  // Intact entry.
-  doc << "{\"key\": \"" << good.hex() << "\", \"dims\": 2, \"n\": 24, "
-      << "\"m\": 600, \"width\": 4, \"sigma\": 2, \"coils\": 1, "
-      << "\"threads\": 1, \"engine\": \"slice-and-dice\", \"tile\": 8, "
-      << "\"exec_threads\": 1, \"trial_ms\": 0.5, \"source\": \"trial\"}, ";
-  // "auto" is a request, never a persisted decision: rejected.
-  doc << "{\"key\": \"" << good.hex() << "\", \"dims\": 2, \"n\": 25, "
-      << "\"m\": 600, \"width\": 4, \"sigma\": 2, \"coils\": 1, "
-      << "\"threads\": 1, \"engine\": \"auto\", \"tile\": 8, "
-      << "\"exec_threads\": 1}, ";
-  // Key checksum does not match the recomputed field hash: rejected.
-  doc << "{\"key\": \"0000000000000000\", \"dims\": 2, \"n\": 26, "
-      << "\"m\": 600, \"width\": 4, \"sigma\": 2, \"coils\": 1, "
-      << "\"threads\": 1, \"engine\": \"serial\", \"tile\": 8, "
-      << "\"exec_threads\": 1}]}";
-  write_file(file.path, doc.str());
-
-  WisdomStore store;
-  const auto result = store.load(file.path);
-  EXPECT_TRUE(result.file_present);
-  EXPECT_FALSE(result.corrupt);
-  EXPECT_EQ(result.entries, 1u);
-  EXPECT_EQ(result.skipped, 2u);
-  ASSERT_NE(store.find(good), nullptr);
-  EXPECT_EQ(store.find(good)->kind, core::GridderKind::SliceDice);
-}
-
-TEST(WisdomStore, SaveMergesEntriesAlreadyOnDisk) {
-  const TempFile file("merge");
-  // Process A persists its key.
-  TuneKey key_a = small_key();
-  WisdomStore a;
-  WisdomEntry ea;
-  ea.key = key_a;
-  ea.kind = core::GridderKind::Serial;
-  ea.tile = 8;
-  a.put(ea);
-  a.save(file.path);
-
-  // Process B, which never saw A's entry, tunes a different key and a
-  // conflicting copy of A's key. Its save must keep A's foreign key and
-  // win the conflict with its own (newer) decision.
-  TuneKey key_b = small_key();
-  key_b.n = 32;
-  WisdomStore b;
-  WisdomEntry eb;
-  eb.key = key_b;
-  eb.kind = core::GridderKind::Binning;
-  eb.tile = 16;
-  b.put(eb);
-  WisdomEntry conflict = ea;
-  conflict.kind = core::GridderKind::SliceDice;
-  b.put(conflict);
-  b.save(file.path);
-
-  WisdomStore reloaded;
-  const auto result = reloaded.load(file.path);
-  EXPECT_EQ(result.entries, 2u);
-  ASSERT_NE(reloaded.find(key_a), nullptr);
-  EXPECT_EQ(reloaded.find(key_a)->kind, core::GridderKind::SliceDice);
-  ASSERT_NE(reloaded.find(key_b), nullptr);
-  EXPECT_EQ(reloaded.find(key_b)->kind, core::GridderKind::Binning);
-}
-
-TEST(WisdomStore, SaveToUnwritablePathThrows) {
-  WisdomStore store;
-  try {
-    store.save("/nonexistent-dir/wisdom.json");
-    FAIL() << "must throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("wisdom path not writable:"),
-              std::string::npos)
-        << e.what();
+    // make_gridder(Auto) is the one-shot rule.
+    if (!c.reused) {
+      core::GridderOptions options =
+          options_of(core::GridderKind::Auto, c.width, c.tile);
+      options.simd = c.simd;
+      const auto factory = core::make_gridder<2>(c.n, options);
+      EXPECT_EQ(factory->kind(), resolved.kind);
+      EXPECT_EQ(factory->options().tile, resolved.tile);
+      EXPECT_EQ(factory->options().simd, resolved.simd);
+    }
   }
 }
 
-// ---------------------------------------------------------------- Autotuner
-
-TEST(Autotuner, TrialDecisionPersistsAndReloadsWithZeroTrials) {
-  const TempFile file("persist");
-  const TuneKey key = small_key();
-  const core::GridderOptions base = small_base();
-
-  TuneDecision first;
-  {
-    Autotuner tuner(fast_config(file.path));
-    first = tuner.decide(key, base);
-    EXPECT_EQ(first.source, DecisionSource::kTrial);
-    EXPECT_NE(first.kind, core::GridderKind::Auto);
-    const TunerStats stats = tuner.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.sessions, 1u);
-    EXPECT_GE(stats.trials, 2u);  // at least serial + one alternative
-    EXPECT_EQ(stats.wisdom_saves, 1u);
-
-    // Second decide in the same process: pure memo hit, no new session.
-    const TuneDecision again = tuner.decide(key, base);
-    EXPECT_EQ(again.kind, first.kind);
-    EXPECT_EQ(tuner.stats().hits, 1u);
-    EXPECT_EQ(tuner.stats().sessions, 1u);
-  }
-
-  // A cold process with the same wisdom path must not re-tune.
-  Autotuner reloaded(fast_config(file.path));
-  const TuneDecision warm = reloaded.decide(key, base);
-  EXPECT_EQ(warm.source, DecisionSource::kWisdom);
-  EXPECT_EQ(warm.kind, first.kind);
-  EXPECT_EQ(warm.tile, first.tile);
-  const TunerStats stats = reloaded.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.sessions, 0u);
-  EXPECT_EQ(stats.trials, 0u);
-  EXPECT_EQ(stats.wisdom_entries, 1u);
-}
-
-TEST(Autotuner, CorruptWisdomFileIsRecoveredAndOverwritten) {
-  const TempFile file("corrupt");
-  write_file(file.path, "this is not json {{{");
-
-  Autotuner tuner(fast_config(file.path));
-  EXPECT_GE(tuner.stats().wisdom_corrupt, 1u);
-  EXPECT_EQ(tuner.stats().wisdom_entries, 0u);
-
-  // Tuning still works, and the save repairs the file on disk.
-  const TuneDecision decision = tuner.decide(small_key(), small_base());
-  EXPECT_EQ(decision.source, DecisionSource::kTrial);
-  WisdomStore repaired;
-  const auto result = repaired.load(file.path);
-  EXPECT_FALSE(result.corrupt);
-  EXPECT_EQ(result.entries, 1u);
-}
-
-TEST(Autotuner, CostModelFallbackWhenTrialsDisabled) {
-  const TempFile file("costmodel");
-  TunerConfig config = fast_config(file.path);
-  config.enable_trials = false;
-  Autotuner tuner(config);
-
-  const TuneDecision decision = tuner.decide(small_key(), small_base());
-  EXPECT_EQ(decision.source, DecisionSource::kCostModel);
-  EXPECT_NE(decision.kind, core::GridderKind::Auto);
-  const TunerStats stats = tuner.stats();
-  EXPECT_EQ(stats.cost_model, 1u);
-  EXPECT_EQ(stats.sessions, 0u);
-  EXPECT_EQ(stats.trials, 0u);
-  // Model decisions are memoized but never persisted: a trial-enabled
-  // process must still get to measure this key.
-  EXPECT_EQ(stats.wisdom_saves, 0u);
-  std::ifstream f(file.path);
-  EXPECT_FALSE(f.good());
-
-  const TuneDecision again = tuner.decide(small_key(), small_base());
-  EXPECT_EQ(again.kind, decision.kind);
-  EXPECT_EQ(tuner.stats().hits, 1u);
-}
-
-TEST(Autotuner, UnwritableWisdomPathFailsConstruction) {
-  try {
-    Autotuner tuner(fast_config("/nonexistent-dir/wisdom.json"));
-    FAIL() << "must throw before any trial time is spent";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "wisdom path not writable: /nonexistent-dir/wisdom.json"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Autotuner, EightConcurrentColdQueriesRunOneTrialSession) {
-  Autotuner tuner(fast_config());  // in-memory only
-  const TuneKey key = small_key();
-  const core::GridderOptions base = small_base();
-
-  constexpr int kThreads = 8;
-  std::vector<TuneDecision> decisions(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back(
-        [&, i] { decisions[static_cast<std::size_t>(i)] =
-                     tuner.decide(key, base); });
-  }
-  for (auto& t : threads) t.join();
-
-  for (const TuneDecision& d : decisions) {
-    EXPECT_EQ(d.kind, decisions[0].kind);
-    EXPECT_EQ(d.tile, decisions[0].tile);
-    EXPECT_EQ(d.threads, decisions[0].threads);
-  }
-  const TunerStats stats = tuner.stats();
-  // The once-semantics invariant: exactly one caller ran the trials.
-  EXPECT_EQ(stats.sessions, 1u);
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(kThreads));
-}
-
-TEST(Autotuner, TrialDecisionIsConstructibleAtRealGeometry) {
-  // N=130 oversamples to G=260: tiles 8/16 divide the CAPPED trial grid
-  // (N=128, G=256) but not the real one. The winner must still be
-  // constructible at the real N — the capped-trial bug handed back a tile
-  // the real plan construction then rejected.
-  TuneKey key;
-  key.dims = 2;
-  key.n = 130;
-  key.m = 4000;
-  key.width = 6;
-  key.sigma = 2.0;
-
-  core::GridderOptions base;
-  base.kind = core::GridderKind::Auto;
-  base.width = 6;
-
-  Autotuner tuner(fast_config());
-  const TuneDecision decision = tuner.decide(key, base);
-  EXPECT_EQ(decision.source, DecisionSource::kTrial);
-  const auto tuned = Autotuner::apply(decision, base);
-  std::unique_ptr<core::Gridder<2>> gridder;
-  ASSERT_NO_THROW(gridder = core::make_gridder<2>(key.n, tuned))
-      << "engine=" << core::to_string(decision.kind)
-      << " tile=" << decision.tile;
-  ASSERT_NE(gridder, nullptr);
-}
+// The Autotuner and CostModel suite names are kept from the trial-based
+// selector and closed-form cost model these cases replace; each one now
+// checks the same property of resolve_auto.
 
 TEST(Autotuner, ApplySubstitutesDecisionAndPreservesBase) {
   core::GridderOptions base;
@@ -479,80 +174,132 @@ TEST(Autotuner, ApplySubstitutesDecisionAndPreservesBase) {
   base.sigma = 1.5;
   base.table_oversampling = 64;
   base.exact_weights = true;
+  base.threads = 2;
+  for (const bool reused : {false, true}) {
+    SCOPED_TRACE(reused ? "reused" : "one-shot");
+    const core::GridderOptions resolved = core::resolve_auto(48, base, reused);
+    EXPECT_EQ(resolved.kind, reused ? core::GridderKind::Sparse
+                                    : core::GridderKind::SliceDice);
+    EXPECT_EQ(resolved.width, 5);
+    EXPECT_DOUBLE_EQ(resolved.sigma, 1.5);
+    EXPECT_EQ(resolved.table_oversampling, 64);
+    EXPECT_TRUE(resolved.exact_weights);
+    EXPECT_EQ(resolved.threads, 2u);
+  }
 
-  TuneDecision decision;
-  decision.kind = core::GridderKind::Binning;
-  decision.tile = 16;
-  decision.threads = 2;
-  const core::GridderOptions tuned = Autotuner::apply(decision, base);
-  EXPECT_EQ(tuned.kind, core::GridderKind::Binning);
-  EXPECT_EQ(tuned.tile, 16);
-  EXPECT_EQ(tuned.threads, 2u);
-  EXPECT_EQ(tuned.width, 5);
-  EXPECT_DOUBLE_EQ(tuned.sigma, 1.5);
-  EXPECT_EQ(tuned.table_oversampling, 64);
-  EXPECT_TRUE(tuned.exact_weights);
-}
-
-// --------------------------------------------------------------- cost model
-
-TEST(CostModel, PicksAConcreteEngineForEveryDim) {
-  for (int dims = 1; dims <= 3; ++dims) {
-    TuneKey key = small_key();
-    key.dims = dims;
-    const CostModelChoice choice = cost_model_decide(key);
-    EXPECT_NE(choice.kind, core::GridderKind::Auto) << "dims=" << dims;
-    EXPECT_GE(choice.tile, 1) << "dims=" << dims;
+  // Concrete engines pass through untouched.
+  const core::GridderOptions binning =
+      options_of(core::GridderKind::Binning, 4, 16);
+  for (const bool reused : {false, true}) {
+    const auto same = core::resolve_auto(48, binning, reused);
+    EXPECT_EQ(same.kind, core::GridderKind::Binning);
+    EXPECT_EQ(same.tile, 16);
   }
 }
 
-TEST(CostModel, DecisionIsConstructibleWhenDefaultTilesAreNot) {
-  // G=260: neither 8 nor 16 divides it, and slice-dice needs T >= W=6.
-  // The unfiltered model used to return slice-dice tile=8 here, which
-  // threw at plan construction under --engine auto --no-trials.
-  TuneKey key;
-  key.dims = 2;
-  key.n = 130;
-  key.m = 4000;
-  key.width = 6;
-  key.sigma = 2.0;
-  key.threads = 4;
-
-  const CostModelChoice choice = cost_model_decide(key);
-  EXPECT_TRUE(config_constructible(choice.kind, key, choice.tile))
-      << "engine=" << core::to_string(choice.kind)
-      << " tile=" << choice.tile;
-  core::GridderOptions options;
-  options.kind = choice.kind;
-  options.tile = choice.tile;
-  options.width = key.width;
-  options.sigma = key.sigma;
-  EXPECT_NO_THROW(core::make_gridder<2>(key.n, options));
+TEST(Autotuner, EightConcurrentColdQueriesRunOneTrialSession) {
+  // Eight threads resolving the whole table agree with the serial pass.
+  constexpr int kThreads = 8;
+  std::vector<std::vector<core::GridderOptions>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&seen, t] {
+      for (const AutoCase& c : kAutoCases) {
+        seen[static_cast<std::size_t>(t)].push_back(resolve(c));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& results : seen) {
+    ASSERT_EQ(results.size(), std::size(kAutoCases));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const core::GridderOptions expected = resolve(kAutoCases[i]);
+      EXPECT_EQ(results[i].kind, expected.kind) << kAutoCases[i].name;
+      EXPECT_EQ(results[i].tile, expected.tile) << kAutoCases[i].name;
+      EXPECT_EQ(results[i].simd, expected.simd) << kAutoCases[i].name;
+    }
+  }
 }
 
-TEST(CostModel, ConstructibilityMirrorsEngineRequirements) {
-  TuneKey key = small_key();  // N=24, sigma=2 -> G=48, W=4
-  EXPECT_TRUE(config_constructible(core::GridderKind::SliceDice, key, 8));
-  EXPECT_FALSE(config_constructible(core::GridderKind::SliceDice, key, 2))
-      << "T < W must be rejected";
-  EXPECT_FALSE(config_constructible(core::GridderKind::SliceDice, key, 5))
-      << "T must divide G";
-  EXPECT_TRUE(config_constructible(core::GridderKind::Binning, key, 8));
-  EXPECT_FALSE(config_constructible(core::GridderKind::Binning, key, 5))
-      << "B must divide G";
-  EXPECT_TRUE(config_constructible(core::GridderKind::Serial, key, 1));
+TEST(Autotuner, TrialDecisionIsConstructibleAtRealGeometry) {
+  // N=130 oversamples to G=260, which neither 8 nor 16 divides. Both
+  // resolutions must build a plan at the real N.
+  const core::GridderOptions base = options_of(core::GridderKind::Auto, 6, 8);
+  for (const bool reused : {false, true}) {
+    const core::GridderOptions resolved = core::resolve_auto(130, base, reused);
+    std::unique_ptr<core::Gridder<2>> gridder;
+    ASSERT_NO_THROW(gridder = core::make_gridder<2>(130, resolved))
+        << "engine=" << core::to_string(resolved.kind)
+        << " tile=" << resolved.tile;
+    ASSERT_NE(gridder, nullptr);
+    EXPECT_NE(gridder->kind(), core::GridderKind::Auto);
+  }
+}
+
+TEST(Autotuner, WisdomSimdEntryResolvesToSimdOptions) {
+  core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
+  base.simd = true;
+
+  // One-shot: slice-and-dice keeps the SIMD twin the caller asked for.
+  const core::GridderOptions one_shot = core::resolve_auto(48, base, false);
+  EXPECT_EQ(one_shot.kind, core::GridderKind::SliceDice);
+  EXPECT_TRUE(one_shot.simd);
+  const auto simd_gridder = core::make_gridder<2>(48, one_shot);
+  EXPECT_TRUE(simd_gridder->options().simd);
+
+  // Reused: sparse has no SIMD twin, so the flag is cleared and the plan
+  // builds instead of being rejected.
+  const core::GridderOptions reused = core::resolve_auto(48, base, true);
+  EXPECT_EQ(reused.kind, core::GridderKind::Sparse);
+  EXPECT_FALSE(reused.simd);
+  EXPECT_NO_THROW(core::make_gridder<2>(48, reused));
+}
+
+// ---------------------------------------------------------- concrete engine
+
+template <int D>
+void expect_concrete_engine() {
+  const core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
+  for (const bool reused : {false, true}) {
+    EXPECT_NE(core::resolve_auto(24, base, reused).kind,
+              core::GridderKind::Auto)
+        << "dims=" << D << " reused=" << reused;
+  }
+  const auto gridder = core::make_gridder<D>(24, base);
+  ASSERT_NE(gridder, nullptr);
+  EXPECT_NE(gridder->kind(), core::GridderKind::Auto) << "dims=" << D;
+}
+
+TEST(CostModel, PicksAConcreteEngineForEveryDim) {
+  expect_concrete_engine<1>();
+  expect_concrete_engine<2>();
+  expect_concrete_engine<3>();
+}
+
+TEST(CostModel, DecisionIsConstructibleWhenDefaultTilesAreNot) {
+  // G=260: neither 8 nor 16 divides it. With W=6 no slice-and-dice tile
+  // fits, so the rule falls back to serial; with W=4 tile 4 fits.
+  for (const int width : {4, 6}) {
+    const core::GridderOptions resolved = core::resolve_auto(
+        130, options_of(core::GridderKind::Auto, width, 8), false);
+    EXPECT_TRUE(core::config_constructible(130, resolved))
+        << "engine=" << core::to_string(resolved.kind)
+        << " tile=" << resolved.tile;
+    EXPECT_NO_THROW(core::make_gridder<2>(130, resolved)) << "W=" << width;
+  }
 }
 
 // ------------------------------------------------------------ Auto factory
 
 TEST(AutoFactory, MakeGridderResolvesAutoWithoutTuner) {
-  // Sites that cannot consult a tuner (no sample count at hand) still get a
-  // working engine: the factory's documented static SliceDice fallback.
+  // Sites that build a gridder straight from options (stream sessions,
+  // dataset requests) get the one-shot resolution: slice-and-dice.
   core::GridderOptions options;
   options.kind = core::GridderKind::Auto;
   options.width = 4;
   const auto gridder = core::make_gridder<2>(32, options);
   ASSERT_NE(gridder, nullptr);
+  EXPECT_EQ(gridder->kind(), core::GridderKind::SliceDice);
 }
 
 }  // namespace

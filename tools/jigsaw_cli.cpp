@@ -14,9 +14,9 @@
 //   jigsaw_cli grid     --n 128 --traj radial --samples 50000
 //                       [--engine ...]       time one gridding pass + stats
 //
-// --engine auto defers the choice to the autotuner (src/tune/): wisdom from
-// --wisdom <path> (default ~/.jigsaw_wisdom.json) or fresh calibration
-// trials (--no-trials forces the analytic cost model instead).
+// --engine auto chooses by plan reuse (core::resolve_auto): sparse-matrix
+// when the plan is applied more than once (--iters K > 0, --coils C > 1,
+// --dataset), slice-and-dice for a one-shot grid or adjoint recon.
 //   jigsaw_cli simulate --n 128 --samples 50000 [--3d] [--z-binned]
 //                       run the JIGSAW cycle simulator + synthesis estimate
 //   jigsaw_cli info     list engines, kernels, trajectories
@@ -44,7 +44,6 @@
 #include "robustness/fault_injection.hpp"
 #include "trajectory/phantom.hpp"
 #include "trajectory/trajectory.hpp"
-#include "tune/autotuner.hpp"
 
 using namespace jigsaw;
 
@@ -100,43 +99,17 @@ core::GridderOptions options_from(const CliArgs& args) {
   return opt;
 }
 
-/// Resolve --engine auto against the autotuner once the sample count is
-/// known. No-op for a concrete engine. Prints the decision so scripts can
-/// assert on it; an unwritable --wisdom path throws out of the Autotuner
-/// constructor and exits 1 through main()'s catch.
-core::GridderOptions resolve_auto(core::GridderOptions opt, const CliArgs& args,
-                                  std::int64_t n, std::int64_t m) {
+/// Resolve --engine auto by plan reuse (no-op for a concrete engine) and
+/// print the decision so scripts can assert on it.
+core::GridderOptions resolve_engine(core::GridderOptions opt,
+                                    std::int64_t n, bool reused) {
   if (opt.kind != core::GridderKind::Auto) return opt;
-  tune::TunerConfig config;
-  config.wisdom_path = args.get("wisdom", tune::WisdomStore::default_path());
-  config.enable_trials = !args.has("no-trials");
-  tune::Autotuner tuner(config);
-  // Key the decision on the execution shape the CLI will actually run.
-  // Multi-coil recon parallelizes across min(coils, --coil-threads) plan
-  // lanes (SenseOperator::coil_sum), each applying this gridder; the
-  // per-gridder thread budget is what remains of the --coil-threads budget
-  // once those lanes are occupied.
-  const int coils = static_cast<int>(args.get_int("coils", 1));
-  unsigned threads = 1;
-  if (coils > 1) {
-    const auto coil_threads = static_cast<unsigned>(
-        std::max<std::int64_t>(1, args.get_int("coil-threads", 1)));
-    const unsigned lanes =
-        std::min(coil_threads, static_cast<unsigned>(coils));
-    threads = std::max(1u, coil_threads / lanes);
-  }
-  const auto key = tune::TuneKey::of(2, n, m, opt, coils, threads);
-  const auto decision = tuner.decide(key, opt);
-  const auto stats = tuner.stats();
-  std::printf("auto: %s -> engine=%s tile=%d threads=%u source=%s "
-              "(trials=%llu, wisdom=%s)\n",
-              key.label().c_str(),
-              core::to_string(
-                  core::GridderSpec{decision.kind, decision.simd}).c_str(),
-              decision.tile, decision.threads, tune::to_string(decision.source),
-              static_cast<unsigned long long>(stats.trials),
-              config.wisdom_path.c_str());
-  return tune::Autotuner::apply(decision, opt);
+  opt = core::resolve_auto(n, opt, reused);
+  std::printf("auto: n%lld -> engine=%s tile=%d (%s)\n",
+              static_cast<long long>(n),
+              core::to_string(core::GridderSpec{opt.kind, opt.simd}).c_str(),
+              opt.tile, reused ? "reused" : "one-shot");
+  return opt;
 }
 
 /// Fault-injection spec from the --drop-spokes/--noise-spikes/--inject-nan/
@@ -176,13 +149,8 @@ int cmd_recon_dataset(const CliArgs& args) {
                  static_cast<long long>(args.get_int("coils", 0)));
     return 2;
   }
-  // Resolve --engine auto against the dataset's own shape (mean chunk size
-  // when the header knows it; the factory's slice-dice fallback otherwise).
-  if (info.chunk_count > 0 && info.total_samples > 0) {
-    opt.gridding = resolve_auto(
-        opt.gridding, args, info.n,
-        static_cast<std::int64_t>(info.total_samples / info.chunk_count));
-  }
+  // Every chunk's plan serves its DCF, coil-map and recon phases.
+  opt.gridding = resolve_engine(opt.gridding, info.n, /*reused=*/true);
 
   Timer timer;
   const auto result = data::recon_dataset(path, opt);
@@ -288,7 +256,8 @@ int cmd_recon(const CliArgs& args) {
     std::printf("k-space data saved to %s\n", args.get("save").c_str());
   }
 
-  opt = resolve_auto(opt, args, n, static_cast<std::int64_t>(coords.size()));
+  opt = resolve_engine(
+      opt, n, args.get_int("iters", 0) > 0 || args.get_int("coils", 1) > 1);
   core::NufftPlan<2> plan(n, coords, opt);
 
   // Multi-coil CG-SENSE path: synthetic birdcage maps, per-coil acquisition
@@ -405,8 +374,7 @@ int cmd_grid(const CliArgs& args) {
   in.coords = coords;
   in.values.assign(coords.size(), c64(0.01, 0.0));
 
-  const auto opt = resolve_auto(options_from(args), args, n,
-                                static_cast<std::int64_t>(coords.size()));
+  const auto opt = resolve_engine(options_from(args), n, /*reused=*/false);
   auto g = core::make_gridder<2>(n, opt);
   core::Grid<2> grid(g->grid_size());
   const double secs = time_best([&] { g->adjoint(in, grid); });
@@ -488,7 +456,7 @@ int cmd_info() {
   std::printf("jigsaw_nufft 1.0.0 — Slice-and-Dice NuFFT library "
               "(IPDPS 2021 reproduction)\n\n");
   std::printf("engines:      serial, output-driven, binning, slice-dice, "
-              "jigsaw (fixed point), sparse, float, auto (tuned)\n");
+              "jigsaw (fixed point), sparse, float, auto (alias: tuned)\n");
   std::printf("              SIMD variants: serial-simd, slice-dice-simd, "
               "binning-simd\n");
   std::printf("kernels:      kaiser-bessel, gaussian, bspline, triangle, "
@@ -514,16 +482,11 @@ void print_help(std::FILE* out) {
                "  info      list engines, kernels, trajectories\n\n"
                "common flags:\n"
                "  --engine %s\n"
-               "            (auto picks the fastest engine for the geometry\n"
-               "             via the autotuner — see docs/tuning.md)\n"
+               "            (auto: sparse when the plan is reused — --iters K,\n"
+               "             --coils C > 1, --dataset — else slice-dice)\n"
                "  --simd auto|scalar|avx2|avx512|neon\n"
                "            force the micro-kernel ISA for *-simd engines\n"
                "            (also $JIGSAW_SIMD; default auto-detects)\n"
-               "  --wisdom <path>   autotuner wisdom store\n"
-               "                    (default $JIGSAW_WISDOM or "
-               "~/.jigsaw_wisdom.json)\n"
-               "  --no-trials       skip calibration trials; use the cost "
-               "model\n"
                "  --n N --samples M --traj radial|golden-radial|spiral|"
                "vd-spiral|rosette|propeller|random|cartesian\n"
                "  --dataset file.jksd   reconstruct an ingested JKSD "
@@ -554,7 +517,7 @@ int main(int argc, char** argv) {
       "input",  "save",    "sanitize",  "drop-spokes",  "noise-spikes",
       "inject-nan", "perturb-coords", "bitflip-rate", "bitflip-bit",
       "seed",   "coils",   "coil-threads", "trace-json", "counters",
-      "wisdom", "no-trials", "simd", "dataset", "dcf"};
+      "simd",   "dataset", "dcf"};
   try {
     CliArgs args(argc - 1, argv + 1, flags);
     // ISA override before any gridding: an unknown mode or one this host

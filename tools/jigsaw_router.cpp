@@ -7,9 +7,9 @@
 // running jigsaw_serve. The router speaks the same JSRV framed protocol on
 // its own endpoint and forwards every recon request to the worker that
 // rendezvous-hashing assigns its geometry, so each worker's plan pool and
-// wisdom stay hot (see src/serve/router.hpp for the full policy). SIGTERM /
-// SIGINT trigger a graceful drain: stop accepting, finish and answer every
-// in-flight forward, exit 0.
+// FFT plan cache stay hot (see src/serve/router.hpp for the full policy).
+// SIGTERM / SIGINT trigger a graceful drain: stop accepting, finish and
+// answer every in-flight forward, exit 0.
 #include <csignal>
 #include <cstdio>
 #include <string>

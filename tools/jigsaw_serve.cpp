@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     const CliArgs args(argc, argv,
                        {"socket", "listen", "queue", "batch", "plans",
                         "threads", "max-n", "max-samples", "max-iters",
-                        "max-coils", "reply-timeout", "wisdom", "no-trials"});
+                        "max-coils", "reply-timeout"});
     serve::ServeConfig config;
     // --listen host:port adds a TCP endpoint alongside (or instead of) the
     // Unix socket. Bind 127.0.0.1 unless you mean to serve other machines —
@@ -48,12 +48,6 @@ int main(int argc, char** argv) {
     // Wall-clock bound per reply write (ms); < 0 disables the bound.
     config.reply_write_timeout_ms =
         static_cast<int>(args.get_int("reply-timeout", 5000));
-    // Autotuner for engine=auto requests: persistent wisdom when --wisdom is
-    // given (an unwritable path fails startup here, not the first request);
-    // --no-trials restricts cold keys to the analytic cost model so the
-    // dispatcher never spends time calibrating.
-    config.wisdom_path = args.get("wisdom", "");
-    config.tune_trials = !args.has("no-trials");
 
     serve::ReconServer server(config);
     std::signal(SIGTERM, handle_stop);
