@@ -16,6 +16,7 @@
 // Checksums are seeded and deterministic: a checksum drift between two
 // runs of the same code is a correctness bug, not noise.
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "core/nufft.hpp"
 #include "core/recon.hpp"
 #include "core/sense.hpp"
+#include "kernels/simd/simd.hpp"
 #include "obs/obs.hpp"
 #include "trajectory/phantom.hpp"
 #include "trajectory/trajectory.hpp"
@@ -444,6 +446,26 @@ DatasetSummary bench_dataset(bool smoke, std::vector<Entry>& out) {
   return s;
 }
 
+/// The first "model name" of /proc/cpuinfo, minus characters a JSON
+/// string would need escaped ("unknown" when there is none).
+std::string cpu_model() {
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+        model += c;
+      }
+    }
+    const auto first = model.find_first_not_of(' ');
+    return first == std::string::npos ? "unknown" : model.substr(first);
+  }
+  return "unknown";
+}
+
 void write_json(const std::string& path, const std::string& tag, bool smoke,
                 unsigned coil_threads, const std::vector<Entry>& entries,
                 const DatasetSummary& dataset) {
@@ -458,6 +480,14 @@ void write_json(const std::string& path, const std::string& tag, bool smoke,
   std::fprintf(f, "  \"coil_threads\": %u,\n", coil_threads);
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  // The host class: bench_compare.py gates wall time only between reports
+  // whose machine blocks match.
+  std::fprintf(f,
+               "  \"machine\": {\"nproc\": \"%u\", \"cpu_model\": \"%s\", "
+               "\"simd_isa\": \"%s\", \"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), cpu_model().c_str(),
+               kernels::simd::to_string(kernels::simd::active()),
+               JIGSAW_BUILD_TYPE);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];

@@ -12,7 +12,12 @@ Exit status 1 when:
     bug, never timing noise,
   * a benchmark slows down by more than --threshold (relative) and both
     measurements exceed --min-seconds (sub-threshold timings are too noisy
-    to gate on, especially in --smoke mode),
+    to gate on, especially in --smoke mode) — only when both reports come
+    from the same host class: the "machine" block (nproc, cpu_model,
+    simd_isa, build_type) matches field for field. Across host classes, or
+    when either report predates the block, wall time is printed but not
+    gated and a NOTE says why; the checksum, work and missing-entry checks
+    run on every host,
   * a work counter (the deterministic grid./nufft./fft./cg./sim. families
     in an entry's "counters" block) changes beyond --work-tol (relative,
     default exact). Unlike wall-clock, counters are noise-free: any drift
@@ -44,6 +49,21 @@ import sys
 # (scheduling-dependent), scratch.*/fftcache.* per-entry values depend on
 # suite-global cache state, memsim.* (opt-in probes).
 WORK_PREFIXES = ("grid.", "nufft.", "fft.", "cg.", "sim.")
+
+
+HOST_FIELDS = ("nproc", "cpu_model", "simd_isa", "build_type")
+
+
+def host_class(doc):
+    """The report's host class, or None when it records no machine block."""
+    machine = doc.get("machine")
+    if not isinstance(machine, dict):
+        return None
+    return tuple(str(machine.get(k)) for k in HOST_FIELDS)
+
+
+def describe(host):
+    return "unrecorded" if host is None else "/".join(host)
 
 
 def load(path):
@@ -80,6 +100,8 @@ def main():
 
     work_gate = bool(base_doc.get("obs_enabled")) and bool(
         cand_doc.get("obs_enabled"))
+    base_host, cand_host = host_class(base_doc), host_class(cand_doc)
+    time_gate = base_host is not None and base_host == cand_host
 
     base = {b["name"]: b for b in base_doc["benchmarks"]}
     cand = {b["name"]: b for b in cand_doc["benchmarks"]}
@@ -138,7 +160,9 @@ def main():
         ratio = c["seconds"] / b["seconds"] if b["seconds"] > 0 else float("inf")
         gated = b["seconds"] >= args.min_seconds and c["seconds"] >= args.min_seconds
         status = "ok"
-        if gated and ratio > 1.0 + args.threshold:
+        if not time_gate:
+            status = "not gated (host class)"
+        elif gated and ratio > 1.0 + args.threshold:
             status = "REGRESSED"
             failures.append(
                 f"REGRESSED {name}: {b['seconds']:.4f}s -> {c['seconds']:.4f}s "
@@ -150,6 +174,10 @@ def main():
     for name in cand:
         if name not in base:
             notes.append(f"NEW       {name}: not in baseline (will gate after refresh)")
+    if not time_gate:
+        notes.append("NOTE      wall-time gate inactive: baseline host class "
+                     f"{describe(base_host)} != candidate {describe(cand_host)} "
+                     "(checksum, work and missing-entry checks still ran)")
     if not work_gate:
         notes.append("NOTE      work-counter gate inactive (one side lacks "
                      "obs_enabled — JIGSAW_OBS=OFF build or pre-obs baseline)")
@@ -166,8 +194,12 @@ def main():
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print(f"\nOK: {len(rows)} benchmarks within {args.threshold * 100:.0f}% "
-          f"of {args.baseline}")
+    if time_gate:
+        print(f"\nOK: {len(rows)} benchmarks within "
+              f"{args.threshold * 100:.0f}% of {args.baseline}")
+    else:
+        print(f"\nOK: {len(rows)} benchmarks match {args.baseline} "
+              "(wall time not gated across host classes)")
     return 0
 
 

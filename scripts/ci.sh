@@ -12,14 +12,17 @@
 #      the ASan build with JIGSAW_SIMD=scalar — sanitized coverage for the
 #      portable staged-scalar dispatch path, not just the host's best ISA
 #   3b. TSan build (JIGSAW_TSAN=ON) of the serve/deadline/router/stream
-#      suites — the service layer's dispatcher + connection threads, the
-#      deadline token, the router's forwarder + health-ping threads, and
-#      the streaming-session machinery run under ThreadSanitizer on every
-#      CI pass
+#      suites and the shared-plan suites — the service layer's dispatcher +
+#      connection threads, the deadline token, the router's forwarder +
+#      health-ping threads, the streaming-session machinery, and coil/frame
+#      threads calling one const NufftPlan (SENSE, batch, thread
+#      invariance, SharedPlan) run under ThreadSanitizer on every CI pass
 #   4. bench_suite --smoke (obs ON) compared against the committed
-#      BENCH_baseline.json — fails on >15% slowdown, any checksum drift,
-#      or any work-counter drift (see scripts/bench_compare.py); the JSON
-#      is schema-validated with counters required
+#      BENCH_baseline.json — fails on any checksum drift, any work-counter
+#      drift or a missing entry on every host, and on a >15% slowdown when
+#      the baseline was recorded on the same host class (nproc, CPU model,
+#      SIMD ISA, build type; see scripts/bench_compare.py); the JSON is
+#      schema-validated with counters required
 #   4b. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
 #      behind jigsaw_router on an ephemeral TCP port; interleaved requests
 #      across three geometry classes must all relay, each class must pin to
@@ -29,9 +32,12 @@
 #      recon --dataset with Pipe-Menon DCF under an NRMSE <= 0.30 quality
 #      gate, then a mid-file byte flip: validate must exit 2 naming the
 #      rejected chunk and the recon must complete on the survivors
-#   5. bench_suite --smoke from the OFF build compared against the same
-#      baseline — the overhead guard: a disabled observability layer must
-#      bench within the ordinary noise threshold
+#   5. bench_suite --smoke from the OFF build compared against the ON
+#      build of the same run — the overhead guard: a disabled
+#      observability layer must bench within the ordinary noise threshold
+#      of the enabled one on the same host. The ON reference is built the
+#      way the committed baseline is: the per-entry maximum of three smoke
+#      runs (stage 4's plus two more; scripts/bench_max.py)
 #
 # JIGSAW_CI_FULL=1 widens the test runs to the complete suite (tier1 +
 # tier2 soak tests) — what the merge gate runs; the default is the fast
@@ -73,18 +79,19 @@ echo "=== ASan+UBSan SIMD kernel suites, forced-scalar dispatch ==="
 JIGSAW_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
   -j"${JOBS}" -R 'Simd|Differential|ThreadInvariance'
 
-echo "=== TSan build + serve/deadline/router/stream concurrency suites ==="
+echo "=== TSan build + serve/deadline/router/stream + shared-plan suites ==="
 # The service layer is the most thread-heavy subsystem (dispatcher thread,
 # per-connection readers, concurrent clients, the router's forwarders +
 # health pinger, and the session dispatcher shared by streaming frames);
-# run exactly those suites under ThreadSanitizer. Bench/examples are
-# skipped to keep the stage short.
+# coil and frame threads all call one const NufftPlan (SENSE, batch, the
+# thread-invariance and SharedPlan suites). Run exactly those suites under
+# ThreadSanitizer. Bench/examples are skipped to keep the stage short.
 cmake -B build-tsan -S . -DJIGSAW_TSAN=ON \
   -DJIGSAW_BUILD_BENCH=OFF -DJIGSAW_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target test_serve test_deadline \
-  test_router test_stream
+  test_router test_stream test_sense test_batch test_thread_invariance
 ctest --test-dir build-tsan --output-on-failure -j"${JOBS}" \
-  -R 'Serve|Deadline|Router|Stream'
+  -R 'Serve|Deadline|Router|Stream|Sense|Batch|ThreadInvariance|SharedPlan'
 
 echo "=== benchmark smoke + regression/work gate (obs ON) ==="
 ./build/bench/bench_suite --smoke --tag ci --out build/BENCH_ci.json
@@ -299,10 +306,14 @@ PYEOF
 )
 
 echo "=== observability overhead guard (obs OFF) ==="
+./build/bench/bench_suite --smoke --tag ci-on2 --out build/BENCH_ci-on2.json
 ./build-noobs/bench/bench_suite --smoke --tag ci-noobs \
   --out build-noobs/BENCH_ci-noobs.json
+./build/bench/bench_suite --smoke --tag ci-on3 --out build/BENCH_ci-on3.json
 python3 scripts/validate_bench.py build-noobs/BENCH_ci-noobs.json
-python3 scripts/bench_compare.py BENCH_baseline.json \
+python3 scripts/bench_max.py build/BENCH_ci.json build/BENCH_ci-on2.json \
+  build/BENCH_ci-on3.json > build/BENCH_ci-on-max.json
+python3 scripts/bench_compare.py build/BENCH_ci-on-max.json \
   build-noobs/BENCH_ci-noobs.json --smoke
 
 echo "=== CI green: tests + sanitizers + benchmark/work/overhead gates pass ==="

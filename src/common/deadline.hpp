@@ -6,7 +6,7 @@
 // phase boundaries (per gridding/FFT/apodization phase, per batch frame,
 // per CG iteration, per coil) and a passed deadline raises DeadlineExceeded
 // there. This keeps the hot loops branch-free while bounding how long an
-// expired request can hold an execution lane — the serving layer
+// expired request can hold an execution thread — the serving layer
 // (src/serve/) maps the exception to its TIMEOUT status.
 //
 // A default-constructed Deadline never expires, so every entry point can

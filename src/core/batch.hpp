@@ -8,18 +8,16 @@
 // timing. This is the "millions of NuFFTs per volume" usage pattern of the
 // paper's introduction packaged as an API.
 //
-// With `coil_threads > 1` the frames themselves run concurrently: the
-// batch owns one independent execution lane (gridder + work grid) per
-// thread, all sharing one cached FFT plan, and frames are distributed over
-// the lanes through the ThreadPool. Because every lane is configured
-// identically and each frame is processed start-to-finish by exactly one
-// lane, the result for a given frame is bit-exact regardless of thread
-// count or which lane computed it — the same determinism contract the
-// gridders make for their internal threading.
+// With `coil_threads > 1` the frames themselves run concurrently: that many
+// threads call the one const NufftPlan, each transform leasing its own
+// work grid, and frames are distributed over the threads through the
+// ThreadPool. Each frame is processed start-to-finish by one call on one
+// plan, so the result for a given frame is bit-exact regardless of thread
+// count — the same determinism contract the gridders make for their
+// internal threading.
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -34,22 +32,14 @@ class BatchedNufft {
   /// (1 = the classic serial frame loop; 0 is treated as 1). Independent of
   /// `options.threads`, which parallelizes *within* one transform.
   BatchedNufft(std::int64_t n, std::vector<Coord<D>> coords,
-               const GridderOptions& options, unsigned coil_threads = 1) {
-    lanes_.push_back(
-        std::make_unique<NufftPlan<D>>(n, std::move(coords), options));
-    for (unsigned l = 1; l < std::max(1u, coil_threads); ++l) {
-      lanes_.push_back(std::make_unique<NufftPlan<D>>(
-          n, lanes_.front()->coords(), options));
-    }
-  }
+               const GridderOptions& options, unsigned coil_threads = 1)
+      : plan_(n, std::move(coords), options),
+        coil_threads_(std::max(1u, coil_threads)) {}
 
-  /// The primary lane. With coil_threads == 1 every frame goes through this
-  /// plan, preserving the classic aggregate-stats behavior.
-  NufftPlan<D>& plan() { return *lanes_.front(); }
+  /// The plan every frame runs on.
+  const NufftPlan<D>& plan() const { return plan_; }
 
-  unsigned coil_threads() const {
-    return static_cast<unsigned>(lanes_.size());
-  }
+  unsigned coil_threads() const { return coil_threads_; }
 
   /// Adjoint transform of every frame. frames[f] holds M sample values.
   /// The deadline is checked before every frame (and at the phase
@@ -58,53 +48,42 @@ class BatchedNufft {
   /// semantics included.
   std::vector<std::vector<c64>> adjoint(
       const std::vector<std::vector<c64>>& frames,
-      NufftTimings* total = nullptr, const Deadline& deadline = Deadline()) {
+      NufftTimings* total = nullptr,
+      const Deadline& deadline = Deadline()) const {
     return run(frames, total, /*adjoint=*/true, deadline);
   }
 
   /// Forward transform of every frame. frames[f] holds an N^D image.
   std::vector<std::vector<c64>> forward(
       const std::vector<std::vector<c64>>& frames,
-      NufftTimings* total = nullptr, const Deadline& deadline = Deadline()) {
+      NufftTimings* total = nullptr,
+      const Deadline& deadline = Deadline()) const {
     return run(frames, total, /*adjoint=*/false, deadline);
   }
 
  private:
   std::vector<std::vector<c64>> run(
       const std::vector<std::vector<c64>>& frames, NufftTimings* total,
-      bool adjoint, const Deadline& deadline) {
+      bool adjoint, const Deadline& deadline) const {
     std::vector<std::vector<c64>> out(frames.size());
     std::vector<NufftTimings> per_frame(frames.size());
-    const std::size_t pool_threads =
-        std::min<std::size_t>(lanes_.size(), frames.size());
-    if (pool_threads <= 1) {
-      for (std::size_t f = 0; f < frames.size(); ++f) {
+    const auto frame_range = [&](std::int64_t begin, std::int64_t end,
+                                 unsigned) {
+      for (std::int64_t f = begin; f < end; ++f) {
         deadline.check("batch.frame");
-        out[f] = adjoint
-                     ? lanes_.front()->adjoint(frames[f], &per_frame[f],
-                                               deadline)
-                     : lanes_.front()->forward(frames[f], &per_frame[f],
-                                               deadline);
+        const auto uf = static_cast<std::size_t>(f);
+        out[uf] = adjoint
+                      ? plan_.adjoint(frames[uf], &per_frame[uf], deadline)
+                      : plan_.forward(frames[uf], &per_frame[uf], deadline);
       }
+    };
+    const auto threads = static_cast<unsigned>(
+        std::min<std::size_t>(coil_threads_, frames.size()));
+    if (threads <= 1) {
+      frame_range(0, static_cast<std::int64_t>(frames.size()), 0);
     } else {
-      // parallel_for hands out one contiguous chunk per chunk id, and chunk
-      // ids are unique within a call — so indexing lanes by chunk id gives
-      // each inflight chunk a private gridder + work grid.
-      ThreadPool pool(static_cast<unsigned>(pool_threads));
-      pool.parallel_for(
-          static_cast<std::int64_t>(frames.size()),
-          [&](std::int64_t begin, std::int64_t end, unsigned lane) {
-            for (std::int64_t f = begin; f < end; ++f) {
-              deadline.check("batch.frame");
-              const auto uf = static_cast<std::size_t>(f);
-              out[uf] = adjoint ? lanes_[lane]->adjoint(frames[uf],
-                                                        &per_frame[uf],
-                                                        deadline)
-                                : lanes_[lane]->forward(frames[uf],
-                                                        &per_frame[uf],
-                                                        deadline);
-            }
-          });
+      ThreadPool(threads).parallel_for(
+          static_cast<std::int64_t>(frames.size()), frame_range);
     }
     if (total != nullptr) {
       NufftTimings sum;  // frame-order reduction: deterministic
@@ -119,7 +98,8 @@ class BatchedNufft {
     return out;
   }
 
-  std::vector<std::unique_ptr<NufftPlan<D>>> lanes_;  // lane 0 = plan()
+  NufftPlan<D> plan_;
+  unsigned coil_threads_;
 };
 
 }  // namespace jigsaw::core

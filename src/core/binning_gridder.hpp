@@ -50,7 +50,7 @@ class BinningGridder final : public Gridder<D> {
   /// Presort samples into per-tile bins. Returns bins of sample indices;
   /// exposed publicly so tests can assert duplicate-placement behaviour.
   std::vector<std::vector<std::int32_t>> presort(
-      const SampleSet<D>& in) const {
+      SampleView<D> in) const {
     const int w = this->options_.width;
     const std::int64_t g = this->g_;
     const std::int64_t b = this->options_.tile;
@@ -92,7 +92,8 @@ class BinningGridder final : public Gridder<D> {
     return bins;
   }
 
-  void do_adjoint(const SampleSet<D>& in, Grid<D>& out) override {
+  void do_adjoint(SampleView<D> in, Grid<D>& out,
+                  GriddingStats& stats) const override {
     JIGSAW_REQUIRE(out.size() == this->g_, "grid size mismatch in adjoint()");
     const int w = this->options_.width;
     const std::int64_t g = this->g_;
@@ -101,23 +102,12 @@ class BinningGridder final : public Gridder<D> {
 
     Timer presort_timer;
     const auto bins = presort(in);
-    this->stats_.presort_seconds += presort_timer.seconds();
+    stats.presort_seconds += presort_timer.seconds();
 
     Timer timer;
-    const auto m = static_cast<std::int64_t>(in.size());
-    std::vector<std::array<double, D>> u(static_cast<std::size_t>(m));
-    std::vector<std::array<std::int64_t, D>> w0(static_cast<std::size_t>(m));
-    for (std::int64_t j = 0; j < m; ++j) {
-      for (int d = 0; d < D; ++d) {
-        const double uj =
-            grid_coord(in.coords[static_cast<std::size_t>(j)]
-                                [static_cast<std::size_t>(d)],
-                       g);
-        u[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] = uj;
-        w0[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] =
-            window_start(uj, w);
-      }
-    }
+    std::vector<std::array<double, D>> u;
+    std::vector<std::array<std::int64_t, D>> w0;
+    this->window_starts(in, u, w0);
 
     const std::int64_t ntiles = pow_dim<D>(tiles_per_dim_);
     const std::int64_t tile_points = pow_dim<D>(b);
@@ -197,28 +187,12 @@ class BinningGridder final : public Gridder<D> {
           c64 acc{};
           for (const std::int32_t j : bin) {
             ++local_checks;
-            // Same window_start-derived boundary check as the output-driven
-            // engine: keeps the W/2-edge weight on the serial engine's side
-            // of FP ties (see output_driven_gridder.hpp).
-            double dist[3];
-            bool inside = true;
-            for (int d = 0; d < D; ++d) {
-              const std::int64_t g0 =
-                  w0[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)];
-              const std::int64_t o =
-                  pos_mod(p[static_cast<std::size_t>(d)] - g0, g);
-              if (o >= w) {
-                inside = false;
-                break;
-              }
-              dist[d] = static_cast<double>(g0 + o) -
-                        u[static_cast<std::size_t>(j)]
-                         [static_cast<std::size_t>(d)];
-            }
-            if (!inside) continue;
-            double wt = 1.0;
-            for (int d = 0; d < D; ++d) wt *= this->weight_1d(dist[d]);
-            acc += wt * in.values[static_cast<std::size_t>(j)];
+            // The output-driven engine's boundary check
+            // (Gridder::point_weight).
+            double wt = 0.0;
+            const auto js = static_cast<std::size_t>(j);
+            if (!this->point_weight(p, u[js], w0[js], wt)) continue;
+            acc += wt * in.values[js];
             ++local_interp;
           }
           // Tiles are disjoint, so no synchronization is needed here.
@@ -242,18 +216,13 @@ class BinningGridder final : public Gridder<D> {
       }
     }
 
-    this->stats_.grid_seconds += timer.seconds();
-    this->stats_.samples_processed += duplicates;  // includes bin duplicates
-    this->stats_.boundary_checks += checks;
-    this->stats_.interpolations += interpolations;
-    this->stats_.grid_bytes_touched += interpolations * sizeof(c64);
-    const std::uint64_t weight_ops =
-        interpolations * static_cast<std::uint64_t>(D);
-    if (this->options_.exact_weights) {
-      this->stats_.kernel_evals += weight_ops;
-    } else {
-      this->stats_.lut_lookups += weight_ops;
-    }
+    stats.grid_seconds += timer.seconds();
+    stats.samples_processed += duplicates;  // includes bin duplicates
+    stats.boundary_checks += checks;
+    stats.interpolations += interpolations;
+    stats.grid_bytes_touched += interpolations * sizeof(c64);
+    stats.add_weight_ops(interpolations * static_cast<std::uint64_t>(D),
+                         this->options_.exact_weights);
   }
 
  private:

@@ -7,7 +7,7 @@
 namespace jigsaw::core {
 
 template <int D>
-std::vector<double> pipe_menon_weights(Gridder<D>& gridder,
+std::vector<double> pipe_menon_weights(const Gridder<D>& gridder,
                                        const std::vector<Coord<D>>& coords,
                                        const PipeMenonOptions& options,
                                        PipeMenonReport* report) {
@@ -17,18 +17,16 @@ std::vector<double> pipe_menon_weights(Gridder<D>& gridder,
   std::vector<double> w(m, 1.0);
 
   Grid<D> grid(gridder.grid_size());
-  SampleSet<D> set;
-  set.coords = coords;
-  set.values.assign(m, c64{});
+  std::vector<c64> values(m);
 
   PipeMenonReport local;
   for (int it = 0; it < options.iterations; ++it) {
-    for (std::size_t j = 0; j < m; ++j) set.values[j] = c64(w[j], 0.0);
-    gridder.adjoint(set, grid);
-    gridder.forward(grid, set);
+    for (std::size_t j = 0; j < m; ++j) values[j] = c64(w[j], 0.0);
+    gridder.adjoint(SampleView<D>(coords, values), grid);
+    gridder.forward(grid, SampleSlots<D>(coords, values));
     double max_update = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
-      const double p = std::abs(set.values[j]);
+      const double p = std::abs(values[j]);
       const double next = w[j] / std::max(p, options.epsilon);
       if (w[j] > 0.0) {
         max_update = std::max(max_update, std::abs(next - w[j]) / w[j]);
@@ -54,15 +52,15 @@ std::vector<double> pipe_menon_weights(Gridder<D>& gridder,
   return w;
 }
 
-template std::vector<double> pipe_menon_weights<1>(Gridder<1>&,
+template std::vector<double> pipe_menon_weights<1>(const Gridder<1>&,
                                                    const std::vector<Coord<1>>&,
                                                    const PipeMenonOptions&,
                                                    PipeMenonReport*);
-template std::vector<double> pipe_menon_weights<2>(Gridder<2>&,
+template std::vector<double> pipe_menon_weights<2>(const Gridder<2>&,
                                                    const std::vector<Coord<2>>&,
                                                    const PipeMenonOptions&,
                                                    PipeMenonReport*);
-template std::vector<double> pipe_menon_weights<3>(Gridder<3>&,
+template std::vector<double> pipe_menon_weights<3>(const Gridder<3>&,
                                                    const std::vector<Coord<3>>&,
                                                    const PipeMenonOptions&,
                                                    PipeMenonReport*);

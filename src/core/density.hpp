@@ -35,18 +35,18 @@ struct PipeMenonReport {
 /// Publishes `dcf.runs` and `dcf.iterations` obs counters per call.
 template <int D>
 std::vector<double> pipe_menon_weights(
-    Gridder<D>& gridder, const std::vector<Coord<D>>& coords,
+    const Gridder<D>& gridder, const std::vector<Coord<D>>& coords,
     const PipeMenonOptions& options = PipeMenonOptions{},
     PipeMenonReport* report = nullptr);
 
 extern template std::vector<double> pipe_menon_weights<1>(
-    Gridder<1>&, const std::vector<Coord<1>>&, const PipeMenonOptions&,
+    const Gridder<1>&, const std::vector<Coord<1>>&, const PipeMenonOptions&,
     PipeMenonReport*);
 extern template std::vector<double> pipe_menon_weights<2>(
-    Gridder<2>&, const std::vector<Coord<2>>&, const PipeMenonOptions&,
+    const Gridder<2>&, const std::vector<Coord<2>>&, const PipeMenonOptions&,
     PipeMenonReport*);
 extern template std::vector<double> pipe_menon_weights<3>(
-    Gridder<3>&, const std::vector<Coord<3>>&, const PipeMenonOptions&,
+    const Gridder<3>&, const std::vector<Coord<3>>&, const PipeMenonOptions&,
     PipeMenonReport*);
 
 }  // namespace jigsaw::core

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "fft/plan_cache.hpp"
 
 namespace jigsaw::core {
 
@@ -17,6 +18,28 @@ class Grid {
       : size_(size),
         data_(static_cast<std::size_t>(pow_dim<D>(size)), c64{}) {
     JIGSAW_REQUIRE(size >= 1, "grid side must be >= 1");
+  }
+
+  /// A grid whose storage is borrowed from fft::ScratchPool::global() and
+  /// handed back when the grid dies: the per-call work grid of a shared
+  /// plan. Values start unspecified; callers clear() it or write every
+  /// point. (A copy of a leased grid hands its own buffer to the pool too.)
+  static Grid leased(std::int64_t size) {
+    Grid grid;
+    grid.size_ = size;
+    grid.data_ = fft::ScratchPool::global().acquire(
+        static_cast<std::size_t>(pow_dim<D>(size)));
+    grid.data_.resize(static_cast<std::size_t>(pow_dim<D>(size)));
+    grid.leased_ = true;
+    return grid;
+  }
+
+  Grid(const Grid&) = default;
+  Grid(Grid&&) noexcept = default;  // the moved-from vector is empty
+  Grid& operator=(const Grid&) = default;
+  Grid& operator=(Grid&&) noexcept = default;
+  ~Grid() {
+    if (leased_) fft::ScratchPool::global().release(std::move(data_));
   }
 
   std::int64_t size() const { return size_; }
@@ -54,6 +77,7 @@ class Grid {
  private:
   std::int64_t size_;
   std::vector<c64> data_;
+  bool leased_ = false;
 };
 
 }  // namespace jigsaw::core

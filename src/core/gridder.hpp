@@ -24,13 +24,17 @@
 // test suite asserts.
 #pragma once
 
+#include <array>
 #include <climits>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/grid.hpp"
 #include "core/sample_set.hpp"
+#include "core/window.hpp"
 #include "kernels/kernel.hpp"
 #include "kernels/lut.hpp"
 #include "memsim/cache.hpp"
@@ -134,9 +138,21 @@ struct GriddingStats {
   double presort_seconds = 0.0;
   double grid_seconds = 0.0;
 
-  void reset() { *this = GriddingStats{}; }
+  GriddingStats& operator+=(const GriddingStats& o);
+
+  /// Count `n` per-dimension weight computations: kernel evaluations under
+  /// exact weights, LUT lookups otherwise.
+  void add_weight_ops(std::uint64_t n, bool exact_weights) {
+    (exact_weights ? kernel_evals : lut_lookups) += n;
+  }
 };
 
+/// A gridder is immutable after construction: adjoint() and forward() are
+/// const and safe to call concurrently on one instance. Every buffer a call
+/// needs is call-local, and each call's work counts are published to obs
+/// and added to stats() under one lock. (A memory tracer, when attached,
+/// sees the calls' accesses interleaved; attach one only to a gridder that
+/// a single thread drives.)
 template <int D>
 class Gridder {
  public:
@@ -159,35 +175,37 @@ class Gridder {
   /// Applies the configured sanitize policy first (see GridderOptions):
   /// with SanitizePolicy::None the input reaches the engine untouched; a
   /// clean input is never copied under any policy, so sanitization is a
-  /// bit-exact no-op on valid data.
-  void adjoint(const SampleSet<D>& in, Grid<D>& out);
+  /// bit-exact no-op on valid data. Returns this call's work counts.
+  GriddingStats adjoint(SampleView<D> in, Grid<D>& out) const;
 
   /// Forward interpolation (re-gridding): evaluate the windowed sum of grid
   /// values at each sample coordinate. Under a non-None sanitize policy the
   /// coordinates are clamped onto the torus (samples are output slots here,
-  /// so nothing is ever dropped).
-  void forward(const Grid<D>& in, SampleSet<D>& out);
+  /// so nothing is ever dropped). Returns this call's work counts.
+  GriddingStats forward(const Grid<D>& in, SampleSlots<D> out) const;
 
   /// Report of the sanitization pass performed by the last adjoint() /
-  /// forward() call (empty when the policy is None).
-  const robustness::SanitizeReport& last_sanitize_report() const {
-    return sanitize_report_;
-  }
+  /// forward() call to finish (empty when the policy is None).
+  robustness::SanitizeReport last_sanitize_report() const;
 
-  GriddingStats& stats() { return stats_; }
-  const GriddingStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
+  /// Work counts summed over every call since construction or
+  /// reset_stats().
+  GriddingStats stats() const;
+  void reset_stats();
 
   /// Optional grid-memory trace sink (feeds memsim::Cache). Null disables.
   void set_tracer(memsim::MemTracer* tracer) { tracer_ = tracer; }
 
  protected:
   /// Engine hooks behind the sanitizing entry points above. Engines see
-  /// only defect-free (or policy-repaired) samples.
-  virtual void do_adjoint(const SampleSet<D>& in, Grid<D>& out) = 0;
+  /// only defect-free (or policy-repaired) samples and count their work
+  /// into `stats`, which belongs to the call.
+  virtual void do_adjoint(SampleView<D> in, Grid<D>& out,
+                          GriddingStats& stats) const = 0;
 
   /// Default forward implementation is input-parallel; engines may override.
-  virtual void do_forward(const Grid<D>& in, SampleSet<D>& out);
+  virtual void do_forward(const Grid<D>& in, SampleSlots<D> out,
+                          GriddingStats& stats) const;
 
   /// One-dimensional interpolation weight at signed distance `dist`,
   /// honoring the exact_weights option. Counter updates are the caller's
@@ -197,6 +215,51 @@ class Gridder {
       return kernel_->evaluate(dist);
     }
     return lut_->weight(dist);
+  }
+
+  /// Wrapped grid indices and weights of one dimension's W-point window
+  /// for a sample at torus coordinate `tau`.
+  void window_1d(double tau, std::int64_t* idx, double* wt) const {
+    const int w = options_.width;
+    const double u = grid_coord(tau, g_);
+    const std::int64_t g0 = window_start(u, w);
+    for (int o = 0; o < w; ++o) {
+      idx[o] = pos_mod(g0 + o, g_);
+      wt[o] = weight_1d(static_cast<double>(g0 + o) - u);
+    }
+  }
+
+  /// Grid coordinate u and window start of every sample: what the
+  /// output-driven boundary checks test grid points against.
+  void window_starts(SampleView<D> in, std::vector<std::array<double, D>>& u,
+                     std::vector<std::array<std::int64_t, D>>& w0) const {
+    u.resize(in.size());
+    w0.resize(in.size());
+    for (std::size_t j = 0; j < in.size(); ++j) {
+      for (std::size_t d = 0; d < D; ++d) {
+        u[j][d] = grid_coord(in.coords[j][d], g_);
+        w0[j][d] = window_start(u[j][d], options_.width);
+      }
+    }
+  }
+
+  /// Output-driven boundary check of grid point p against one sample's
+  /// window_starts() entry: false when p lies outside the window, else its
+  /// weight in `wt`. Membership comes from the same window_start
+  /// decomposition the input-driven engines use, so FP ties (a sample
+  /// within one ULP of a grid point puts the W/2-edge exactly on a
+  /// boundary) land the edge weight on the same side in every engine.
+  bool point_weight(const Index<D>& p, const std::array<double, D>& u,
+                    const std::array<std::int64_t, D>& w0, double& wt) const {
+    double dist[D];
+    for (std::size_t d = 0; d < D; ++d) {
+      const std::int64_t o = pos_mod(p[d] - w0[d], g_);
+      if (o >= options_.width) return false;
+      dist[d] = static_cast<double>(w0[d] + o) - u[d];
+    }
+    wt = 1.0;
+    for (std::size_t d = 0; d < D; ++d) wt *= weight_1d(dist[d]);
+    return true;
   }
 
   void trace_grid_access(std::int64_t lin, bool write) const {
@@ -211,9 +274,17 @@ class Gridder {
   GridderOptions options_;
   std::unique_ptr<kernels::Kernel> kernel_;
   std::unique_ptr<kernels::KernelLut> lut_;
-  GriddingStats stats_;
-  robustness::SanitizeReport sanitize_report_;
   memsim::MemTracer* tracer_ = nullptr;
+
+ private:
+  /// Publish one call: obs counters under grid.<engine>.*, then the totals
+  /// and the sanitize report under mu_.
+  void record(const char* op, const GriddingStats& call,
+              std::size_t samples_in, robustness::SanitizeReport report) const;
+
+  mutable std::mutex mu_;
+  mutable GriddingStats stats_;
+  mutable robustness::SanitizeReport sanitize_report_;
 };
 
 /// True when make_gridder(n, options) can construct the engine

@@ -14,36 +14,29 @@ namespace {
 
 /// Publish the work performed by one adjoint()/forward() call to the
 /// global counter registry under grid.<engine>.*. The engines batch their
-/// counts into GriddingStats, so this is one string build + shard add per
-/// counter per *operation* — invisible next to the gridding itself.
-void publish_gridding_delta(GridderKind kind, const char* op,
-                            const GriddingStats& before,
-                            const GriddingStats& after, std::size_t samples_in) {
+/// counts into the call's GriddingStats, so this is one string build +
+/// shard add per counter per *operation* — invisible next to the gridding
+/// itself.
+void publish_call(GridderKind kind, const char* op, const GriddingStats& call,
+                  std::size_t samples_in) {
   if constexpr (!obs::kEnabled) {
-    (void)kind; (void)op; (void)before; (void)after; (void)samples_in;
+    (void)kind; (void)op; (void)call; (void)samples_in;
     return;
   }
   const std::string prefix = "grid." + to_string(kind) + ".";
   obs::add(prefix + op + "_calls", 1);
   obs::add(prefix + "samples_in", samples_in);
-  obs::add(prefix + "samples_processed",
-           after.samples_processed - before.samples_processed);
-  obs::add(prefix + "kernel_evals", after.kernel_evals - before.kernel_evals);
-  obs::add(prefix + "lut_lookups", after.lut_lookups - before.lut_lookups);
-  obs::add(prefix + "boundary_checks",
-           after.boundary_checks - before.boundary_checks);
-  obs::add(prefix + "interpolations",
-           after.interpolations - before.interpolations);
-  obs::add(prefix + "saturations",
-           after.saturation_events - before.saturation_events);
-  obs::add(prefix + "soft_error_flips",
-           after.soft_error_flips - before.soft_error_flips);
+  obs::add(prefix + "samples_processed", call.samples_processed);
+  obs::add(prefix + "kernel_evals", call.kernel_evals);
+  obs::add(prefix + "lut_lookups", call.lut_lookups);
+  obs::add(prefix + "boundary_checks", call.boundary_checks);
+  obs::add(prefix + "interpolations", call.interpolations);
+  obs::add(prefix + "saturations", call.saturation_events);
+  obs::add(prefix + "soft_error_flips", call.soft_error_flips);
   // Bin-overlap duplicates (only the binning engine processes a sample more
   // than once; everyone else publishes 0 and the add is dropped).
-  const std::uint64_t processed =
-      after.samples_processed - before.samples_processed;
-  if (processed > samples_in) {
-    obs::add(prefix + "bin_duplicates", processed - samples_in);
+  if (call.samples_processed > samples_in) {
+    obs::add(prefix + "bin_duplicates", call.samples_processed - samples_in);
   }
 }
 
@@ -134,45 +127,61 @@ Gridder<D>::Gridder(std::int64_t n, const GridderOptions& options)
                                               options.table_oversampling);
 }
 
-template <int D>
-void Gridder<D>::adjoint(const SampleSet<D>& in, Grid<D>& out) {
-  using robustness::SanitizePolicy;
-  JIGSAW_OBS_SPAN(span, "grid.adjoint/" + to_string(kind()));
-  const GriddingStats before = stats_;
-  if (options_.sanitize == SanitizePolicy::None) {
-    sanitize_report_ = robustness::SanitizeReport{};
-    sanitize_report_.scanned = in.size();
-    sanitize_report_.kept = in.size();
-    do_adjoint(in, out);
-    publish_gridding_delta(kind(), "adjoint", before, stats_, in.size());
-    return;
-  }
-  auto outcome =
-      robustness::sanitize<D>(in, options_.sanitize, options_.threads);
-  sanitize_report_ = std::move(outcome.report);
-  // A clean input never takes the copy path, so sanitization is a bit-exact
-  // no-op on valid data (asserted by the robustness tests).
-  if (sanitize_report_.modified()) {
-    do_adjoint(outcome.samples, out);
-  } else {
-    do_adjoint(in, out);
-  }
-  publish_gridding_delta(kind(), "adjoint", before, stats_, in.size());
+GriddingStats& GriddingStats::operator+=(const GriddingStats& o) {
+  boundary_checks += o.boundary_checks;
+  samples_processed += o.samples_processed;
+  interpolations += o.interpolations;
+  lut_lookups += o.lut_lookups;
+  kernel_evals += o.kernel_evals;
+  grid_bytes_touched += o.grid_bytes_touched;
+  saturation_events += o.saturation_events;
+  soft_error_flips += o.soft_error_flips;
+  presort_seconds += o.presort_seconds;
+  grid_seconds += o.grid_seconds;
+  return *this;
 }
 
 template <int D>
-void Gridder<D>::forward(const Grid<D>& in, SampleSet<D>& out) {
+GriddingStats Gridder<D>::adjoint(SampleView<D> in, Grid<D>& out) const {
+  using robustness::SanitizePolicy;
+  JIGSAW_OBS_SPAN(span, "grid.adjoint/" + to_string(kind()));
+  GriddingStats call;
+  if (options_.sanitize == SanitizePolicy::None) {
+    robustness::SanitizeReport report;
+    report.scanned = in.size();
+    report.kept = in.size();
+    do_adjoint(in, out, call);
+    record("adjoint", call, in.size(), std::move(report));
+    return call;
+  }
+  auto outcome =
+      robustness::sanitize<D>(in, options_.sanitize, options_.threads);
+  // A clean input never takes the copy path, so sanitization is a bit-exact
+  // no-op on valid data (asserted by the robustness tests).
+  if (outcome.report.modified()) {
+    do_adjoint(outcome.samples, out, call);
+  } else {
+    do_adjoint(in, out, call);
+  }
+  record("adjoint", call, in.size(), std::move(outcome.report));
+  return call;
+}
+
+template <int D>
+GriddingStats Gridder<D>::forward(const Grid<D>& in,
+                                  SampleSlots<D> out) const {
   using robustness::SanitizePolicy;
   JIGSAW_OBS_SPAN(span, "grid.forward/" + to_string(kind()));
-  const GriddingStats stats_before = stats_;
-  sanitize_report_ = robustness::SanitizeReport{};
-  sanitize_report_.policy = options_.sanitize;
-  sanitize_report_.scanned = out.size();
-  sanitize_report_.kept = out.size();
+  GriddingStats call;
+  robustness::SanitizeReport report;
+  report.policy = options_.sanitize;
+  report.scanned = out.size();
+  report.kept = out.size();
+  std::vector<Coord<D>> repaired;
   if (options_.sanitize != SanitizePolicy::None) {
     // Samples are output slots here: repair coordinates (Strict still
     // throws), never drop.
-    std::vector<Coord<D>> repaired = out.coords;
+    repaired.assign(out.coords.begin(), out.coords.end());
     const std::size_t changed = robustness::clamp_coords<D>(repaired);
     if (options_.sanitize == SanitizePolicy::Strict) {
       JIGSAW_REQUIRE(changed == 0,
@@ -180,29 +189,48 @@ void Gridder<D>::forward(const Grid<D>& in, SampleSet<D>& out) {
                          << " sample coordinates are non-finite or off the "
                             "torus (strict sanitize policy)");
     }
-    if (changed > 0) {
-      sanitize_report_.out_of_range_coords = changed;
-      sanitize_report_.defective_samples = changed;
-      sanitize_report_.repaired = changed;
-      SampleSet<D> tmp;
-      tmp.coords = std::move(repaired);
-      tmp.values = std::move(out.values);
-      do_forward(in, tmp);
-      out.values = std::move(tmp.values);
-      publish_gridding_delta(kind(), "forward", stats_before, stats_,
-                             out.size());
-      return;
-    }
+    report.out_of_range_coords = changed;
+    report.defective_samples = changed;
+    report.repaired = changed;
+    if (changed > 0) out.coords = repaired;
   }
-  do_forward(in, out);
-  publish_gridding_delta(kind(), "forward", stats_before, stats_, out.size());
+  do_forward(in, out, call);
+  record("forward", call, out.size(), std::move(report));
+  return call;
 }
 
 template <int D>
-void Gridder<D>::do_forward(const Grid<D>& in, SampleSet<D>& out) {
+void Gridder<D>::record(const char* op, const GriddingStats& call,
+                        std::size_t samples_in,
+                        robustness::SanitizeReport report) const {
+  publish_call(kind(), op, call, samples_in);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ += call;
+  sanitize_report_ = std::move(report);
+}
+
+template <int D>
+robustness::SanitizeReport Gridder<D>::last_sanitize_report() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sanitize_report_;
+}
+
+template <int D>
+GriddingStats Gridder<D>::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+template <int D>
+void Gridder<D>::reset_stats() {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = GriddingStats{};
+}
+
+template <int D>
+void Gridder<D>::do_forward(const Grid<D>& in, SampleSlots<D> out,
+                            GriddingStats& stats) const {
   JIGSAW_REQUIRE(in.size() == g_, "grid size mismatch in forward()");
-  JIGSAW_REQUIRE(out.values.size() == out.coords.size(),
-                 "sample set coords/values mismatch");
   const int w = options_.width;
   const std::int64_t g = g_;
   const auto m = static_cast<std::int64_t>(out.size());
@@ -239,14 +267,9 @@ void Gridder<D>::do_forward(const Grid<D>& in, SampleSet<D>& out) {
         continue;
       }
       for (int d = 0; d < D; ++d) {
-        const double u = grid_coord(
-            out.coords[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)],
-            g);
-        const std::int64_t g0 = window_start(u, w);
-        for (int o = 0; o < w; ++o) {
-          idx[d][o] = pos_mod(g0 + o, g);
-          wt[d][o] = weight_1d(static_cast<double>(g0 + o) - u);
-        }
+        window_1d(out.coords[static_cast<std::size_t>(j)]
+                  [static_cast<std::size_t>(d)],
+                  idx[d], wt[d]);
       }
       c64 acc{};
       if constexpr (D == 1) {
@@ -284,18 +307,13 @@ void Gridder<D>::do_forward(const Grid<D>& in, SampleSet<D>& out) {
     pool.parallel_for(m, work);
   }
 
-  stats_.grid_seconds += timer.seconds();
-  stats_.interpolations +=
+  stats.grid_seconds += timer.seconds();
+  stats.interpolations +=
       static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(pow_dim<D>(w));
-  if (options_.exact_weights) {
-    stats_.kernel_evals += static_cast<std::uint64_t>(m) *
+  stats.add_weight_ops(static_cast<std::uint64_t>(m) *
                            static_cast<std::uint64_t>(D) *
-                           static_cast<std::uint64_t>(w);
-  } else {
-    stats_.lut_lookups += static_cast<std::uint64_t>(m) *
-                          static_cast<std::uint64_t>(D) *
-                          static_cast<std::uint64_t>(w);
-  }
+                           static_cast<std::uint64_t>(w),
+                       options_.exact_weights);
 }
 
 template class Gridder<1>;

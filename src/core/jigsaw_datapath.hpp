@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -181,7 +182,7 @@ inline bool accumulate(fixed::CData32& acc, fixed::CData32 v) {
 /// Host-side input normalization: the scale exponent s such that the
 /// largest |component| of the stream maps near 1.0 (values are streamed as
 /// value * 2^s and the grid is descaled on readout).
-inline int auto_scale_log2(const std::vector<c64>& values) {
+inline int auto_scale_log2(std::span<const c64> values) {
   double maxabs = 0.0;
   for (const auto& v : values) {
     maxabs = std::max({maxabs, std::fabs(v.real()), std::fabs(v.imag())});

@@ -33,10 +33,9 @@ NufftPlan<D>::NufftPlan(std::int64_t n, std::vector<Coord<D>> coords,
   }
   gridder_ = make_gridder<D>(n, options);
   const std::int64_t g = gridder_->grid_size();
-  // Shared, immutable plan: every NufftPlan (and every coil lane) with the
-  // same oversampled geometry reuses one twiddle/bit-reversal table set.
+  // Shared, immutable plan: every NufftPlan with the same oversampled
+  // geometry reuses one twiddle/bit-reversal table set.
   fft_ = fft::FftPlanCache::global().get_cube(D, static_cast<std::size_t>(g));
-  work_ = Grid<D>(g);
 
   // De-apodization profile: the kernel's continuous Fourier transform
   // evaluated at k/G for centered k. The same profile applies to every
@@ -52,65 +51,69 @@ NufftPlan<D>::NufftPlan(std::int64_t n, std::vector<Coord<D>> coords,
 }
 
 template <int D>
+template <typename F>
+void NufftPlan<D>::for_each_pixel(F&& f) const {
+  const std::int64_t g = gridder_->grid_size();
+  for (std::int64_t lin = 0; lin < image_total(); ++lin) {
+    const Index<D> idx = unlinear_index<D>(lin, n_);
+    Index<D> at{};
+    std::int64_t ksum = 0;
+    double apod = 1.0;
+    for (std::size_t d = 0; d < D; ++d) {
+      const std::int64_t k = idx[d] - n_ / 2;
+      ksum += k;
+      at[d] = pos_mod(k, g);
+      apod *= apod_[static_cast<std::size_t>(idx[d])];
+    }
+    const double sign = (ksum & 1) ? -1.0 : 1.0;
+    f(static_cast<std::size_t>(lin), linear_index<D>(at, g), sign / apod);
+  }
+}
+
+namespace {
+
+/// One transform phase: the deadline is checked at its start, and it runs
+/// as the obs span of the same name. Returns its wall time.
+template <typename F>
+double run_phase(const Deadline& deadline, const char* name, F&& f) {
+  deadline.check(name);
+  obs::Span span(name);
+  Timer t;
+  f();
+  return t.seconds();
+}
+
+}  // namespace
+
+template <int D>
 std::vector<c64> NufftPlan<D>::adjoint(const std::vector<c64>& values,
                                        NufftTimings* timings,
-                                       const Deadline& deadline) {
+                                       const Deadline& deadline) const {
   JIGSAW_REQUIRE(values.size() == coords_.size(),
                  "value count does not match plan coordinates");
   obs::Span span("nufft.adjoint");
   obs::add("nufft.adjoints", 1);
   NufftTimings local;
-  const std::int64_t g = gridder_->grid_size();
-
-  // (1) Gridding.
-  {
-    deadline.check("nufft.adjoint.grid");
-    obs::Span phase("nufft.adjoint.grid");
-    SampleSet<D> in;
-    in.coords = coords_;  // cheap relative to gridding itself
-    in.values = values;
-    const double presort_before = gridder_->stats().presort_seconds;
-    Timer t;
-    gridder_->adjoint(in, work_);
-    const double elapsed = t.seconds();
-    local.presort_seconds =
-        gridder_->stats().presort_seconds - presort_before;
-    local.grid_seconds = elapsed - local.presort_seconds;
-  }
-
-  // (2) FFT with positive exponent (unnormalized inverse).
-  {
-    deadline.check("nufft.adjoint.fft");
-    obs::Span phase("nufft.adjoint.fft");
-    Timer t;
-    fft_->execute(work_.data(), fft::Direction::Inverse,
-                  gridder_->options().threads);
-    local.fft_seconds = t.seconds();
-  }
-
-  // (3) Center crop + checkerboard sign + de-apodization.
-  deadline.check("nufft.adjoint.apod");
+  Grid<D> work = Grid<D>::leased(grid_size());  // the gridder writes it all
   std::vector<c64> image(static_cast<std::size_t>(image_total()));
-  {
-    obs::Span phase("nufft.adjoint.apod");
-    Timer t;
-    const std::int64_t total = image_total();
-    for (std::int64_t lin = 0; lin < total; ++lin) {
-      const Index<D> idx = unlinear_index<D>(lin, n_);
-      Index<D> src{};
-      std::int64_t ksum = 0;
-      double apod = 1.0;
-      for (int d = 0; d < D; ++d) {
-        const std::int64_t k = idx[static_cast<std::size_t>(d)] - n_ / 2;
-        ksum += k;
-        src[static_cast<std::size_t>(d)] = pos_mod(k, g);
-        apod *= apod_[static_cast<std::size_t>(idx[static_cast<std::size_t>(d)])];
-      }
-      const double sign = (ksum & 1) ? -1.0 : 1.0;
-      image[static_cast<std::size_t>(lin)] = work_.at(src) * (sign / apod);
-    }
-    local.apod_seconds = t.seconds();
-  }
+
+  // (1) Gridding, (2) FFT with positive exponent (unnormalized inverse),
+  // (3) center crop + checkerboard sign + de-apodization.
+  const double grid_s = run_phase(deadline, "nufft.adjoint.grid", [&] {
+    local.presort_seconds =
+        gridder_->adjoint(SampleView<D>(coords_, values), work)
+            .presort_seconds;
+  });
+  local.grid_seconds = grid_s - local.presort_seconds;
+  local.fft_seconds = run_phase(deadline, "nufft.adjoint.fft", [&] {
+    fft_->execute(work.data(), fft::Direction::Inverse,
+                  gridder_->options().threads);
+  });
+  local.apod_seconds = run_phase(deadline, "nufft.adjoint.apod", [&] {
+    for_each_pixel([&](std::size_t p, std::int64_t lin, double factor) {
+      image[p] = work[lin] * factor;
+    });
+  });
 
   if (timings != nullptr) *timings = local;
   return image;
@@ -119,62 +122,34 @@ std::vector<c64> NufftPlan<D>::adjoint(const std::vector<c64>& values,
 template <int D>
 std::vector<c64> NufftPlan<D>::forward(const std::vector<c64>& image,
                                        NufftTimings* timings,
-                                       const Deadline& deadline) {
+                                       const Deadline& deadline) const {
   JIGSAW_REQUIRE(static_cast<std::int64_t>(image.size()) == image_total(),
                  "image size does not match plan");
   obs::Span span("nufft.forward");
   obs::add("nufft.forwards", 1);
   NufftTimings local;
-  const std::int64_t g = gridder_->grid_size();
+  Grid<D> work = Grid<D>::leased(grid_size());
+  std::vector<c64> values(coords_.size());
 
-  // (1) Pre-apodization + checkerboard sign + zero-padded center embed.
-  {
-    deadline.check("nufft.forward.apod");
-    obs::Span phase("nufft.forward.apod");
-    Timer t;
-    work_.clear();
-    const std::int64_t total = image_total();
-    for (std::int64_t lin = 0; lin < total; ++lin) {
-      const Index<D> idx = unlinear_index<D>(lin, n_);
-      Index<D> dst{};
-      std::int64_t ksum = 0;
-      double apod = 1.0;
-      for (int d = 0; d < D; ++d) {
-        const std::int64_t k = idx[static_cast<std::size_t>(d)] - n_ / 2;
-        ksum += k;
-        dst[static_cast<std::size_t>(d)] = pos_mod(k, g);
-        apod *= apod_[static_cast<std::size_t>(idx[static_cast<std::size_t>(d)])];
-      }
-      const double sign = (ksum & 1) ? -1.0 : 1.0;
-      work_.at(dst) = image[static_cast<std::size_t>(lin)] * (sign / apod);
-    }
-    local.apod_seconds = t.seconds();
-  }
-
-  // (2) FFT with negative exponent.
-  {
-    deadline.check("nufft.forward.fft");
-    obs::Span phase("nufft.forward.fft");
-    Timer t;
-    fft_->execute(work_.data(), fft::Direction::Forward,
+  // (1) Pre-apodization + checkerboard sign + zero-padded center embed,
+  // (2) FFT with negative exponent, (3) re-gridding (forward interpolation
+  // at the sample coordinates).
+  local.apod_seconds = run_phase(deadline, "nufft.forward.apod", [&] {
+    work.clear();
+    for_each_pixel([&](std::size_t p, std::int64_t lin, double factor) {
+      work[lin] = image[p] * factor;
+    });
+  });
+  local.fft_seconds = run_phase(deadline, "nufft.forward.fft", [&] {
+    fft_->execute(work.data(), fft::Direction::Forward,
                   gridder_->options().threads);
-    local.fft_seconds = t.seconds();
-  }
-
-  // (3) Re-gridding (forward interpolation at the sample coordinates).
-  deadline.check("nufft.forward.grid");
-  SampleSet<D> out;
-  out.coords = coords_;
-  out.values.assign(coords_.size(), c64{});
-  {
-    obs::Span phase("nufft.forward.grid");
-    Timer t;
-    gridder_->forward(work_, out);
-    local.grid_seconds = t.seconds();
-  }
+  });
+  local.grid_seconds = run_phase(deadline, "nufft.forward.grid", [&] {
+    gridder_->forward(work, SampleSlots<D>(coords_, values));
+  });
 
   if (timings != nullptr) *timings = local;
-  return std::move(out.values);
+  return values;
 }
 
 template class NufftPlan<1>;

@@ -58,27 +58,37 @@ class NufftPlan {
   /// Adjoint NuFFT: M sample values -> N^D centered image. The deadline is
   /// checked at each phase boundary (grid / FFT / de-apodization); a passed
   /// deadline raises DeadlineExceeded there.
+  ///
+  /// adjoint() and forward() are const and safe to call concurrently on one
+  /// plan: the oversampled work grid is leased per call from
+  /// fft::ScratchPool, and the gridder and FFT plan are immutable. Coil and
+  /// frame lanes are threads over one plan.
   std::vector<c64> adjoint(const std::vector<c64>& values,
                            NufftTimings* timings = nullptr,
-                           const Deadline& deadline = Deadline());
+                           const Deadline& deadline = Deadline()) const;
 
   /// Forward NuFFT: N^D centered image -> M sample values. Deadline
   /// semantics as in adjoint().
   std::vector<c64> forward(const std::vector<c64>& image,
                            NufftTimings* timings = nullptr,
-                           const Deadline& deadline = Deadline());
+                           const Deadline& deadline = Deadline()) const;
 
   /// The de-apodization (1/A(k/G)) profile along one dimension, index
   /// i = k + N/2 (diagnostic / tests).
   const std::vector<double>& apodization_1d() const { return apod_; }
 
  private:
+  /// Visit every image pixel p: f(p, lin, sign / apodization) with lin
+  /// the pixel's centered frequency on the oversampled work grid — the
+  /// crop (adjoint) and the embed (forward).
+  template <typename F>
+  void for_each_pixel(F&& f) const;
+
   std::int64_t n_;
   std::vector<Coord<D>> coords_;
   std::unique_ptr<Gridder<D>> gridder_;
   std::shared_ptr<const fft::FftNd> fft_;  // shared via FftPlanCache
   std::vector<double> apod_;  // A((i - N/2) / G) per dimension
-  Grid<D> work_;              // oversampled working grid
 };
 
 extern template class NufftPlan<1>;

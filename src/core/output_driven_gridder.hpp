@@ -29,28 +29,18 @@ class OutputDrivenGridder final : public Gridder<D> {
 
   GridderKind kind() const override { return GridderKind::OutputDriven; }
 
-  void do_adjoint(const SampleSet<D>& in, Grid<D>& out) override {
+  void do_adjoint(SampleView<D> in, Grid<D>& out,
+                  GriddingStats& stats) const override {
     JIGSAW_REQUIRE(out.size() == this->g_, "grid size mismatch in adjoint()");
-    const int w = this->options_.width;
     const std::int64_t g = this->g_;
     out.clear();
     Timer timer;
 
     // Precompute grid-unit coordinates and window starts once.
     const auto m = static_cast<std::int64_t>(in.size());
-    std::vector<std::array<double, D>> u(static_cast<std::size_t>(m));
-    std::vector<std::array<std::int64_t, D>> w0(static_cast<std::size_t>(m));
-    for (std::int64_t j = 0; j < m; ++j) {
-      for (int d = 0; d < D; ++d) {
-        const double uj =
-            grid_coord(in.coords[static_cast<std::size_t>(j)]
-                                [static_cast<std::size_t>(d)],
-                       g);
-        u[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] = uj;
-        w0[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] =
-            window_start(uj, w);
-      }
-    }
+    std::vector<std::array<double, D>> u;
+    std::vector<std::array<std::int64_t, D>> w0;
+    this->window_starts(in, u, w0);
 
     const std::int64_t total = out.total();
     std::uint64_t interpolations = 0;
@@ -62,29 +52,11 @@ class OutputDrivenGridder final : public Gridder<D> {
         c64 acc{};
         for (std::int64_t j = 0; j < m; ++j) {
           // Boundary check: the point must fall inside the sample's
-          // interpolation window, distance in (-W/2, W/2]. Membership is
-          // derived from the same window_start decomposition the
-          // input-driven engines use, so FP ties (a sample within one ULP
-          // of a grid point puts the W/2-edge exactly on a boundary) land
-          // the edge weight on the same side in every engine.
-          double dist[3];
-          bool inside = true;
-          for (int d = 0; d < D; ++d) {
-            const std::int64_t g0 =
-                w0[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)];
-            const std::int64_t o =
-                pos_mod(p[static_cast<std::size_t>(d)] - g0, g);
-            if (o >= w) {
-              inside = false;
-              break;
-            }
-            dist[d] = static_cast<double>(g0 + o) -
-                      u[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)];
-          }
-          if (!inside) continue;
-          double wt = 1.0;
-          for (int d = 0; d < D; ++d) wt *= this->weight_1d(dist[d]);
-          acc += wt * in.values[static_cast<std::size_t>(j)];
+          // interpolation window (see Gridder::point_weight).
+          double wt = 0.0;
+          const auto js = static_cast<std::size_t>(j);
+          if (!this->point_weight(p, u[js], w0[js], wt)) continue;
+          acc += wt * in.values[js];
           ++local_interp;
         }
         out[lin] = acc;
@@ -101,12 +73,12 @@ class OutputDrivenGridder final : public Gridder<D> {
       pool.parallel_for(total, work);
     }
 
-    this->stats_.grid_seconds += timer.seconds();
-    this->stats_.samples_processed += static_cast<std::uint64_t>(m);
-    this->stats_.boundary_checks +=
+    stats.grid_seconds += timer.seconds();
+    stats.samples_processed += static_cast<std::uint64_t>(m);
+    stats.boundary_checks +=
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(total);
-    this->stats_.interpolations += interpolations;
-    this->stats_.grid_bytes_touched +=
+    stats.interpolations += interpolations;
+    stats.grid_bytes_touched +=
         static_cast<std::uint64_t>(total) * sizeof(c64);
   }
 };

@@ -177,7 +177,8 @@ CgResult conjugate_gradient(
 }
 
 template <int D>
-std::vector<c64> iterative_recon(NufftPlan<D>& plan, const std::vector<c64>& y,
+std::vector<c64> iterative_recon(const NufftPlan<D>& plan,
+                                 const std::vector<c64>& y,
                                  int max_iterations, double tolerance,
                                  bool use_toeplitz, CgResult* result,
                                  const Deadline& deadline,
@@ -218,13 +219,13 @@ template class ToeplitzOperator<1>;
 template class ToeplitzOperator<2>;
 template class ToeplitzOperator<3>;
 template std::vector<c64> iterative_recon<1>(
-    NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 template std::vector<c64> iterative_recon<2>(
-    NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 template std::vector<c64> iterative_recon<3>(
-    NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 
 }  // namespace jigsaw::core

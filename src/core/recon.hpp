@@ -71,7 +71,7 @@ CgResult conjugate_gradient(
 /// back to the cold (zero) start rather than erroring, so callers may hand
 /// in "whatever the last frame produced" unconditionally.
 template <int D>
-std::vector<c64> iterative_recon(NufftPlan<D>& plan,
+std::vector<c64> iterative_recon(const NufftPlan<D>& plan,
                                  const std::vector<c64>& y,
                                  int max_iterations = 20,
                                  double tolerance = 1e-6,
@@ -84,13 +84,13 @@ extern template class ToeplitzOperator<1>;
 extern template class ToeplitzOperator<2>;
 extern template class ToeplitzOperator<3>;
 extern template std::vector<c64> iterative_recon<1>(
-    NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 extern template std::vector<c64> iterative_recon<2>(
-    NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 extern template std::vector<c64> iterative_recon<3>(
-    NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
+    const NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
     const Deadline&, const std::vector<c64>*);
 
 }  // namespace jigsaw::core

@@ -55,9 +55,9 @@ CoilMaps make_birdcage_maps(std::int64_t n, int coils, double coil_radius,
   return cm;
 }
 
-std::vector<std::vector<c64>> simulate_multicoil(NufftPlan<2>& plan,
-                                                 const CoilMaps& maps,
-                                                 const std::vector<c64>& image) {
+std::vector<std::vector<c64>> simulate_multicoil(
+    const NufftPlan<2>& plan, const CoilMaps& maps,
+    const std::vector<c64>& image) {
   JIGSAW_REQUIRE(maps.n == plan.base_size(), "map/plan size mismatch");
   JIGSAW_REQUIRE(static_cast<std::int64_t>(image.size()) ==
                      plan.image_total(),
@@ -72,25 +72,21 @@ std::vector<std::vector<c64>> simulate_multicoil(NufftPlan<2>& plan,
   return y;
 }
 
-SenseOperator::SenseOperator(NufftPlan<2>& plan, const CoilMaps& maps,
-                             unsigned coil_threads,
+SenseOperator::SenseOperator(const NufftPlan<2>& plan,
+                             const CoilMaps& maps, unsigned coil_threads,
                              std::span<const double> weights)
-    : plan_(plan), maps_(maps), weights_(weights) {
+    : plan_(plan),
+      maps_(maps),
+      weights_(weights),
+      coil_threads_(std::min<unsigned>(std::max(1u, coil_threads),
+                                       static_cast<unsigned>(maps.coils))) {
   JIGSAW_REQUIRE(maps.n == plan.base_size(), "map/plan size mismatch");
   JIGSAW_REQUIRE(weights.empty() || weights.size() == plan.num_samples(),
                  "need one weight per sample");
-  const unsigned lanes =
-      std::min<unsigned>(std::max(1u, coil_threads),
-                         static_cast<unsigned>(maps.coils));
-  for (unsigned l = 1; l < lanes; ++l) {
-    extra_lanes_.push_back(std::make_unique<NufftPlan<2>>(
-        plan.base_size(), plan.coords(), plan.gridder().options()));
-  }
 }
 
 std::vector<c64> SenseOperator::coil_sum(
-    const std::function<std::vector<c64>(int, NufftPlan<2>&)>& transform)
-    const {
+    const std::function<std::vector<c64>(int)>& transform) const {
   const auto pixels = static_cast<std::size_t>(plan_.image_total());
   std::vector<c64> out(pixels, c64{});
   const auto add = [&](int c, const std::vector<c64>& img) {
@@ -99,22 +95,18 @@ std::vector<c64> SenseOperator::coil_sum(
       out[p] += std::conj(s[p]) * img[p];
     }
   };
-  if (extra_lanes_.empty()) {
-    for (int c = 0; c < maps_.coils; ++c) add(c, transform(c, plan_));
+  if (coil_threads_ <= 1) {
+    for (int c = 0; c < maps_.coils; ++c) add(c, transform(c));
     return out;
   }
-  // Chunk ids are unique within one parallel_for call, so lane-by-chunk-id
-  // gives every inflight chunk a private NuFFT plan (gridder + work grid).
   std::vector<std::vector<c64>> per_coil(
       static_cast<std::size_t>(maps_.coils));
-  ThreadPool pool(coil_threads());
-  pool.parallel_for(maps_.coils,
-                    [&](std::int64_t begin, std::int64_t end, unsigned lane) {
-                      NufftPlan<2>& p =
-                          lane == 0 ? plan_ : *extra_lanes_[lane - 1];
+  ThreadPool(coil_threads_)
+      .parallel_for(maps_.coils,
+                    [&](std::int64_t begin, std::int64_t end, unsigned) {
                       for (std::int64_t c = begin; c < end; ++c) {
                         per_coil[static_cast<std::size_t>(c)] =
-                            transform(static_cast<int>(c), p);
+                            transform(static_cast<int>(c));
                       }
                     });
   // Coil-order reduction: bit-exact for any thread count.
@@ -135,13 +127,13 @@ std::vector<c64> SenseOperator::adjoint(const std::vector<std::vector<c64>>& y,
   obs::Span span("sense.adjoint");
   obs::add("sense.adjoint_applies", 1);
   obs::add("sense.coil_transforms", static_cast<std::uint64_t>(maps_.coils));
-  return coil_sum([&](int c, NufftPlan<2>& p) {
+  return coil_sum([&](int c) {
     deadline.check("sense.coil");
     const auto& yc = y[static_cast<std::size_t>(c)];
-    if (weights_.empty()) return p.adjoint(yc, nullptr, deadline);
+    if (weights_.empty()) return plan_.adjoint(yc, nullptr, deadline);
     std::vector<c64> wy = yc;
     weigh(wy);
-    return p.adjoint(wy, nullptr, deadline);
+    return plan_.adjoint(wy, nullptr, deadline);
   });
 }
 
@@ -152,18 +144,18 @@ std::vector<c64> SenseOperator::gram(const std::vector<c64>& x,
   // Each gram apply runs a forward+adjoint pair per coil.
   obs::add("sense.coil_transforms",
            2 * static_cast<std::uint64_t>(maps_.coils));
-  return coil_sum([&](int c, NufftPlan<2>& p) {
+  return coil_sum([&](int c) {
     deadline.check("sense.coil");
     const auto& s = maps_.map(c);
     std::vector<c64> weighted(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) weighted[i] = s[i] * x[i];
-    auto f = p.forward(weighted, nullptr, deadline);
+    auto f = plan_.forward(weighted, nullptr, deadline);
     weigh(f);
-    return p.adjoint(f, nullptr, deadline);
+    return plan_.adjoint(f, nullptr, deadline);
   });
 }
 
-std::vector<c64> cg_sense(NufftPlan<2>& plan, const CoilMaps& maps,
+std::vector<c64> cg_sense(const NufftPlan<2>& plan, const CoilMaps& maps,
                           const std::vector<std::vector<c64>>& y,
                           int max_iterations, double tolerance,
                           CgResult* result, unsigned coil_threads,

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,23 +43,24 @@ CoilMaps make_birdcage_maps(std::int64_t n, int coils,
 /// Simulate a multi-coil acquisition: y_c = forward_nufft(S_c .* image).
 /// Returns coils x M sample values.
 std::vector<std::vector<c64>> simulate_multicoil(
-    NufftPlan<2>& plan, const CoilMaps& maps, const std::vector<c64>& image);
+    const NufftPlan<2>& plan, const CoilMaps& maps,
+    const std::vector<c64>& image);
 
 /// The SENSE normal-equations operator  A^H W A = sum_c S_c^H F^H W F S_c
 /// and right-hand side  A^H W y = sum_c S_c^H F^H W y_c, where W is an
 /// optional diagonal per-sample weighting (a density compensation). Empty
 /// `weights` means W = I; otherwise it holds one weight per plan sample.
 ///
-/// `coil_threads > 1` processes coils concurrently: the operator builds
-/// extra NuFFT lanes (own gridder + work grid, shared cached FFT plan) and
-/// distributes coils over them; per-coil results are then reduced in coil
-/// order. Each coil's transform is computed identically whichever lane runs
-/// it and the reduction order is fixed, so the output is bit-exact for any
-/// thread count — including coil_threads == 1, which skips the pool
-/// entirely and uses the caller's plan.
+/// `coil_threads > 1` processes coils concurrently: that many threads call
+/// the one const plan (each transform leases its own work grid; a sparse
+/// plan's matrix is shared), and per-coil results are then reduced in coil
+/// order. Each coil's transform is computed identically whichever thread
+/// runs it and the reduction order is fixed, so the output is bit-exact for
+/// any thread count — including coil_threads == 1, which skips the pool
+/// entirely.
 class SenseOperator {
  public:
-  SenseOperator(NufftPlan<2>& plan, const CoilMaps& maps,
+  SenseOperator(const NufftPlan<2>& plan, const CoilMaps& maps,
                 unsigned coil_threads = 1,
                 std::span<const double> weights = {});
 
@@ -73,24 +73,21 @@ class SenseOperator {
   std::vector<c64> gram(const std::vector<c64>& x,
                         const Deadline& deadline = Deadline()) const;
 
-  unsigned coil_threads() const {
-    return static_cast<unsigned>(extra_lanes_.size()) + 1;
-  }
+  unsigned coil_threads() const { return coil_threads_; }
 
  private:
-  /// sum_c S_c^H transform(c, lane): the coil transforms run
-  /// coil-parallel when configured, and their images are summed in coil
-  /// order either way. Serially each image is added as soon as it exists.
+  /// sum_c S_c^H transform(c): the coil transforms run coil-parallel when
+  /// configured, and their images are summed in coil order either way.
+  /// Serially each image is added as soon as it exists.
   std::vector<c64> coil_sum(
-      const std::function<std::vector<c64>(int, NufftPlan<2>&)>& transform)
-      const;
+      const std::function<std::vector<c64>(int)>& transform) const;
   /// v .* W, in place; nothing when W = I.
   void weigh(std::vector<c64>& v) const;
 
-  NufftPlan<2>& plan_;  // lane 0
+  const NufftPlan<2>& plan_;
   const CoilMaps& maps_;
   std::span<const double> weights_;
-  std::vector<std::unique_ptr<NufftPlan<2>>> extra_lanes_;  // lanes 1..
+  unsigned coil_threads_;
 };
 
 /// CG-SENSE reconstruction. `y[c]` holds coil c's k-space samples at the
@@ -108,7 +105,7 @@ class SenseOperator {
 ///
 /// `weights` makes it weighted CG-SENSE on  A^H W A x = A^H W y  (see
 /// SenseOperator); empty solves the unweighted normal equations.
-std::vector<c64> cg_sense(NufftPlan<2>& plan, const CoilMaps& maps,
+std::vector<c64> cg_sense(const NufftPlan<2>& plan, const CoilMaps& maps,
                           const std::vector<std::vector<c64>>& y,
                           int max_iterations = 15, double tolerance = 1e-6,
                           CgResult* result = nullptr,

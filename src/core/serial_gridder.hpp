@@ -22,7 +22,8 @@ class SerialGridder final : public Gridder<D> {
 
   GridderKind kind() const override { return GridderKind::Serial; }
 
-  void do_adjoint(const SampleSet<D>& in, Grid<D>& out) override {
+  void do_adjoint(SampleView<D> in, Grid<D>& out,
+                  GriddingStats& stats) const override {
     JIGSAW_REQUIRE(out.size() == this->g_, "grid size mismatch in adjoint()");
     const int w = this->options_.width;
     const std::int64_t g = this->g_;
@@ -63,14 +64,9 @@ class SerialGridder final : public Gridder<D> {
         continue;
       }
       for (int d = 0; d < D; ++d) {
-        const double u = grid_coord(
-            in.coords[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)],
-            g);
-        const std::int64_t g0 = window_start(u, w);
-        for (int o = 0; o < w; ++o) {
-          idx[d][o] = pos_mod(g0 + o, g);
-          wt[d][o] = this->weight_1d(static_cast<double>(g0 + o) - u);
-        }
+        this->window_1d(in.coords[static_cast<std::size_t>(j)]
+                        [static_cast<std::size_t>(d)],
+                        idx[d], wt[d]);
       }
       if constexpr (D == 1) {
         for (int ox = 0; ox < w; ++ox) {
@@ -106,19 +102,15 @@ class SerialGridder final : public Gridder<D> {
     }
 
     const auto window_points = static_cast<std::uint64_t>(pow_dim<D>(w));
-    this->stats_.grid_seconds += timer.seconds();
-    this->stats_.samples_processed += static_cast<std::uint64_t>(m);
-    this->stats_.interpolations += static_cast<std::uint64_t>(m) * window_points;
-    this->stats_.grid_bytes_touched +=
+    stats.grid_seconds += timer.seconds();
+    stats.samples_processed += static_cast<std::uint64_t>(m);
+    stats.interpolations += static_cast<std::uint64_t>(m) * window_points;
+    stats.grid_bytes_touched +=
         static_cast<std::uint64_t>(m) * window_points * sizeof(c64);
-    const auto weight_ops = static_cast<std::uint64_t>(m) *
-                            static_cast<std::uint64_t>(D) *
-                            static_cast<std::uint64_t>(w);
-    if (this->options_.exact_weights) {
-      this->stats_.kernel_evals += weight_ops;
-    } else {
-      this->stats_.lut_lookups += weight_ops;
-    }
+    stats.add_weight_ops(static_cast<std::uint64_t>(m) *
+                             static_cast<std::uint64_t>(D) *
+                             static_cast<std::uint64_t>(w),
+                         this->options_.exact_weights);
   }
 };
 

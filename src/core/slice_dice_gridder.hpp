@@ -24,13 +24,14 @@
 //     hardware performs in parallel. Results are identical (tested).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/gridder.hpp"
 #include "core/window.hpp"
+#include "fft/plan_cache.hpp"
 #include "kernels/simd/simd.hpp"
 
 namespace jigsaw::core {
@@ -54,30 +55,26 @@ class SliceDiceGridder final : public Gridder<D> {
 
   std::int64_t tiles_per_dim() const { return ntiles_; }
 
-  void do_adjoint(const SampleSet<D>& in, Grid<D>& out) override {
+  void do_adjoint(SampleView<D> in, Grid<D>& out,
+                  GriddingStats& stats) const override {
     JIGSAW_REQUIRE(out.size() == this->g_, "grid size mismatch in adjoint()");
     const std::int64_t t = this->options_.tile;
     const std::int64_t columns = pow_dim<D>(t);
     const std::int64_t tile_count = pow_dim<D>(ntiles_);
-    dice_.assign(static_cast<std::size_t>(columns * tile_count), c64{});
+    fft::ScratchLease lease(static_cast<std::size_t>(columns * tile_count));
+    c64* dice = lease.data();
+    std::fill_n(dice, lease.size(), c64{});
 
     Timer timer;
     if (this->options_.model_faithful_checks) {
-      adjoint_columns(in);
+      adjoint_columns(in, dice, stats);
     } else {
-      adjoint_direct(in);
+      adjoint_direct(in, dice, stats);
     }
-    this->stats_.grid_seconds += timer.seconds();
+    stats.grid_seconds += timer.seconds();
 
     // Readout: dice layout -> row-major grid.
-    readout(out);
-  }
-
-  /// Linear dice address for (column, tile-address) — exposed for tests and
-  /// the memory-trace ablation.
-  std::int64_t dice_address(std::int64_t column_lin,
-                            std::int64_t tile_addr) const {
-    return column_lin * pow_dim<D>(ntiles_) + tile_addr;
+    readout(dice, out);
   }
 
  private:
@@ -88,14 +85,25 @@ class SliceDiceGridder final : public Gridder<D> {
   };
 
   /// Per-dimension select logic for one sample: fills `sel[k]` for the W
-  /// affected columns. Shared by both execution modes.
-  void select_dim(double tau, DimSelect* sel) const {
+  /// affected columns. The weight of column k is the LUT (or kernel) value
+  /// at the integer grid point gint = floor(us) - k, dist = gint - u in
+  /// (-W/2, W/2]. With a SIMD kernel table `K`, the same W distances are
+  /// gathered ascending with the vector LUT path (bit-identical indices)
+  /// into `wbuf` (micro-kernel weight capacity, see
+  /// kernels/simd/kernel_table.hpp) and handed out reversed.
+  void select_dim(double tau, DimSelect* sel,
+                  const kernels::simd::KernelTable* K = nullptr,
+                  const kernels::simd::LutView& lv = {},
+                  double* wbuf = nullptr) const {
     const int w = this->options_.width;
     const std::int64_t t = this->options_.tile;
     const double u = grid_coord(tau, this->g_);
     const double us = u + static_cast<double>(w) * 0.5;  // shifted coordinate
     const Decomposed dec = decompose(us, static_cast<int>(t));
     const auto fl = static_cast<std::int64_t>(dec.relative);  // floor(rel)
+    if (K != nullptr) {
+      K->lut_weights(lv, u, dec.tile * t + fl - (w - 1), w, wbuf);
+    }
     for (int k = 0; k < w; ++k) {
       std::int64_t c = fl - k;
       std::int64_t q = dec.tile;
@@ -103,47 +111,18 @@ class SliceDiceGridder final : public Gridder<D> {
         c += t;
         q -= 1;
       }
-      q = pos_mod(q, ntiles_);
-      // Reconstruct the integer grid point for an exact distance:
-      // g = floor(us) - k; dist = g - u in (-W/2, W/2].
       const std::int64_t gint = dec.tile * t + fl - k;
       sel[k].column = c;
-      sel[k].tile = q;
-      sel[k].weight = this->weight_1d(static_cast<double>(gint) - u);
-    }
-  }
-
-  /// SIMD variant of select_dim: the scalar loop looks weights up at
-  /// gint = dec.tile*t + fl - k for k = 0..W-1 — the same W distances in
-  /// descending grid order. Gather them ascending with the vector LUT path
-  /// (bit-identical indices) and hand them out reversed. Column/tile
-  /// bookkeeping is unchanged. `wbuf` needs the micro-kernel weight
-  /// capacity (see kernels/simd/kernel_table.hpp).
-  void select_dim_simd(const kernels::simd::KernelTable& K,
-                       const kernels::simd::LutView& lv, double tau,
-                       DimSelect* sel, double* wbuf) const {
-    const int w = this->options_.width;
-    const std::int64_t t = this->options_.tile;
-    const double u = grid_coord(tau, this->g_);
-    const double us = u + static_cast<double>(w) * 0.5;
-    const Decomposed dec = decompose(us, static_cast<int>(t));
-    const auto fl = static_cast<std::int64_t>(dec.relative);
-    K.lut_weights(lv, u, dec.tile * t + fl - (w - 1), w, wbuf);
-    for (int k = 0; k < w; ++k) {
-      std::int64_t c = fl - k;
-      std::int64_t q = dec.tile;
-      if (c < 0) {  // tile wrap: relative coordinate below column index
-        c += t;
-        q -= 1;
-      }
-      sel[k].column = c;
       sel[k].tile = pos_mod(q, ntiles_);
-      sel[k].weight = wbuf[w - 1 - k];
+      sel[k].weight = K != nullptr
+                          ? wbuf[w - 1 - k]
+                          : this->weight_1d(static_cast<double>(gint) - u);
     }
   }
 
-  void accumulate(std::int64_t addr, c64 v, bool use_atomics) {
-    c64& slot = dice_[static_cast<std::size_t>(addr)];
+  void accumulate(c64* dice, std::int64_t addr, c64 v,
+                  bool use_atomics) const {
+    c64& slot = dice[addr];
     if (use_atomics) {
       auto* p = reinterpret_cast<double*>(&slot);
       std::atomic_ref<double> re(p[0]);
@@ -156,7 +135,8 @@ class SliceDiceGridder final : public Gridder<D> {
     this->trace_grid_access(addr, /*write=*/true);
   }
 
-  void adjoint_direct(const SampleSet<D>& in) {
+  void adjoint_direct(SampleView<D> in, c64* dice,
+                      GriddingStats& stats) const {
     const int w = this->options_.width;
     const std::int64_t t = this->options_.tile;
     const std::int64_t tile_count = pow_dim<D>(ntiles_);
@@ -179,18 +159,14 @@ class SliceDiceGridder final : public Gridder<D> {
       for (std::int64_t j = begin; j < end; ++j) {
         const c64 f = in.values[static_cast<std::size_t>(j)];
         for (int d = 0; d < D; ++d) {
-          const double tau = in.coords[static_cast<std::size_t>(j)]
-                                      [static_cast<std::size_t>(d)];
-          if (K != nullptr) {
-            select_dim_simd(*K, lv, tau, sel[d], wbuf);
-          } else {
-            select_dim(tau, sel[d]);
-          }
+          select_dim(in.coords[static_cast<std::size_t>(j)]
+                              [static_cast<std::size_t>(d)],
+                     sel[d], K, lv, wbuf);
         }
         if constexpr (D == 1) {
           for (int kx = 0; kx < w; ++kx) {
             const auto& sx = sel[0][kx];
-            accumulate(sx.column * tile_count + sx.tile, sx.weight * f,
+            accumulate(dice, sx.column * tile_count + sx.tile, sx.weight * f,
                        parallel);
           }
         } else if constexpr (D == 2) {
@@ -201,7 +177,7 @@ class SliceDiceGridder final : public Gridder<D> {
               const auto& sx = sel[1][kx];
               const std::int64_t col = sy.column * t + sx.column;
               const std::int64_t tile_addr = sy.tile * ntiles_ + sx.tile;
-              accumulate(col * tile_count + tile_addr, sx.weight * fy,
+              accumulate(dice, col * tile_count + tile_addr, sx.weight * fy,
                          parallel);
             }
           }
@@ -218,7 +194,7 @@ class SliceDiceGridder final : public Gridder<D> {
                     (sz.column * t + sy.column) * t + sx.column;
                 const std::int64_t tile_addr =
                     (sz.tile * ntiles_ + sy.tile) * ntiles_ + sx.tile;
-                accumulate(col * tile_count + tile_addr, sx.weight * fzy,
+                accumulate(dice, col * tile_count + tile_addr, sx.weight * fzy,
                            parallel);
               }
             }
@@ -235,21 +211,23 @@ class SliceDiceGridder final : public Gridder<D> {
     }
 
     const auto window_points = static_cast<std::uint64_t>(pow_dim<D>(w));
-    this->stats_.samples_processed += static_cast<std::uint64_t>(m);
-    this->stats_.boundary_checks +=
+    stats.samples_processed += static_cast<std::uint64_t>(m);
+    stats.boundary_checks +=
         static_cast<std::uint64_t>(m) * window_points;
-    this->stats_.interpolations +=
+    stats.interpolations +=
         static_cast<std::uint64_t>(m) * window_points;
-    this->stats_.grid_bytes_touched +=
+    stats.grid_bytes_touched +=
         static_cast<std::uint64_t>(m) * window_points * sizeof(c64);
-    this->add_weight_ops(static_cast<std::uint64_t>(m) *
-                         static_cast<std::uint64_t>(D) *
-                         static_cast<std::uint64_t>(w));
+    stats.add_weight_ops(static_cast<std::uint64_t>(m) *
+                             static_cast<std::uint64_t>(D) *
+                             static_cast<std::uint64_t>(w),
+                         this->options_.exact_weights);
   }
 
   /// Model-faithful mode: every column checks every sample, exactly as the
   /// T^d hardware pipelines / GPU thread block do in parallel.
-  void adjoint_columns(const SampleSet<D>& in) {
+  void adjoint_columns(SampleView<D> in, c64* dice,
+                       GriddingStats& stats) const {
     const int w = this->options_.width;
     const std::int64_t t = this->options_.tile;
     const std::int64_t columns = pow_dim<D>(t);
@@ -297,8 +275,7 @@ class SliceDiceGridder final : public Gridder<D> {
           }
           if (!affected) continue;
           const std::int64_t addr = col * tile_count + tile_addr;
-          dice_[static_cast<std::size_t>(addr)] +=
-              wt * in.values[static_cast<std::size_t>(j)];
+          dice[addr] += wt * in.values[static_cast<std::size_t>(j)];
           this->trace_grid_access(addr, /*write=*/true);
         }
       }
@@ -311,42 +288,25 @@ class SliceDiceGridder final : public Gridder<D> {
       pool.parallel_for(columns, work);
     }
 
-    this->stats_.samples_processed += static_cast<std::uint64_t>(m);
-    this->stats_.boundary_checks +=
+    stats.samples_processed += static_cast<std::uint64_t>(m);
+    stats.boundary_checks +=
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(columns);
     const auto window_points = static_cast<std::uint64_t>(pow_dim<D>(w));
-    this->stats_.interpolations +=
+    stats.interpolations +=
         static_cast<std::uint64_t>(m) * window_points;
-    this->add_weight_ops(static_cast<std::uint64_t>(m) * window_points *
-                         static_cast<std::uint64_t>(D));
+    stats.add_weight_ops(static_cast<std::uint64_t>(m) * window_points *
+                             static_cast<std::uint64_t>(D),
+                         this->options_.exact_weights);
   }
 
-  void readout(Grid<D>& out) {
-    const std::int64_t t = this->options_.tile;
-    const std::int64_t tile_count = pow_dim<D>(ntiles_);
-    const std::int64_t total = out.total();
-    for (std::int64_t lin = 0; lin < total; ++lin) {
-      const Index<D> p = unlinear_index<D>(lin, this->g_);
-      std::int64_t col = 0, tile_addr = 0;
-      for (int d = 0; d < D; ++d) {
-        const std::int64_t pd = p[static_cast<std::size_t>(d)];
-        col = col * t + (pd % t);
-        tile_addr = tile_addr * ntiles_ + (pd / t);
-      }
-      out[lin] = dice_[static_cast<std::size_t>(col * tile_count + tile_addr)];
-    }
-  }
-
-  void add_weight_ops(std::uint64_t n) {
-    if (this->options_.exact_weights) {
-      this->stats_.kernel_evals += n;
-    } else {
-      this->stats_.lut_lookups += n;
+  void readout(const c64* dice, Grid<D>& out) const {
+    for (std::int64_t lin = 0; lin < out.total(); ++lin) {
+      out[lin] = dice[dice_offset<D>(lin, this->g_, this->options_.tile,
+                                     ntiles_)];
     }
   }
 
   std::int64_t ntiles_;
-  std::vector<c64> dice_;
 };
 
 }  // namespace jigsaw::core

@@ -48,4 +48,20 @@ inline Decomposed decompose(double u_shifted, int t) {
   return {tile, rel};
 }
 
+/// Dice-layout address of row-major point `lin` of a G^D grid cut into
+/// tiles of side t (ntiles per dimension): the column (relative position
+/// inside the tile) selects the accumulation array, the tile address the
+/// entry in it.
+template <int D>
+std::int64_t dice_offset(std::int64_t lin, std::int64_t g, std::int64_t t,
+                         std::int64_t ntiles) {
+  const Index<D> p = unlinear_index<D>(lin, g);
+  std::int64_t col = 0, tile_addr = 0;
+  for (std::size_t d = 0; d < D; ++d) {
+    col = col * t + p[d] % t;
+    tile_addr = tile_addr * ntiles + p[d] / t;
+  }
+  return col * pow_dim<D>(ntiles) + tile_addr;
+}
+
 }  // namespace jigsaw::core

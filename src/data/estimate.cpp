@@ -6,7 +6,7 @@
 
 namespace jigsaw::data {
 
-core::CoilMaps estimate_coil_maps(core::NufftPlan<2>& plan,
+core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
                                   const std::vector<std::vector<c64>>& y,
                                   const std::vector<double>& dcf,
                                   const CoilEstimateOptions& options) {

@@ -28,7 +28,7 @@ struct CoilEstimateOptions {
 /// `plan`'s coordinates). `dcf` is optional per-sample density weights
 /// (empty = uniform). Throws std::invalid_argument on shape mismatch.
 core::CoilMaps estimate_coil_maps(
-    core::NufftPlan<2>& plan, const std::vector<std::vector<c64>>& y,
+    const core::NufftPlan<2>& plan, const std::vector<std::vector<c64>>& y,
     const std::vector<double>& dcf = {},
     const CoilEstimateOptions& options = {});
 

@@ -85,7 +85,7 @@ struct Fft1D::Impl {
 // NOTE: Bluestein executes borrow convolution scratch from the global
 // ScratchPool per call, so every plan — radix-2 and Bluestein alike — is
 // safe for concurrent execute() on distinct buffers. This is what allows
-// FftPlanCache to hand one shared plan to many coil lanes. All oversampled
+// FftPlanCache to hand one shared plan to many threads. All oversampled
 // grid sizes used by the NuFFT (sigma*N with sigma=2 and power-of-two N)
 // hit the radix-2 path; Bluestein exists for odd/irregular sizes (e.g.
 // sigma=1.5).

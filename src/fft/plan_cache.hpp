@@ -1,17 +1,17 @@
 // Process-wide FFT plan and scratch-buffer caches.
 //
 // Planning an FftNd costs twiddle/bit-reversal table construction per
-// distinct length — cheap once, wasteful when every NufftPlan, Toeplitz
-// operator and coil lane re-plans the same (sigma*N)^d geometry. The cache
+// distinct length — cheap once, wasteful when every NufftPlan and Toeplitz
+// operator re-plans the same (sigma*N)^d geometry. The cache
 // hands out shared immutable plans keyed by the dimension vector, so any
 // number of transform objects (and any number of threads) reuse one table
 // set. FftNd::execute is const and carries no per-plan mutable state, so a
 // shared plan is safe for concurrent execution on distinct buffers.
 //
 // The scratch pool complements it: hot paths that need a temporary c64
-// buffer (Bluestein convolution scratch, Toeplitz embedding grids,
-// per-coil work grids) borrow from a bounded freelist instead of hitting
-// the allocator per call.
+// buffer (Bluestein convolution scratch, Toeplitz embedding grids, the
+// per-call NuFFT work grid and slice-and-dice dice) borrow from a bounded
+// freelist instead of hitting the allocator per call.
 #pragma once
 
 #include <cstdint>

@@ -61,7 +61,7 @@ constexpr unsigned kDuplicate = 8u;  // DuplicateCoord
 /// Classify one sample against the non-duplicate defect classes; record the
 /// first offending component per class in `off` (dim/value).
 template <int D>
-unsigned classify(const core::SampleSet<D>& s, std::size_t j, Offender* off) {
+unsigned classify(core::SampleSpan<D, const c64> s, std::size_t j, Offender* off) {
   unsigned mask = 0;
   const c64 v = s.values[j];
   if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
@@ -112,7 +112,7 @@ bool coord_bits_equal(const Coord<D>& a, const Coord<D>& b) {
 /// chunking, per-chunk partials merged in chunk order); duplicate detection
 /// hashes in parallel and resolves collisions with one sort.
 template <int D>
-SanitizeReport scan_masks(const core::SampleSet<D>& in, unsigned threads,
+SanitizeReport scan_masks(core::SampleSpan<D, const c64> in, unsigned threads,
                           std::size_t max_offenders,
                           std::vector<unsigned char>* masks_out) {
   JIGSAW_REQUIRE(in.coords.size() == in.values.size(),
@@ -231,7 +231,7 @@ SanitizeReport scan_masks(const core::SampleSet<D>& in, unsigned threads,
 }
 
 template <int D>
-[[noreturn]] void throw_strict(const core::SampleSet<D>& in,
+[[noreturn]] void throw_strict(core::SampleSpan<D, const c64> in,
                                std::size_t index, const Offender& off) {
   std::ostringstream os;
   os << "jigsaw: sample " << index << " of " << in.size() << ": "
@@ -248,13 +248,13 @@ template <int D>
 }  // namespace
 
 template <int D>
-SanitizeReport scan(const core::SampleSet<D>& in, unsigned threads,
+SanitizeReport scan(core::SampleSpan<D, const c64> in, unsigned threads,
                     std::size_t max_offenders) {
   return scan_masks<D>(in, threads, max_offenders, nullptr);
 }
 
 template <int D>
-void require_valid(const core::SampleSet<D>& in) {
+void require_valid(core::SampleSpan<D, const c64> in) {
   JIGSAW_REQUIRE(in.coords.size() == in.values.size(),
                  "coords/values size mismatch: " << in.coords.size() << " vs "
                                                  << in.values.size());
@@ -272,7 +272,7 @@ void require_valid(const core::SampleSet<D>& in) {
 }
 
 template <int D>
-SanitizeOutcome<D> sanitize(const core::SampleSet<D>& in,
+SanitizeOutcome<D> sanitize(core::SampleSpan<D, const c64> in,
                             SanitizePolicy policy, unsigned threads,
                             std::size_t max_offenders) {
   SanitizeOutcome<D> out;
@@ -310,7 +310,8 @@ SanitizeOutcome<D> sanitize(const core::SampleSet<D>& in,
 
   // Clamp: wrap finite out-of-range coordinates, zero non-finite values and
   // coordinates; duplicates are counted but kept.
-  out.samples = in;
+  out.samples.coords.assign(in.coords.begin(), in.coords.end());
+  out.samples.values.assign(in.values.begin(), in.values.end());
   for (std::size_t j = 0; j < m; ++j) {
     const unsigned mask = masks[j];
     if ((mask & (kBadValue | kBadCoord | kOutOfRange)) == 0) continue;
@@ -345,21 +346,21 @@ std::size_t clamp_coords(std::vector<Coord<D>>& coords) {
   return changed;
 }
 
-template SanitizeReport scan<1>(const core::SampleSet<1>&, unsigned,
+template SanitizeReport scan<1>(core::SampleSpan<1, const c64>, unsigned,
                                 std::size_t);
-template SanitizeReport scan<2>(const core::SampleSet<2>&, unsigned,
+template SanitizeReport scan<2>(core::SampleSpan<2, const c64>, unsigned,
                                 std::size_t);
-template SanitizeReport scan<3>(const core::SampleSet<3>&, unsigned,
+template SanitizeReport scan<3>(core::SampleSpan<3, const c64>, unsigned,
                                 std::size_t);
-template SanitizeOutcome<1> sanitize<1>(const core::SampleSet<1>&,
+template SanitizeOutcome<1> sanitize<1>(core::SampleSpan<1, const c64>,
                                         SanitizePolicy, unsigned, std::size_t);
-template SanitizeOutcome<2> sanitize<2>(const core::SampleSet<2>&,
+template SanitizeOutcome<2> sanitize<2>(core::SampleSpan<2, const c64>,
                                         SanitizePolicy, unsigned, std::size_t);
-template SanitizeOutcome<3> sanitize<3>(const core::SampleSet<3>&,
+template SanitizeOutcome<3> sanitize<3>(core::SampleSpan<3, const c64>,
                                         SanitizePolicy, unsigned, std::size_t);
-template void require_valid<1>(const core::SampleSet<1>&);
-template void require_valid<2>(const core::SampleSet<2>&);
-template void require_valid<3>(const core::SampleSet<3>&);
+template void require_valid<1>(core::SampleSpan<1, const c64>);
+template void require_valid<2>(core::SampleSpan<2, const c64>);
+template void require_valid<3>(core::SampleSpan<3, const c64>);
 template std::size_t clamp_coords<1>(std::vector<Coord<1>>&);
 template std::size_t clamp_coords<2>(std::vector<Coord<2>>&);
 template std::size_t clamp_coords<3>(std::vector<Coord<3>>&);

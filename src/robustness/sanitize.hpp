@@ -31,6 +31,8 @@
 namespace jigsaw::core {
 template <int D>
 struct SampleSet;
+template <int D, typename Value>
+struct SampleSpan;
 }  // namespace jigsaw::core
 
 namespace jigsaw::robustness {
@@ -93,14 +95,14 @@ struct SanitizeOutcome {
 /// `max_offenders` offenders. `threads` as in GridderOptions (0 = all
 /// hardware threads, 1 = serial).
 template <int D>
-SanitizeReport scan(const core::SampleSet<D>& in, unsigned threads = 1,
+SanitizeReport scan(core::SampleSpan<D, const c64> in, unsigned threads = 1,
                     std::size_t max_offenders = 8);
 
 /// Scan and apply `policy`. Strict throws on the first non-finite /
 /// out-of-range sample; Drop/Clamp return the repaired set in
 /// `outcome.samples` when anything changed (check report.modified()).
 template <int D>
-SanitizeOutcome<D> sanitize(const core::SampleSet<D>& in,
+SanitizeOutcome<D> sanitize(core::SampleSpan<D, const c64> in,
                             SanitizePolicy policy, unsigned threads = 1,
                             std::size_t max_offenders = 8);
 
@@ -108,7 +110,7 @@ SanitizeOutcome<D> sanitize(const core::SampleSet<D>& in,
 /// the first non-finite or out-of-range sample (index, dimension, value).
 /// SampleSet<D>::validate() routes here.
 template <int D>
-void require_valid(const core::SampleSet<D>& in);
+void require_valid(core::SampleSpan<D, const c64> in);
 
 /// Repair a coordinate array in place (Clamp semantics: wrap finite
 /// components, zero non-finite ones). Returns the number of components
@@ -117,24 +119,24 @@ void require_valid(const core::SampleSet<D>& in);
 template <int D>
 std::size_t clamp_coords(std::vector<Coord<D>>& coords);
 
-extern template SanitizeReport scan<1>(const core::SampleSet<1>&, unsigned,
+extern template SanitizeReport scan<1>(core::SampleSpan<1, const c64>, unsigned,
                                        std::size_t);
-extern template SanitizeReport scan<2>(const core::SampleSet<2>&, unsigned,
+extern template SanitizeReport scan<2>(core::SampleSpan<2, const c64>, unsigned,
                                        std::size_t);
-extern template SanitizeReport scan<3>(const core::SampleSet<3>&, unsigned,
+extern template SanitizeReport scan<3>(core::SampleSpan<3, const c64>, unsigned,
                                        std::size_t);
-extern template SanitizeOutcome<1> sanitize<1>(const core::SampleSet<1>&,
+extern template SanitizeOutcome<1> sanitize<1>(core::SampleSpan<1, const c64>,
                                                SanitizePolicy, unsigned,
                                                std::size_t);
-extern template SanitizeOutcome<2> sanitize<2>(const core::SampleSet<2>&,
+extern template SanitizeOutcome<2> sanitize<2>(core::SampleSpan<2, const c64>,
                                                SanitizePolicy, unsigned,
                                                std::size_t);
-extern template SanitizeOutcome<3> sanitize<3>(const core::SampleSet<3>&,
+extern template SanitizeOutcome<3> sanitize<3>(core::SampleSpan<3, const c64>,
                                                SanitizePolicy, unsigned,
                                                std::size_t);
-extern template void require_valid<1>(const core::SampleSet<1>&);
-extern template void require_valid<2>(const core::SampleSet<2>&);
-extern template void require_valid<3>(const core::SampleSet<3>&);
+extern template void require_valid<1>(core::SampleSpan<1, const c64>);
+extern template void require_valid<2>(core::SampleSpan<2, const c64>);
+extern template void require_valid<3>(core::SampleSpan<3, const c64>);
 extern template std::size_t clamp_coords<1>(std::vector<Coord<1>>&);
 extern template std::size_t clamp_coords<2>(std::vector<Coord<2>>&);
 extern template std::size_t clamp_coords<3>(std::vector<Coord<3>>&);

@@ -94,11 +94,16 @@ ServeEngine::GeometryKey ServeEngine::key_of(const ReconJob& job) {
   key.traj_hash = fnv1a(job.samples.coords.data(),
                         key.m * sizeof(Coord<2>), kFnv1aShortBasis);
   const auto& o = job.options;
+  // engine=auto resolves by reuse (core::resolve_auto), so its requests
+  // split into a one-shot and a reused plan; a named engine keeps one plan
+  // for adjoint and CG requests alike.
+  const bool auto_reused = o.kind == core::GridderKind::Auto &&
+                           (job.iters > 0 || job.coils > 1);
   // An even count of int32 fields keeps sizeof == sum-of-members: the
   // struct is hashed as raw bytes, so a padding hole before the double
-  // would feed indeterminate bytes into the key (pad stays 0).
+  // would feed indeterminate bytes into the key.
   struct {
-    std::int32_t kind, kernel, width, table, tile, exact, simd, pad;
+    std::int32_t kind, kernel, width, table, tile, exact, simd, auto_reused;
     double sigma;
   } sig{static_cast<std::int32_t>(o.kind),
         static_cast<std::int32_t>(o.kernel),
@@ -107,7 +112,7 @@ ServeEngine::GeometryKey ServeEngine::key_of(const ReconJob& job) {
         o.tile,
         o.exact_weights ? 1 : 0,
         o.simd ? 1 : 0,
-        0,
+        auto_reused ? 1 : 0,
         o.sigma};
   static_assert(sizeof(sig) == 8 * sizeof(std::int32_t) + sizeof(double),
                 "options signature must have no padding bytes");
@@ -612,7 +617,7 @@ void ServeEngine::process_batch(std::vector<Pending> batch) {
   }
 
   if (!fused.empty()) {
-    std::shared_ptr<core::BatchedNufft<2>> plan;
+    std::shared_ptr<const core::BatchedNufft<2>> plan;
     try {
       plan = plan_for(fused.front());
     } catch (const std::exception& e) {
@@ -646,7 +651,7 @@ void ServeEngine::process_batch(std::vector<Pending> batch) {
 }
 
 void ServeEngine::execute_adjoint_batch(
-    const std::shared_ptr<core::BatchedNufft<2>>& plan,
+    const std::shared_ptr<const core::BatchedNufft<2>>& plan,
     std::vector<Pending>& group) {
   // Backstop deadline: the most patient member's. Members that expire
   // mid-batch get their own post-execution check below; once even the
@@ -698,7 +703,7 @@ void ServeEngine::execute_adjoint_batch(
 }
 
 ReconOutcome ServeEngine::execute_single(
-    Pending& p, const std::shared_ptr<core::BatchedNufft<2>>& plan) {
+    Pending& p, const std::shared_ptr<const core::BatchedNufft<2>>& plan) {
   ReconJob& job = p.job;
   job.deadline.check("serve.execute");
   std::vector<c64> image;
@@ -742,7 +747,7 @@ ReconOutcome ServeEngine::execute_single(
   return outcome;
 }
 
-std::shared_ptr<core::BatchedNufft<2>> ServeEngine::plan_for(
+std::shared_ptr<const core::BatchedNufft<2>> ServeEngine::plan_for(
     const Pending& p) {
   const auto it = plans_.find(p.key);
   if (it != plans_.end()) {
@@ -757,7 +762,8 @@ std::shared_ptr<core::BatchedNufft<2>> ServeEngine::plan_for(
 
   // The resident plan is geometry-only: per-request policies (sanitize,
   // soft-error injection) run as pipeline stages before it, and intra-
-  // transform threading stays at 1 — parallelism comes from the lanes.
+  // transform threading stays at 1 — parallelism comes from exec_threads
+  // threads over the one plan.
   core::GridderOptions options = p.job.options;
   options.sanitize = robustness::SanitizePolicy::None;
   options.soft_error = {};

@@ -9,7 +9,7 @@
 //     the oldest queued job plus every queued job with the same geometry
 //     key (grid size, gridder options, trajectory hash) up to max_batch and
 //     processes them as one dispatch, so a burst of same-geometry requests
-//     shares one resident NufftPlan/gridder lane set;
+//     shares one resident NufftPlan, run by exec_threads threads;
 //   * an LRU pool of BatchedNufft plans keyed by geometry — the serve-layer
 //     plan cache above fft::FftPlanCache. A same-geometry burst of N
 //     requests builds exactly one plan (serve.plan_builds == distinct
@@ -63,7 +63,8 @@ struct ServeConfig {
   std::size_t max_plans = 16;   // resident geometry plans (LRU-evicted)
   std::size_t max_request_samples = 1u << 21;  // per-request M cap
   std::size_t max_request_bytes = 256u << 20;  // frame-size admission cap
-  unsigned exec_threads = 2;    // execution lanes per plan (batch/coil)
+  unsigned exec_threads = 2;    // threads over one pooled plan (batched
+                                // adjoint frames)
   std::int64_t max_n = 1024;    // largest accepted base grid side
   int max_iters = 64;           // largest accepted CG iteration count
   int max_coils = 32;
@@ -273,7 +274,7 @@ class ServeEngine {
   };
 
   struct PlanEntry {
-    std::shared_ptr<core::BatchedNufft<2>> plan;
+    std::shared_ptr<const core::BatchedNufft<2>> plan;
     std::uint64_t last_used = 0;
   };
 
@@ -281,11 +282,11 @@ class ServeEngine {
   void process_batch(std::vector<Pending> batch);
   void process_stream(Pending p);  // one frame or close sentinel
   void execute_adjoint_batch(
-      const std::shared_ptr<core::BatchedNufft<2>>& plan,
+      const std::shared_ptr<const core::BatchedNufft<2>>& plan,
       std::vector<Pending>& group);
-  ReconOutcome execute_single(Pending& p,
-                              const std::shared_ptr<core::BatchedNufft<2>>& plan);
-  std::shared_ptr<core::BatchedNufft<2>> plan_for(const Pending& p);
+  ReconOutcome execute_single(
+      Pending& p, const std::shared_ptr<const core::BatchedNufft<2>>& plan);
+  std::shared_ptr<const core::BatchedNufft<2>> plan_for(const Pending& p);
 
   void finish(Pending& p, ReconOutcome outcome, bool was_inflight);
   void finish_frame(Pending& p, FrameOutcome outcome, bool was_inflight);
@@ -306,9 +307,11 @@ class ServeEngine {
   EngineCounts counts_;
 
   // Plan pool: dispatcher-thread-only (no lock needed beyond the queue's).
-  // Keyed on the ORIGINAL options signature (Auto included), so a burst of
-  // engine=auto requests still resolves to one pooled plan; plan_for()
-  // resolves Auto (core::resolve_auto) when it builds the plan.
+  // Keyed on the ORIGINAL options signature (Auto included) plus, for Auto
+  // only, the request's reuse class (key_of), so a burst of one-shot
+  // engine=auto requests resolves to one pooled plan and CG requests of the
+  // same geometry to another; plan_for() resolves Auto
+  // (core::resolve_auto) when it builds the plan.
   std::map<GeometryKey, PlanEntry> plans_;
   std::uint64_t plan_tick_ = 0;
 

@@ -14,7 +14,7 @@
 
 #include "common/hash.hpp"
 #include "core/gridder.hpp"
-#include "tune/key.hpp"
+#include "serve/tune_key.hpp"
 
 namespace jigsaw::serve {
 
@@ -176,7 +176,7 @@ std::uint64_t Router::shard_hash(const ReconRequestWire& wire) {
   core::GridderOptions options;
   options.width = static_cast<int>(wire.kernel_width);
   options.sigma = wire.sigma;
-  return tune::TuneKey::of(2, wire.n,
+  return TuneKey::of(2, wire.n,
                            static_cast<std::int64_t>(wire.coords.size()),
                            options, static_cast<int>(wire.coils),
                            /*threads=*/1)
@@ -187,7 +187,7 @@ std::uint64_t Router::session_shard_hash(const OpenSessionWire& wire) {
   core::GridderOptions options;
   options.width = static_cast<int>(wire.kernel_width);
   options.sigma = wire.sigma;
-  return tune::TuneKey::of(2, static_cast<std::int64_t>(wire.n),
+  return TuneKey::of(2, static_cast<std::int64_t>(wire.n),
                            /*m=*/0, options, static_cast<int>(wire.coils),
                            /*threads=*/1)
       .hash();

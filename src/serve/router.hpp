@@ -4,7 +4,7 @@
 // as the workers) and forwards each recon request to one worker out of a
 // configured pool, chosen by RENDEZVOUS (highest-random-weight) hashing of
 // the request's geometry: the shard key is the FNV-1a `TuneKey` hash
-// ({dims, N, M, W, sigma, coils, threads=1} — see src/tune/key.hpp), so
+// ({dims, N, M, W, sigma, coils, threads=1} — see serve/tune_key.hpp), so
 // every request of one geometry equivalence class lands on the same worker
 // and that worker's NuFFT plan pool and FFT plan cache stay hot for "its"
 // geometries. Rendezvous hashing gives the spill property
@@ -144,7 +144,7 @@ class Router : public FrameServer {
   std::string statsz_json() const;
 
   /// The shard key for a decoded request — exposed so tests can predict
-  /// placement. Matches tune::TuneKey::of(2, n, m, {width, sigma}, coils,
+  /// placement. Matches TuneKey::of(2, n, m, {width, sigma}, coils,
   /// 1).hash().
   static std::uint64_t shard_hash(const ReconRequestWire& wire);
 

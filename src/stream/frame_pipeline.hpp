@@ -115,7 +115,7 @@ class FramePipeline {
 
   const PipelineConfig config_;
   PipelineStats stats_;
-  std::unique_ptr<core::NufftPlan<2>> plan_;
+  std::unique_ptr<const core::NufftPlan<2>> plan_;
   std::uint64_t plan_coords_hash_ = 0;
   std::size_t plan_samples_ = 0;
   std::optional<core::CoilMaps> maps_;  // built once when coils > 1

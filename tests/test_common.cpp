@@ -19,7 +19,7 @@
 #include "common/types.hpp"
 #include "data/dataset.hpp"
 #include "serve/router.hpp"
-#include "tune/key.hpp"
+#include "serve/tune_key.hpp"
 
 namespace jigsaw {
 namespace {
@@ -218,7 +218,7 @@ TEST(Fnv1a, StandardVectorsForBothBases) {
 // JKSD files on disk carry the checksums: a change to any of these values
 // moves geometries between workers or orphans data that already exists.
 TEST(Fnv1a, GoldenValuesOfWisdomShardAndJksdHashes) {
-  tune::TuneKey key;
+  serve::TuneKey key;
   key.dims = 2;
   key.n = 128;
   key.m = 4096;

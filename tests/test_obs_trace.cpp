@@ -6,6 +6,7 @@
 // lives in this file so well-formedness is checked structurally, not by
 // substring matching.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cstdio>
@@ -210,7 +211,10 @@ class ObsTrace : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!obs::kEnabled) GTEST_SKIP() << "built with JIGSAW_OBS=OFF";
-    path_ = ::testing::TempDir() + "jigsaw_trace_test.json";
+    // One file per test process: ctest runs these tests concurrently.
+    path_ = ::testing::TempDir() + "jigsaw_trace_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".json";
   }
   void TearDown() override {
     if (!path_.empty()) std::remove(path_.c_str());

@@ -572,6 +572,60 @@ TEST(ServeSession, AutoEngineIterativeRequestMatchesDirectSparse) {
   EXPECT_LE(std::sqrt(num / den), 1e-12);
 }
 
+TEST(ServeSession, AutoPlanPoolKeysOnReuseClass) {
+  // A one-shot auto adjoint pools a slice-and-dice plan; a CG auto request
+  // of the same geometry must not ride it but build its own sparse plan.
+  const std::int64_t n = 32;
+  const auto coords = traj();
+  ServeSession session;
+  ReconJob one_shot = make_job(n, coords);
+  one_shot.options.kind = core::GridderKind::Auto;
+  ASSERT_EQ(session.recon(std::move(one_shot)).status, Status::kOk);
+
+  const char* const kSparseCalls = "grid.sparse-matrix.adjoint_calls";
+  const std::uint64_t sparse_before = obs::snapshot().counter(kSparseCalls);
+  ReconJob cg = make_job(n, coords);
+  cg.options.kind = core::GridderKind::Auto;
+  cg.iters = 4;
+  ASSERT_EQ(session.recon(std::move(cg)).status, Status::kOk);
+  EXPECT_EQ(session.counts().plan_builds, 2u);
+  EXPECT_EQ(session.counts().tuned_plans, 2u);
+  if (obs::kEnabled) {
+    EXPECT_GT(obs::snapshot().counter(kSparseCalls), sparse_before);
+  }
+
+  // A named engine keeps one plan for adjoint and CG requests alike.
+  ReconJob named_adjoint = make_job(n, coords);
+  ASSERT_EQ(session.recon(std::move(named_adjoint)).status, Status::kOk);
+  ReconJob named_cg = make_job(n, coords);
+  named_cg.iters = 4;
+  ASSERT_EQ(session.recon(std::move(named_cg)).status, Status::kOk);
+  EXPECT_EQ(session.counts().plan_builds, 3u);
+}
+
+TEST(ServeSession, AutoOneShotAfterCgStaysOnSliceAndDice) {
+  const std::int64_t n = 32;
+  const auto coords = traj();
+  ServeSession session;
+  ReconJob cg = make_job(n, coords);
+  cg.options.kind = core::GridderKind::Auto;
+  cg.iters = 4;
+  ASSERT_EQ(session.recon(std::move(cg)).status, Status::kOk);
+
+  const char* const kSliceDiceCalls = "grid.slice-and-dice.adjoint_calls";
+  const char* const kSparseCalls = "grid.sparse-matrix.adjoint_calls";
+  const std::uint64_t slice_before = obs::snapshot().counter(kSliceDiceCalls);
+  const std::uint64_t sparse_before = obs::snapshot().counter(kSparseCalls);
+  ReconJob one_shot = make_job(n, coords);
+  one_shot.options.kind = core::GridderKind::Auto;
+  ASSERT_EQ(session.recon(std::move(one_shot)).status, Status::kOk);
+  EXPECT_EQ(session.counts().plan_builds, 2u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::snapshot().counter(kSliceDiceCalls) - slice_before, 1u);
+    EXPECT_EQ(obs::snapshot().counter(kSparseCalls), sparse_before);
+  }
+}
+
 TEST(ServeSession, PlanBuildsEqualsDistinctGeometries) {
   const auto coords = traj();
   ServeSession session;

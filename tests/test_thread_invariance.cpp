@@ -3,15 +3,22 @@
 // The library's determinism contract: the numeric result of every
 // transform is a function of its inputs only, never of how many threads
 // executed it. Where work is partitioned into disjoint writes (binning
-// tiles, FFT lines, per-frame batch lanes, per-coil SENSE lanes with
+// tiles, FFT lines, per-frame batch threads, per-coil SENSE threads with
 // coil-order reduction) the guarantee is bit-exactness; where atomics
 // reorder additions (slice-and-dice direct mode) it is NRMSD <= 1e-12.
 //
-// This suite runs in the sanitizer CI configuration too, so the
-// coil-parallel paths get ASan/TSan-style coverage on every CI run.
+// The SharedPlan suite pins the contract that makes coil and frame threads
+// cheap: one const NufftPlan, called from several threads at once, gives
+// every call the result of a lone call, and its gridder's stats() add up to
+// exactly the sum of the calls.
+//
+// Both suites run in the sanitizer CI configurations (ASan and TSan), so
+// the coil-parallel paths get race coverage on every CI run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +29,7 @@
 #include "core/serial_gridder.hpp"
 #include "core/slice_dice_gridder.hpp"
 #include "fft/fft.hpp"
+#include "obs/obs.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace jigsaw::core {
@@ -35,6 +43,16 @@ GridderOptions base_options() {
   opt.tile = 8;
   return opt;
 }
+
+GridderOptions sparse_options() {
+  GridderOptions opt = base_options();
+  opt.kind = GridderKind::Sparse;
+  return opt;
+}
+
+/// The coil-thread contracts hold for the default engine and for the
+/// sparse engine, whose matrix every thread shares.
+const GridderOptions kCoilEngines[] = {base_options(), sparse_options()};
 
 template <int D>
 SampleSet<D> samples_on(std::vector<Coord<D>> coords, std::uint64_t seed) {
@@ -200,20 +218,23 @@ TEST(ThreadInvariance, BatchedNufftIsBitExactAcrossCoilThreads) {
         random_image(n * n, 200 + static_cast<std::uint64_t>(f));
   }
 
-  BatchedNufft<2> serial(n, coords, base_options(), 1);
-  const auto ref_adj = serial.adjoint(kdata);
-  const auto ref_fwd = serial.forward(images);
+  for (const GridderOptions& opt : kCoilEngines) {
+    SCOPED_TRACE(to_string(opt.kind));
+    BatchedNufft<2> serial(n, coords, opt, 1);
+    const auto ref_adj = serial.adjoint(kdata);
+    const auto ref_fwd = serial.forward(images);
 
-  for (unsigned t : kThreadCounts) {
-    BatchedNufft<2> batch(n, coords, base_options(), t);
-    const auto adj = batch.adjoint(kdata);
-    const auto fwd = batch.forward(images);
-    ASSERT_EQ(adj.size(), ref_adj.size());
-    for (std::size_t f = 0; f < adj.size(); ++f) {
-      EXPECT_EQ(max_abs_diff(adj[f], ref_adj[f]), 0.0)
-          << "coil_threads=" << t << " frame=" << f;
-      EXPECT_EQ(max_abs_diff(fwd[f], ref_fwd[f]), 0.0)
-          << "coil_threads=" << t << " frame=" << f;
+    for (unsigned t : kThreadCounts) {
+      BatchedNufft<2> batch(n, coords, opt, t);
+      const auto adj = batch.adjoint(kdata);
+      const auto fwd = batch.forward(images);
+      ASSERT_EQ(adj.size(), ref_adj.size());
+      for (std::size_t f = 0; f < adj.size(); ++f) {
+        EXPECT_EQ(max_abs_diff(adj[f], ref_adj[f]), 0.0)
+            << "coil_threads=" << t << " frame=" << f;
+        EXPECT_EQ(max_abs_diff(fwd[f], ref_fwd[f]), 0.0)
+            << "coil_threads=" << t << " frame=" << f;
+      }
     }
   }
 }
@@ -221,44 +242,208 @@ TEST(ThreadInvariance, BatchedNufftIsBitExactAcrossCoilThreads) {
 TEST(ThreadInvariance, CgSenseIsBitExactAcrossCoilThreads) {
   const std::int64_t n = 24;
   const auto coords = trajectory::radial_2d(24, 48);
-  NufftPlan<2> plan(n, coords, base_options());
-  const auto maps = make_birdcage_maps(n, 4);
-  const auto truth = random_image(n * n, 11);
-  const auto y = simulate_multicoil(plan, maps, truth);
+  for (const GridderOptions& opt : kCoilEngines) {
+    SCOPED_TRACE(to_string(opt.kind));
+    NufftPlan<2> plan(n, coords, opt);
+    const auto maps = make_birdcage_maps(n, 4);
+    const auto truth = random_image(n * n, 11);
+    const auto y = simulate_multicoil(plan, maps, truth);
 
-  CgResult cg_ref;
-  const auto ref = cg_sense(plan, maps, y, 5, 1e-12, &cg_ref, 1);
+    CgResult cg_ref;
+    const auto ref = cg_sense(plan, maps, y, 5, 1e-12, &cg_ref, 1);
 
-  for (unsigned t : kThreadCounts) {
-    CgResult cg;
-    const auto x = cg_sense(plan, maps, y, 5, 1e-12, &cg, t);
-    // Per-coil work is independent and the reduction runs in coil order:
-    // CG sees bit-identical operators, so iterates match exactly.
-    EXPECT_EQ(max_abs_diff(x, ref), 0.0) << "coil_threads=" << t;
-    EXPECT_EQ(cg.iterations, cg_ref.iterations) << "coil_threads=" << t;
+    for (unsigned t : kThreadCounts) {
+      CgResult cg;
+      const auto x = cg_sense(plan, maps, y, 5, 1e-12, &cg, t);
+      // Per-coil work is independent and the reduction runs in coil order:
+      // CG sees bit-identical operators, so iterates match exactly.
+      EXPECT_EQ(max_abs_diff(x, ref), 0.0) << "coil_threads=" << t;
+      EXPECT_EQ(cg.iterations, cg_ref.iterations) << "coil_threads=" << t;
+    }
   }
 }
 
 TEST(ThreadInvariance, SenseOperatorAdjointAndGramBitExact) {
   const std::int64_t n = 16;
   const auto coords = trajectory::radial_2d(16, 32);
-  NufftPlan<2> plan(n, coords, base_options());
-  const auto maps = make_birdcage_maps(n, 5);
-  const auto truth = random_image(n * n, 12);
-  const auto y = simulate_multicoil(plan, maps, truth);
-  const auto x = random_image(n * n, 13);
+  for (const GridderOptions& opt : kCoilEngines) {
+    SCOPED_TRACE(to_string(opt.kind));
+    NufftPlan<2> plan(n, coords, opt);
+    const auto maps = make_birdcage_maps(n, 5);
+    const auto truth = random_image(n * n, 12);
+    const auto y = simulate_multicoil(plan, maps, truth);
+    const auto x = random_image(n * n, 13);
 
-  SenseOperator serial_op(plan, maps, 1);
-  const auto ref_adj = serial_op.adjoint(y);
-  const auto ref_gram = serial_op.gram(x);
+    SenseOperator serial_op(plan, maps, 1);
+    const auto ref_adj = serial_op.adjoint(y);
+    const auto ref_gram = serial_op.gram(x);
 
-  for (unsigned t : kThreadCounts) {
-    NufftPlan<2> p(n, coords, base_options());
-    SenseOperator op(p, maps, t);
-    EXPECT_EQ(max_abs_diff(op.adjoint(y), ref_adj), 0.0)
-        << "coil_threads=" << t;
-    EXPECT_EQ(max_abs_diff(op.gram(x), ref_gram), 0.0)
-        << "coil_threads=" << t;
+    for (unsigned t : kThreadCounts) {
+      NufftPlan<2> p(n, coords, opt);
+      SenseOperator op(p, maps, t);
+      EXPECT_EQ(max_abs_diff(op.adjoint(y), ref_adj), 0.0)
+          << "coil_threads=" << t;
+      EXPECT_EQ(max_abs_diff(op.gram(x), ref_gram), 0.0)
+          << "coil_threads=" << t;
+    }
+  }
+}
+
+// ---- One plan, many threads -------------------------------------------
+
+constexpr int kSharedThreads = 4;
+constexpr int kCallsPerThread = 8;
+
+/// The integer work counters of a stats snapshot (the timing fields are
+/// wall-clock and do not add up exactly).
+std::vector<std::uint64_t> work_counts(const GriddingStats& s) {
+  return {s.boundary_checks, s.samples_processed, s.interpolations,
+          s.lut_lookups,     s.kernel_evals,      s.grid_bytes_touched,
+          s.saturation_events, s.soft_error_flips};
+}
+
+/// 4 threads x 8 adjoint+forward calls on one plan, `threads = 1` inside
+/// each call: every output is bit-identical to a lone call's on a second
+/// plan, and stats() totals exactly 32 calls' counts. Both plans take one
+/// warm-up call first, so the sparse engine's one-time matrix build is not
+/// part of the count (SharedPlan.SparseMatrixIsBuiltOnce pins that).
+void expect_shared_plan_matches_one_call(GridderOptions opt) {
+  opt.threads = 1;
+  const std::int64_t n = 16;
+  const auto coords = trajectory::radial_2d(16, 32);
+  const auto values = samples_on<2>(coords, 41).values;
+  const auto image = random_image(n * n, 42);
+
+  NufftPlan<2> lone(n, coords, opt);
+  lone.forward(lone.adjoint(values));
+  lone.gridder().reset_stats();
+  const auto ref_adj = lone.adjoint(values);
+  const auto ref_fwd = lone.forward(image);
+  const auto one_call = work_counts(lone.gridder().stats());
+
+  NufftPlan<2> shared(n, coords, opt);
+  shared.forward(shared.adjoint(values));
+  shared.gridder().reset_stats();
+  const NufftPlan<2>& plan = shared;
+  std::vector<int> mismatches(kSharedThreads, 0);
+  std::latch start(kSharedThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSharedThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        if (plan.adjoint(values) != ref_adj) ++mismatches[t];
+        if (plan.forward(image) != ref_fwd) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kSharedThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  std::vector<std::uint64_t> expected = one_call;
+  for (auto& v : expected) v *= kSharedThreads * kCallsPerThread;
+  EXPECT_EQ(work_counts(plan.gridder().stats()), expected);
+}
+
+GridderOptions engine(GridderKind kind, bool simd = false) {
+  GridderOptions opt = base_options();
+  opt.kind = kind;
+  opt.simd = simd;
+  return opt;
+}
+
+TEST(SharedPlan, Serial) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Serial));
+}
+
+TEST(SharedPlan, SerialSimd) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Serial, true));
+}
+
+TEST(SharedPlan, OutputDriven) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::OutputDriven));
+}
+
+TEST(SharedPlan, Binning) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Binning));
+}
+
+TEST(SharedPlan, BinningSimd) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Binning, true));
+}
+
+TEST(SharedPlan, SliceDice) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::SliceDice));
+}
+
+TEST(SharedPlan, SliceDiceSimd) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::SliceDice, true));
+}
+
+TEST(SharedPlan, SliceDiceModelFaithful) {
+  GridderOptions opt = engine(GridderKind::SliceDice);
+  opt.model_faithful_checks = true;
+  expect_shared_plan_matches_one_call(opt);
+}
+
+TEST(SharedPlan, Jigsaw) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Jigsaw));
+}
+
+TEST(SharedPlan, Sparse) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::Sparse));
+}
+
+TEST(SharedPlan, FloatSerial) {
+  expect_shared_plan_matches_one_call(engine(GridderKind::FloatSerial));
+}
+
+TEST(SharedPlan, SparseMatrixIsBuiltOnce) {
+  // Concurrent first calls on a fresh sparse plan: one matrix build, whose
+  // per-dimension weight lookups (M * D * W) are the only lookups any call
+  // makes — the sparse adjoint and forward read the matrix.
+  const std::int64_t n = 16;
+  const auto coords = trajectory::radial_2d(16, 32);
+  const auto values = samples_on<2>(coords, 43).values;
+  const NufftPlan<2> plan(n, coords, engine(GridderKind::Sparse));
+  const std::uint64_t builds_before =
+      obs::snapshot().counter("grid.sparse-matrix.matrix_builds");
+  std::latch start(kSharedThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSharedThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      plan.forward(plan.adjoint(values));
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(plan.gridder().stats().lut_lookups, coords.size() * 2u * 6u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::snapshot().counter("grid.sparse-matrix.matrix_builds") -
+                  builds_before,
+              1u);
+  }
+}
+
+TEST(SharedPlan, SparseCgSenseAtEightCoilThreadsBuildsOneMatrix) {
+  const std::int64_t n = 16;
+  const auto coords = trajectory::radial_2d(16, 32);
+  const NufftPlan<2> plan(n, coords, engine(GridderKind::Sparse));
+  const auto maps = make_birdcage_maps(n, 8);
+  const NufftPlan<2> sim(n, coords, base_options());
+  const auto y = simulate_multicoil(sim, maps, random_image(n * n, 44));
+  const std::uint64_t builds_before =
+      obs::snapshot().counter("grid.sparse-matrix.matrix_builds");
+  CgResult cg;
+  cg_sense(plan, maps, y, 4, 1e-12, &cg, 8);
+  EXPECT_GT(cg.iterations, 0);
+  EXPECT_EQ(plan.gridder().stats().lut_lookups, coords.size() * 2u * 6u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::snapshot().counter("grid.sparse-matrix.matrix_builds") -
+                  builds_before,
+              1u);
   }
 }
 

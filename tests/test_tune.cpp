@@ -1,5 +1,5 @@
-// Engine-selection tests: TuneKey hashing (the router's shard key), the
-// constructibility predicate, and the GridderKind::Auto reuse rule
+// Engine-selection tests: TuneKey hashing (the router's shard key,
+// serve/tune_key.hpp), the constructibility predicate, and the GridderKind::Auto reuse rule
 // (core::resolve_auto): its table, the fields it preserves, SIMD handling,
 // thread agreement, fallback at awkward grid sizes, and the factory that
 // applies it.
@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/gridder.hpp"
-#include "tune/key.hpp"
+#include "serve/tune_key.hpp"
 
-namespace jigsaw::tune {
+namespace jigsaw::serve {
 namespace {
 
 TuneKey small_key() {
@@ -73,7 +73,7 @@ TEST(TuneKey, OfCopiesKernelGeometryFromOptions) {
 
 // ------------------------------------------------------- constructibility
 
-TEST(CostModel, ConstructibilityMirrorsEngineRequirements) {
+TEST(Constructible, MirrorsEngineRequirements) {
   using core::GridderKind;
   const std::int64_t n = 24;  // sigma=2 -> G=48, W=4
   EXPECT_TRUE(core::config_constructible(
@@ -163,11 +163,7 @@ TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
   }
 }
 
-// The Autotuner and CostModel suite names are kept from the trial-based
-// selector and closed-form cost model these cases replace; each one now
-// checks the same property of resolve_auto.
-
-TEST(Autotuner, ApplySubstitutesDecisionAndPreservesBase) {
+TEST(AutoRule, SubstitutesTheEngineAndPreservesTheRest) {
   core::GridderOptions base;
   base.kind = core::GridderKind::Auto;
   base.width = 5;
@@ -197,7 +193,7 @@ TEST(Autotuner, ApplySubstitutesDecisionAndPreservesBase) {
   }
 }
 
-TEST(Autotuner, EightConcurrentColdQueriesRunOneTrialSession) {
+TEST(AutoRule, EightThreadsResolveLikeOne) {
   // Eight threads resolving the whole table agree with the serial pass.
   constexpr int kThreads = 8;
   std::vector<std::vector<core::GridderOptions>> seen(kThreads);
@@ -221,7 +217,7 @@ TEST(Autotuner, EightConcurrentColdQueriesRunOneTrialSession) {
   }
 }
 
-TEST(Autotuner, TrialDecisionIsConstructibleAtRealGeometry) {
+TEST(AutoRule, BothResolutionsBuildAtAnAwkwardGridSize) {
   // N=130 oversamples to G=260, which neither 8 nor 16 divides. Both
   // resolutions must build a plan at the real N.
   const core::GridderOptions base = options_of(core::GridderKind::Auto, 6, 8);
@@ -236,7 +232,7 @@ TEST(Autotuner, TrialDecisionIsConstructibleAtRealGeometry) {
   }
 }
 
-TEST(Autotuner, WisdomSimdEntryResolvesToSimdOptions) {
+TEST(AutoRule, OneShotKeepsSimdAndReusedClearsIt) {
   core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
   base.simd = true;
 
@@ -270,13 +266,13 @@ void expect_concrete_engine() {
   EXPECT_NE(gridder->kind(), core::GridderKind::Auto) << "dims=" << D;
 }
 
-TEST(CostModel, PicksAConcreteEngineForEveryDim) {
+TEST(AutoRule, PicksAConcreteEngineForEveryDim) {
   expect_concrete_engine<1>();
   expect_concrete_engine<2>();
   expect_concrete_engine<3>();
 }
 
-TEST(CostModel, DecisionIsConstructibleWhenDefaultTilesAreNot) {
+TEST(AutoRule, FallsBackToAConstructibleTile) {
   // G=260: neither 8 nor 16 divides it. With W=6 no slice-and-dice tile
   // fits, so the rule falls back to serial; with W=4 tile 4 fits.
   for (const int width : {4, 6}) {
@@ -303,4 +299,4 @@ TEST(AutoFactory, MakeGridderResolvesAutoWithoutTuner) {
 }
 
 }  // namespace
-}  // namespace jigsaw::tune
+}  // namespace jigsaw::serve

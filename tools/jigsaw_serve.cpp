@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     server.start();
     for (const auto& ep : server.bound_endpoints()) {
       std::printf("jigsaw_serve: listening on %s (queue %zu, batch %zu, "
-                  "plans %zu, %u lanes)\n",
+                  "plans %zu, %u threads per plan)\n",
                   serve::to_string(ep).c_str(), config.max_queue,
                   config.max_batch, config.max_plans, config.exec_threads);
     }
