@@ -11,6 +11,7 @@
 // removes this whole trade-off).
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -44,7 +45,7 @@ int main() {
   ConsoleTable table({"sigma", "W", "beta", "NRMSD vs NuDFT", "grid[ms]",
                       "fft[ms]", "grid mem[MB]", "jigsaw cycles"});
   for (const auto& p : points) {
-    core::GridderOptions opt;
+    core::GridderOptions opt = bench::slice_dice_options();
     opt.sigma = p.sigma;
     opt.width = p.width;
     opt.tile = 8;

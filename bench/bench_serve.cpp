@@ -10,7 +10,7 @@
 //
 //   bench_serve [--smoke] [--tag ci-serve] [--out BENCH_serve.json]
 //               [--threads 2] [--n 64] [--samples 8192]
-//               [--engine slice-dice|auto] [--workers N]
+//               [--engine serial|slice-dice|auto|...] [--workers N]
 //
 // --engine auto lets each worker resolve the engine by plan reuse
 // (core::resolve_auto); each serve block then reports the CONCRETE engine
@@ -82,12 +82,10 @@ double percentile(std::vector<double>& sorted, double q) {
 
 /// The engine a one-shot adjoint plan of side n runs on: engine=auto
 /// resolves by core::resolve_auto, as the workers' plan pools do.
-std::string resolved_engine(std::int64_t n, core::GridderKind kind) {
+std::string resolved_engine(core::GridderKind kind) {
   core::GridderOptions options;
   options.kind = kind;
-  options.width = 4;
-  return core::to_string(
-      core::resolve_auto(n, options, /*reused=*/false).kind);
+  return core::to_string(core::resolve_auto(options, /*reused=*/false).kind);
 }
 
 ServeResult run_closed_loop(int clients, int requests_per_client,
@@ -158,7 +156,7 @@ ServeResult run_closed_loop(int clients, int requests_per_client,
   result.batches = counts.batches;
   result.batched_jobs = counts.batched_jobs;
   result.tuned = counts.tuned_plans > 0;
-  result.engine = resolved_engine(n, engine_kind);
+  result.engine = resolved_engine(engine_kind);
   return result;
 }
 
@@ -250,7 +248,7 @@ ServeResult run_routed_loop(int workers, int clients, int requests_per_client,
   result.rps = static_cast<double>(all.size()) / elapsed;
   result.p50_ms = percentile(all, 0.50);
   result.p99_ms = percentile(all, 0.99);
-  result.engine = resolved_engine(n, engine_kind);
+  result.engine = resolved_engine(engine_kind);
   for (int w = 0; w < workers; ++w) {
     const serve::EngineCounts c = fleet[static_cast<std::size_t>(w)]
                                       ->engine()
@@ -371,7 +369,8 @@ int main(int argc, char** argv) {
     const std::int64_t n = args.get_int("n", smoke ? 48 : 64);
     const std::int64_t m = args.get_int("samples", smoke ? 4000 : 8192);
     const core::GridderKind engine_kind =
-        core::parse_gridder_kind(args.get("engine", "slice-dice"));
+        core::parse_gridder_kind(
+            args.get("engine", core::to_string(core::GridderOptions{}.kind)));
     const int requests_per_client = smoke ? 20 : 100;
     const std::vector<int> client_counts =
         smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};

@@ -268,11 +268,9 @@ int main(int argc, char** argv) {
     const auto n =
         static_cast<std::uint32_t>(args.get_int("n", smoke ? 48 : 96));
     const auto iters = static_cast<std::uint32_t>(args.get_int("iters", 60));
-    const core::GridderSpec spec =
-        core::parse_gridder_spec(args.get("engine", "slice-dice"));
     const std::uint32_t engine =
-        static_cast<std::uint32_t>(spec.kind) |
-        (spec.simd ? serve::kEngineSimdFlag : 0u);
+        serve::engine_code(core::parse_gridder_spec(
+            args.get("engine", core::to_string(core::GridderSpec{}))));
 
     stream::FrameWindow window;
     window.spokes_per_frame = static_cast<int>(args.get_int("spokes", 13));

@@ -102,7 +102,6 @@ const EngineSpec kEngines[] = {
     {"binning", core::GridderKind::Binning, false},
     {"binning-simd", core::GridderKind::Binning, false, true},
     {"slice-dice", core::GridderKind::SliceDice, false},
-    {"slice-dice-simd", core::GridderKind::SliceDice, false, true},
     {"slice-dice-model", core::GridderKind::SliceDice, true},
     {"sparse", core::GridderKind::Sparse, false},
     {"float", core::GridderKind::FloatSerial, false},
@@ -202,11 +201,11 @@ void bench_auto(std::int64_t n, std::int64_t m, int width,
   opt.kind = core::GridderKind::Auto;
   opt.width = width;
   opt.tile = 8;
-  const auto resolved = core::resolve_auto(n, opt, /*reused=*/false);
+  const auto resolved = core::resolve_auto(opt, /*reused=*/false);
   const std::string resolved_name =
       bench_engine_name(resolved.kind, resolved.simd);
-  std::printf("auto: n%lld -> %s (tile %d)\n", static_cast<long long>(n),
-              resolved_name.c_str(), resolved.tile);
+  std::printf("auto: n%lld -> %s\n", static_cast<long long>(n),
+              resolved_name.c_str());
 
   auto g = core::make_gridder<2>(n, resolved);
   const auto in = random_samples<2>(m, 42 + static_cast<std::uint64_t>(n));
@@ -244,13 +243,15 @@ void bench_auto(std::int64_t n, std::int64_t m, int width,
   }
 }
 
-/// NuFFT adjoint + forward with the per-phase breakdown.
+/// NuFFT adjoint + forward with the per-phase breakdown, on the default
+/// engine (entries carry its name).
 template <int D>
 void bench_nufft(std::int64_t n, std::int64_t m, int width,
                  std::vector<Entry>& out) {
   core::GridderOptions opt;
   opt.width = width;
   opt.tile = 8;
+  const std::string engine = bench_engine_name(opt.kind, opt.simd);
   const auto in = random_samples<D>(m, 7);
 
   core::NufftTimings t;
@@ -258,7 +259,7 @@ void bench_nufft(std::int64_t n, std::int64_t m, int width,
   std::unique_ptr<core::NufftPlan<D>> plan;
   {
     Entry e;
-    e.name = "nufft" + std::to_string(D) + "d/adjoint/slice-dice" +
+    e.name = "nufft" + std::to_string(D) + "d/adjoint/" + engine +
              size_suffix(n, m);
     e.dim = D;
     e.n = n;
@@ -280,7 +281,7 @@ void bench_nufft(std::int64_t n, std::int64_t m, int width,
   {
     std::vector<c64> samples;
     Entry e;
-    e.name = "nufft" + std::to_string(D) + "d/forward/slice-dice" +
+    e.name = "nufft" + std::to_string(D) + "d/forward/" + engine +
              size_suffix(n, m);
     e.dim = D;
     e.n = n;
@@ -419,7 +420,8 @@ DatasetSummary bench_dataset(bool smoke, std::vector<Entry>& out) {
   data::ReconDatasetResult result;
   const auto run = [&] { result = data::recon_dataset(path, opt); };
   Entry e;
-  e.name = "dataset2d/recon/slice-dice" +
+  e.name = "dataset2d/recon/" +
+           bench_engine_name(opt.gridding.kind, opt.gridding.simd) +
            size_suffix(gen.n, static_cast<std::int64_t>(gen.chunks) *
                                   gen.samples_per_chunk);
   e.dim = 2;
@@ -612,7 +614,7 @@ int main(int argc, char** argv) {
   bench_auto(smoke ? 64 : 128, smoke ? 32768 : 131072, /*width=*/6, entries);
   std::printf("done: auto\n");
 
-  // NuFFT with phase breakdown (slice-dice engine).
+  // NuFFT with phase breakdown (default engine).
   bench_nufft<2>(smoke ? 64 : 128, smoke ? 32768 : 131072, 6, entries);
   bench_nufft<3>(smoke ? 8 : 16, smoke ? 8192 : 32768, 4, entries);
   std::printf("done: nufft\n");

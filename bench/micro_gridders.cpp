@@ -75,6 +75,7 @@ BENCHMARK(BM_Gridding_Float);
 static void BM_ForwardInterp_SliceDice(benchmark::State& state) {
   const std::int64_t n = 128;
   core::GridderOptions opt;
+  opt.kind = core::GridderKind::SliceDice;
   opt.width = 6;
   opt.tile = 8;
   auto g = core::make_gridder<2>(n, opt);

@@ -26,7 +26,7 @@ int main() {
               coords.size(), static_cast<long long>(n),
               static_cast<long long>(n));
 
-  core::GridderOptions opt;  // slice-and-dice defaults
+  core::GridderOptions opt;  // default engine (serial)
   core::NufftPlan<2> plan(n, coords, opt);
 
   // Ground truth and its per-coil acquisition.

@@ -46,7 +46,7 @@ int main() {
   const auto truth =
       trajectory::rasterize(trajectory::shepp_logan(), static_cast<int>(n));
 
-  core::GridderOptions opt;  // slice-and-dice defaults
+  core::GridderOptions opt;  // default engine (serial)
   core::NufftPlan<2> plan(n, coords, opt);
 
   std::printf("iterative reconstruction, %zu samples (undersampled radial), "

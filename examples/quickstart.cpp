@@ -31,8 +31,9 @@ int main() {
   const auto dcf = trajectory::radial_density_weights(coords);
   for (std::size_t i = 0; i < kspace.size(); ++i) kspace[i] *= dcf[i];
 
-  // 4. Adjoint NuFFT with the Slice-and-Dice gridder (the default).
+  // 4. Adjoint NuFFT with the paper's Slice-and-Dice gridder.
   core::GridderOptions options;  // sigma=2, W=6 Kaiser-Bessel, L=32, T=8
+  options.kind = core::GridderKind::SliceDice;
   core::NufftPlan<2> plan(n, coords, options);
   core::NufftTimings timings;
   const auto image = plan.adjoint(kspace, &timings);

@@ -59,7 +59,7 @@ int main() {
     auto kdata = trajectory::kspace_samples(trajectory::shepp_logan(), coords,
                                             static_cast<int>(n));
 
-    core::GridderOptions opt;  // slice-and-dice defaults
+    core::GridderOptions opt;  // default engine (serial)
     core::NufftPlan<2> plan(n, coords, opt);
 
     // Iterative density compensation works for every pattern.

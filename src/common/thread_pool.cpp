@@ -34,11 +34,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::worker_loop(unsigned /*id*/) {
   for (;;) {
     Task task;

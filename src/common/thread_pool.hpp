@@ -39,9 +39,6 @@ class ThreadPool {
                     const std::function<void(std::int64_t, std::int64_t,
                                              unsigned)>& fn);
 
-  /// Shared default pool (hardware_concurrency threads).
-  static ThreadPool& global();
-
  private:
   struct Task {
     const std::function<void(std::int64_t, std::int64_t, unsigned)>* fn = nullptr;

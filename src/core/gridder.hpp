@@ -7,7 +7,8 @@
 // NuFFT. Five engines are provided, mirroring the implementations the paper
 // evaluates:
 //
-//   Serial       — input-driven serial double precision (MIRT-like baseline)
+//   Serial       — input-driven serial double precision (MIRT-like baseline;
+//                  the default engine)
 //   OutputDriven — naive output-parallel: every sample checked against every
 //                  grid point (the strawman of Sec. II-C)
 //   Binning      — geometric tiling with pre-sorted bins and per-tile-point
@@ -66,16 +67,18 @@ std::string gridder_kind_names();
 GridderKind parse_gridder_kind(const std::string& s);
 
 /// Engine spec: a GridderKind plus the SIMD-variant flag. The "-simd"
-/// suffixed names ("serial-simd", "slice-dice-simd", "binning-simd", plus
-/// the usual aliases) select the runtime-dispatched vectorized variant of
-/// the corresponding scalar engine (see kernels/simd/simd.hpp).
+/// suffixed names ("serial-simd", "binning-simd") select the
+/// runtime-dispatched vectorized variant of the corresponding scalar engine
+/// (see kernels/simd/simd.hpp). Its default is the library's one default
+/// engine, which GridderOptions and every CLI, client and wire default
+/// read from here: serial, the fastest one-shot engine on a CPU.
 struct GridderSpec {
-  GridderKind kind = GridderKind::SliceDice;
+  GridderKind kind = GridderKind::Serial;
   bool simd = false;
 };
 
-/// True when `kind` honors GridderOptions::simd (Serial, SliceDice,
-/// Binning — the engines with vectorized inner loops).
+/// True when `kind` honors GridderOptions::simd (Serial and Binning — the
+/// engines with vectorized inner loops).
 bool gridder_kind_has_simd(GridderKind kind);
 
 /// Comma-separated list of every name parse_gridder_spec() accepts:
@@ -91,7 +94,7 @@ GridderSpec parse_gridder_spec(const std::string& s);
 std::string to_string(const GridderSpec& spec);
 
 struct GridderOptions {
-  GridderKind kind = GridderKind::SliceDice;
+  GridderKind kind = GridderSpec{}.kind;
   double sigma = 2.0;  // grid oversampling factor
   int width = 6;       // interpolation kernel width W
   int table_oversampling = 32;  // LUT factor L (power of two)
@@ -100,12 +103,14 @@ struct GridderOptions {
                        // bin tile dimension (Binning)
   unsigned threads = 1;
   bool simd = false;   // use the runtime-dispatched SIMD micro-kernels for
-                       // the inner interpolate/accumulate loops (Serial,
-                       // SliceDice, Binning). Falls back to the scalar path
-                       // under exact_weights (no LUT to gather from) or an
-                       // attached memory tracer; results match the scalar
-                       // engine to rel-L2 <= 1e-9 (weights are bit-identical,
-                       // accumulation order/FMA contraction differ)
+                       // the inner interpolate/accumulate loops (Serial and
+                       // Binning). 1D/2D windows and binning's 3D adjoint
+                       // vectorize; other 3D windows run scalar. Falls back
+                       // to the scalar path under exact_weights (no LUT to
+                       // gather from) or an attached memory tracer; results
+                       // match the scalar engine to rel-L2 <= 1e-9 (weights
+                       // are bit-identical, accumulation order/FMA
+                       // contraction differ)
   bool exact_weights = false;  // evaluate the kernel on-line instead of LUT
                                // (Impatient computes weights during
                                // processing; Binning defaults to this)
@@ -287,23 +292,13 @@ class Gridder {
   mutable robustness::SanitizeReport sanitize_report_;
 };
 
-/// True when make_gridder(n, options) can construct the engine
-/// options.kind with options.tile on the oversampled grid
-/// G = round(sigma * N): mirrors the constructor JIGSAW_REQUIREs (G >= W
-/// for every engine; T >= W and T | G for slice-and-dice; B | G, G > W and
-/// no window wrapping onto one bin twice for binning; G > W for
-/// output-driven).
-bool config_constructible(std::int64_t n, const GridderOptions& options);
-
 /// Resolve GridderKind::Auto by plan reuse; other kinds pass through.
 ///   reused   -> Sparse with simd cleared (sparse has no SIMD twin): the
 ///               matrix build pays for itself within a few applications.
-///   one-shot -> SliceDice, keeping the caller's simd and tile when the
-///               tile is constructible, else the first of {4, 8, 16, 32}
-///               that is; Serial when none is.
+///   one-shot -> Serial, keeping the caller's simd: the direct input-driven
+///               interpolator, the fastest engine that precomputes nothing.
 /// Pure: the same arguments give the same options in every process.
-GridderOptions resolve_auto(std::int64_t n, GridderOptions options,
-                            bool reused);
+GridderOptions resolve_auto(GridderOptions options, bool reused);
 
 /// Factory: build a gridder for base grid size N (per dimension).
 template <int D>

@@ -75,12 +75,11 @@ GridderKind parse_gridder_kind(const std::string& s) {
 }
 
 bool gridder_kind_has_simd(GridderKind kind) {
-  return kind == GridderKind::Serial || kind == GridderKind::SliceDice ||
-         kind == GridderKind::Binning;
+  return kind == GridderKind::Serial || kind == GridderKind::Binning;
 }
 
 std::string gridder_spec_names() {
-  return gridder_kind_names() + ", serial-simd, slice-dice-simd, binning-simd";
+  return gridder_kind_names() + ", serial-simd, binning-simd";
 }
 
 GridderSpec parse_gridder_spec(const std::string& s) {
@@ -234,13 +233,13 @@ void Gridder<D>::do_forward(const Grid<D>& in, SampleSlots<D> out,
   const int w = options_.width;
   const std::int64_t g = g_;
   const auto m = static_cast<std::int64_t>(out.size());
-  // SIMD fast path: vector LUT-weight gather, and when the innermost-dim
-  // window does not wrap the torus its W grid points are contiguous memory —
-  // a vector complex dot. Wrapping samples keep the scalar gather. Weight
-  // values are bit-identical either way (same LUT index rounding); only the
-  // accumulation order differs. exact_weights has no LUT, so it stays on the
-  // scalar path.
-  const bool use_simd = options_.simd && !options_.exact_weights;
+  // SIMD fast path (1D/2D): vector LUT-weight gather, and when the
+  // innermost-dim window does not wrap the torus its W grid points are
+  // contiguous memory — a vector complex dot. Wrapping samples keep the
+  // scalar gather. Weight values are bit-identical either way (same LUT
+  // index rounding); only the accumulation order differs. 3D windows
+  // measured faster scalar, and exact_weights has no LUT: both stay scalar.
+  const bool use_simd = D <= 2 && options_.simd && !options_.exact_weights;
   Timer timer;
 
   auto work = [&](std::int64_t begin, std::int64_t end, unsigned) {
@@ -254,8 +253,8 @@ void Gridder<D>::do_forward(const Grid<D>& in, SampleSlots<D> out,
       if (K != nullptr) {
         // Fused whole-window kernel: weights + W^d weighted sum in one
         // call, vectorized at the dispatched ISA's native width.
-        double u[3];
-        std::int64_t g0[3];
+        double u[D];
+        std::int64_t g0[D];
         for (int d = 0; d < D; ++d) {
           u[d] = grid_coord(out.coords[static_cast<std::size_t>(j)]
                                       [static_cast<std::size_t>(d)],

@@ -1,5 +1,3 @@
-#include <cmath>
-
 #include "core/binning_gridder.hpp"
 #include "core/gridder.hpp"
 #include "core/jigsaw_gridder.hpp"
@@ -11,42 +9,14 @@
 
 namespace jigsaw::core {
 
-bool config_constructible(std::int64_t n, const GridderOptions& options) {
-  const std::int64_t g =
-      std::llround(options.sigma * static_cast<double>(n));
-  const int w = options.width;
-  const int tile = options.tile;
-  if (g < w) return false;  // gridder_base precondition
-  switch (options.kind) {
-    case GridderKind::SliceDice:
-      return tile >= w && tile >= 1 && g % tile == 0;
-    case GridderKind::Binning:
-      if (tile < 1 || g % tile != 0 || g <= w) return false;
-      return g / tile >= (w - 1) / tile + 2;
-    case GridderKind::OutputDriven:
-      return g > w;
-    default:
-      return true;  // tile-free engines: base precondition only
-  }
-}
-
-GridderOptions resolve_auto(std::int64_t n, GridderOptions options,
-                            bool reused) {
+GridderOptions resolve_auto(GridderOptions options, bool reused) {
   if (options.kind != GridderKind::Auto) return options;
   if (reused) {
     options.kind = GridderKind::Sparse;
     options.simd = false;
-    return options;
+  } else {
+    options.kind = GridderKind::Serial;
   }
-  options.kind = GridderKind::SliceDice;
-  if (config_constructible(n, options)) return options;
-  const int caller_tile = options.tile;
-  for (const int tile : {4, 8, 16, 32}) {
-    options.tile = tile;
-    if (config_constructible(n, options)) return options;
-  }
-  options.kind = GridderKind::Serial;
-  options.tile = caller_tile;
   return options;
 }
 
@@ -54,12 +24,12 @@ template <int D>
 std::unique_ptr<Gridder<D>> make_gridder(std::int64_t n,
                                          const GridderOptions& options) {
   if (options.kind == GridderKind::Auto) {
-    return make_gridder<D>(n, resolve_auto(n, options, /*reused=*/false));
+    return make_gridder<D>(n, resolve_auto(options, /*reused=*/false));
   }
   if (options.simd && !gridder_kind_has_simd(options.kind)) {
     throw std::invalid_argument("engine '" + to_string(options.kind) +
                                 "' has no SIMD variant (valid: serial-simd, "
-                                "slice-dice-simd, binning-simd)");
+                                "binning-simd)");
   }
   switch (options.kind) {
     case GridderKind::Serial:

@@ -28,13 +28,14 @@ class SerialGridder final : public Gridder<D> {
     const int w = this->options_.width;
     const std::int64_t g = this->g_;
     out.clear();
-    // SIMD fast path: vector LUT-weight gather, and a vector complex axpy
-    // onto the innermost-dim window row whenever it does not wrap the torus
-    // (then its W grid points are contiguous). Wrapping samples scatter
-    // through the scalar index path with the same (bit-identical) weights.
+    // SIMD fast path (1D/2D): vector LUT-weight gather, and a vector
+    // complex axpy onto the innermost-dim window row whenever it does not
+    // wrap the torus (then its W grid points are contiguous). Wrapping
+    // samples scatter through the scalar index path with the same
+    // (bit-identical) weights. 3D windows measured faster scalar;
     // exact_weights has no LUT to gather; a memory tracer needs the
-    // per-point scalar writes — both stay scalar.
-    const bool use_simd = this->options_.simd &&
+    // per-point scalar writes — all three stay scalar.
+    const bool use_simd = D <= 2 && this->options_.simd &&
                           !this->options_.exact_weights &&
                           this->tracer_ == nullptr;
     const kernels::simd::KernelTable* K =
@@ -52,8 +53,8 @@ class SerialGridder final : public Gridder<D> {
       if (K != nullptr) {
         // Fused whole-window kernel: weights + W^d accumulate in one call,
         // vectorized at the dispatched ISA's native width.
-        double u[3];
-        std::int64_t g0[3];
+        double u[D];
+        std::int64_t g0[D];
         for (int d = 0; d < D; ++d) {
           u[d] = grid_coord(in.coords[static_cast<std::size_t>(j)]
                                      [static_cast<std::size_t>(d)],

@@ -32,7 +32,6 @@
 #include "core/gridder.hpp"
 #include "core/window.hpp"
 #include "fft/plan_cache.hpp"
-#include "kernels/simd/simd.hpp"
 
 namespace jigsaw::core {
 
@@ -87,23 +86,14 @@ class SliceDiceGridder final : public Gridder<D> {
   /// Per-dimension select logic for one sample: fills `sel[k]` for the W
   /// affected columns. The weight of column k is the LUT (or kernel) value
   /// at the integer grid point gint = floor(us) - k, dist = gint - u in
-  /// (-W/2, W/2]. With a SIMD kernel table `K`, the same W distances are
-  /// gathered ascending with the vector LUT path (bit-identical indices)
-  /// into `wbuf` (micro-kernel weight capacity, see
-  /// kernels/simd/kernel_table.hpp) and handed out reversed.
-  void select_dim(double tau, DimSelect* sel,
-                  const kernels::simd::KernelTable* K = nullptr,
-                  const kernels::simd::LutView& lv = {},
-                  double* wbuf = nullptr) const {
+  /// (-W/2, W/2].
+  void select_dim(double tau, DimSelect* sel) const {
     const int w = this->options_.width;
     const std::int64_t t = this->options_.tile;
     const double u = grid_coord(tau, this->g_);
     const double us = u + static_cast<double>(w) * 0.5;  // shifted coordinate
     const Decomposed dec = decompose(us, static_cast<int>(t));
     const auto fl = static_cast<std::int64_t>(dec.relative);  // floor(rel)
-    if (K != nullptr) {
-      K->lut_weights(lv, u, dec.tile * t + fl - (w - 1), w, wbuf);
-    }
     for (int k = 0; k < w; ++k) {
       std::int64_t c = fl - k;
       std::int64_t q = dec.tile;
@@ -114,9 +104,7 @@ class SliceDiceGridder final : public Gridder<D> {
       const std::int64_t gint = dec.tile * t + fl - k;
       sel[k].column = c;
       sel[k].tile = pos_mod(q, ntiles_);
-      sel[k].weight = K != nullptr
-                          ? wbuf[w - 1 - k]
-                          : this->weight_1d(static_cast<double>(gint) - u);
+      sel[k].weight = this->weight_1d(static_cast<double>(gint) - u);
     }
   }
 
@@ -142,26 +130,15 @@ class SliceDiceGridder final : public Gridder<D> {
     const std::int64_t tile_count = pow_dim<D>(ntiles_);
     const auto m = static_cast<std::int64_t>(in.size());
     const bool parallel = this->options_.threads > 1;
-    // SIMD variant: only the per-dimension weight gather vectorizes — the
-    // dice accumulation is strided (and atomic under threads > 1), so it
-    // stays scalar and the thread-invariance contract is untouched.
-    const bool use_simd =
-        this->options_.simd && !this->options_.exact_weights;
-    const kernels::simd::KernelTable* K =
-        use_simd ? &kernels::simd::table() : nullptr;
-    const kernels::simd::LutView lv =
-        use_simd ? kernels::simd::lut_view(*this->lut_)
-                 : kernels::simd::LutView{};
 
     auto work = [&](std::int64_t begin, std::int64_t end, unsigned) {
       DimSelect sel[3][64];
-      double wbuf[64 + kernels::simd::kWeightLanes];
       for (std::int64_t j = begin; j < end; ++j) {
         const c64 f = in.values[static_cast<std::size_t>(j)];
         for (int d = 0; d < D; ++d) {
           select_dim(in.coords[static_cast<std::size_t>(j)]
                               [static_cast<std::size_t>(d)],
-                     sel[d], K, lv, wbuf);
+                     sel[d]);
         }
         if constexpr (D == 1) {
           for (int kx = 0; kx < w; ++kx) {

@@ -1,5 +1,5 @@
 // SIMD gridding micro-kernels: the per-ISA primitive set behind the
-// vectorized engine variants (serial-simd, slice-dice-simd, binning-simd).
+// vectorized engine variants (serial-simd, binning-simd).
 //
 // The engines stay in charge of window arithmetic, tiling, and counters;
 // the micro-kernels only do the flat inner work: gathering Kaiser-Bessel
@@ -77,10 +77,11 @@ struct KernelTable {
   c64 (*dot)(const c64* in, const double* wt, int w);
 
   /// Fused adjoint window: scatter f times the separable W^dims weight
-  /// stencil for the sample at grid coordinate u (dims components, slowest
-  /// dimension first, window starts g0) into the G^dims grid `out`. Handles
-  /// torus wrap-around internally (wrapped rows fall back to scalar indexed
-  /// stores with the same gathered weights). One call per sample.
+  /// stencil for the sample at grid coordinate u (dims components, dims 1
+  /// or 2, slowest dimension first, window starts g0) into the G^dims grid
+  /// `out`. Handles torus wrap-around internally (wrapped rows fall back to
+  /// scalar indexed stores with the same gathered weights). One call per
+  /// sample.
   void (*scatter)(const LutView& lut, int dims, const double* u,
                   const std::int64_t* g0, std::int64_t g, int w, c64 f,
                   c64* out);

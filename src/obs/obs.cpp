@@ -104,9 +104,9 @@ class Registry {
     gauges_.clear();
   }
 
-  /// Leaked singleton: worker threads retiring their shards at process
-  /// teardown (the global ThreadPool joins during static destruction) must
-  /// still find a live registry.
+  /// Leaked singleton: a thread that retires its shard at process teardown
+  /// (any worker joined or exiting during static destruction) must still
+  /// find a live registry.
   static Registry& instance() {
     static Registry* r = new Registry();
     return *r;

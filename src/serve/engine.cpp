@@ -770,8 +770,8 @@ std::shared_ptr<const core::BatchedNufft<2>> ServeEngine::plan_for(
   options.threads = 1;
   if (options.kind == core::GridderKind::Auto) {
     // CG and CG-SENSE apply the plan many times, an adjoint once.
-    options = core::resolve_auto(p.job.n, options,
-                                 p.job.iters > 0 || p.job.coils > 1);
+    options =
+        core::resolve_auto(options, p.job.iters > 0 || p.job.coils > 1);
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++counts_.tuned_plans;

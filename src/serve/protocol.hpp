@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/gridder.hpp"
 
 namespace jigsaw::serve {
 
@@ -97,9 +98,15 @@ class FrameTooLarge : public ProtocolError {
 /// unchanged (pre-SIMD servers reject flagged codes as unknown engines).
 inline constexpr std::uint32_t kEngineSimdFlag = 0x80000000u;
 
+/// Wire code of an engine spec (decode_engine in serve/engine.hpp reads it
+/// back). engine_code({}) is core's default engine, every body's default.
+constexpr std::uint32_t engine_code(const core::GridderSpec& spec) {
+  return static_cast<std::uint32_t>(spec.kind) |
+         (spec.simd ? kEngineSimdFlag : 0u);
+}
+
 struct ReconRequestWire {
-  std::uint32_t engine = 3;   // core::GridderKind (3 = slice-dice),
-                              // optionally OR-ed with kEngineSimdFlag
+  std::uint32_t engine = engine_code({});
   std::uint32_t n = 128;      // base grid side
   std::uint32_t iters = 0;    // 0 = adjoint-only, >0 = CG iterations; with
                               // coils > 1 (where adjoint-only is undefined)
@@ -150,7 +157,7 @@ ReconReplyWire decode_recon_reply(const std::uint8_t* data, std::size_t len);
 /// follows kRecon semantics (0 = adjoint + RSS). Chunk-level corruption is
 /// NOT an error — the reply is kOk as long as one chunk survived.
 struct DatasetRequestWire {
-  std::uint32_t engine = 3;  // core::GridderKind (| kEngineSimdFlag)
+  std::uint32_t engine = engine_code({});
   std::uint32_t iters = 0;
   std::uint32_t dcf = 2;     // data::DcfMode, pipe-menon by default
   std::uint64_t deadline_ms = 0;
@@ -182,7 +189,7 @@ DatasetRequestWire decode_dataset_request(const std::uint8_t* data,
 /// not need session state). frame_deadline_ms is the per-frame default
 /// (0 = unbounded); push-frame may override per frame.
 struct OpenSessionWire {
-  std::uint32_t engine = 3;  // core::GridderKind (| kEngineSimdFlag)
+  std::uint32_t engine = engine_code({});
   std::uint32_t n = 128;
   std::uint32_t iters = 10;
   std::uint32_t coils = 1;

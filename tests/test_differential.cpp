@@ -88,8 +88,6 @@ const EngineCase kEngines[] = {
     // (forced-ISA sweeps live in test_simd_kernels).
     {GridderKind::Serial, false, Contract::DoubleTight, true},
     {GridderKind::Binning, false, Contract::DoubleTight, true},
-    {GridderKind::SliceDice, false, Contract::DoubleTight, true},
-    {GridderKind::SliceDice, true, Contract::DoubleTight, true},
 };
 
 std::string engine_label(const EngineCase& e) {

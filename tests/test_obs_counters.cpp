@@ -289,6 +289,7 @@ TEST_F(ObsCounters, PlanCacheMissesEqualDistinctShapesUnderHammering) {
 TEST_F(ObsCounters, NufftPhasesCountPlansAndTransforms) {
   const auto in = random_samples<2>(500, 18);
   GridderOptions opt;
+  opt.kind = GridderKind::SliceDice;
   opt.width = 4;
   opt.tile = 8;
   core::NufftPlan<2> plan(16, in.coords, opt);

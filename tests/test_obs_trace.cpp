@@ -322,6 +322,7 @@ TEST_F(ObsTrace, OverlongNamesAreTruncatedNotCorrupted) {
 TEST_F(ObsTrace, GridderOperationsAppearAsSpans) {
   obs::trace_start();
   core::GridderOptions opt;
+  opt.kind = core::GridderKind::SliceDice;
   opt.width = 4;
   opt.tile = 8;
   auto g = core::make_gridder<2>(16, opt);

@@ -522,8 +522,8 @@ TEST(ServeSession, AutoEngineBurstTunesOncePlansOnce) {
   EXPECT_EQ(c.plan_builds, 1u);
   EXPECT_EQ(c.tuned_plans, 1u);
 
-  // A one-shot adjoint resolves to slice-and-dice: numerically identical
-  // to a direct recon with the default engine.
+  // A one-shot adjoint resolves to serial: numerically identical to a
+  // direct recon with the default engine.
   ReconJob direct = make_job(n, coords);
   core::NufftPlan<2> plan(n, coords, direct.options);
   const auto expected = plan.adjoint(direct.samples.values);
@@ -573,7 +573,7 @@ TEST(ServeSession, AutoEngineIterativeRequestMatchesDirectSparse) {
 }
 
 TEST(ServeSession, AutoPlanPoolKeysOnReuseClass) {
-  // A one-shot auto adjoint pools a slice-and-dice plan; a CG auto request
+  // A one-shot auto adjoint pools a serial plan; a CG auto request
   // of the same geometry must not ride it but build its own sparse plan.
   const std::int64_t n = 32;
   const auto coords = traj();
@@ -603,7 +603,7 @@ TEST(ServeSession, AutoPlanPoolKeysOnReuseClass) {
   EXPECT_EQ(session.counts().plan_builds, 3u);
 }
 
-TEST(ServeSession, AutoOneShotAfterCgStaysOnSliceAndDice) {
+TEST(ServeSession, AutoOneShotAfterCgStaysOnSerial) {
   const std::int64_t n = 32;
   const auto coords = traj();
   ServeSession session;
@@ -612,16 +612,16 @@ TEST(ServeSession, AutoOneShotAfterCgStaysOnSliceAndDice) {
   cg.iters = 4;
   ASSERT_EQ(session.recon(std::move(cg)).status, Status::kOk);
 
-  const char* const kSliceDiceCalls = "grid.slice-and-dice.adjoint_calls";
+  const char* const kSerialCalls = "grid.serial.adjoint_calls";
   const char* const kSparseCalls = "grid.sparse-matrix.adjoint_calls";
-  const std::uint64_t slice_before = obs::snapshot().counter(kSliceDiceCalls);
+  const std::uint64_t serial_before = obs::snapshot().counter(kSerialCalls);
   const std::uint64_t sparse_before = obs::snapshot().counter(kSparseCalls);
   ReconJob one_shot = make_job(n, coords);
   one_shot.options.kind = core::GridderKind::Auto;
   ASSERT_EQ(session.recon(std::move(one_shot)).status, Status::kOk);
   EXPECT_EQ(session.counts().plan_builds, 2u);
   if (obs::kEnabled) {
-    EXPECT_EQ(obs::snapshot().counter(kSliceDiceCalls) - slice_before, 1u);
+    EXPECT_EQ(obs::snapshot().counter(kSerialCalls) - serial_before, 1u);
     EXPECT_EQ(obs::snapshot().counter(kSparseCalls), sparse_before);
   }
 }
@@ -926,9 +926,10 @@ TEST(ServeProtocol, BadMagicIsReportedInHex) {
 }
 
 // The engine field decodes the same way on every request type: an unknown
-// code and the SIMD flag on sparse (which has no SIMD variant) are refused
-// with one reason. Recon and dataset requests report it as a protocol
-// error; open-session answers it bare.
+// code and the SIMD flag on sparse or slice-and-dice (neither has a SIMD
+// variant) are refused with one reason. Recon and dataset requests report
+// it as a protocol error; open-session answers it bare. The worker keeps
+// serving afterwards.
 TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
   ServeConfig config;
   config.socket_path = unique_socket_path("engine_field");
@@ -941,6 +942,9 @@ TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
         {static_cast<std::uint32_t>(core::GridderKind::Sparse) |
              kEngineSimdFlag,
          "engine 'sparse-matrix' has no SIMD variant"},
+        {static_cast<std::uint32_t>(core::GridderKind::SliceDice) |
+             kEngineSimdFlag,
+         "engine 'slice-and-dice' has no SIMD variant"},
     };
     for (const auto& [engine, reason] : cases) {
       SCOPED_TRACE(reason);
@@ -970,6 +974,14 @@ TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
       EXPECT_EQ(dataset_reply.status, Status::kError);
       EXPECT_EQ(dataset_reply.message, "protocol: " + reason);
     }
+    ReconRequestWire valid;
+    valid.n = 32;
+    valid.kernel_width = 4;
+    valid.coords = traj(64);
+    valid.values = phantom_data(valid.coords, 32);
+    const ReconReplyWire served = client.recon(valid);
+    EXPECT_EQ(served.status, Status::kOk) << served.message;
+    EXPECT_EQ(served.image.size(), 32u * 32u);
   }
   server.stop();
 }

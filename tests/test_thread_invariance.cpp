@@ -133,27 +133,6 @@ TEST(ThreadInvariance, SerialSimdGridderIgnoresThreadKnob) {
   }
 }
 
-TEST(ThreadInvariance, SliceDiceSimdGridderWithinAtomicReorderTolerance) {
-  // The SIMD variant only vectorizes the select stage (weight gather);
-  // accumulation still goes through the same atomics, so the contract is
-  // unchanged: NRMSD <= 1e-12 across thread counts.
-  const auto in = samples_on<2>(trajectory::radial_2d(32, 64), 6);
-  GridderOptions opt = base_options();
-  opt.simd = true;
-  SliceDiceGridder<2> ref(16, opt);
-  Grid<2> gref(ref.grid_size());
-  ref.adjoint(in, gref);
-  const std::vector<c64> a(gref.data(), gref.data() + gref.total());
-  for (unsigned t : kThreadCounts) {
-    opt.threads = t;
-    SliceDiceGridder<2> g(16, opt);
-    Grid<2> out(g.grid_size());
-    g.adjoint(in, out);
-    const std::vector<c64> b(out.data(), out.data() + out.total());
-    EXPECT_LE(nrmsd(b, a), 1e-12) << "threads=" << t;
-  }
-}
-
 TEST(ThreadInvariance, SliceDiceGridderWithinAtomicReorderTolerance) {
   const auto in = samples_on<2>(trajectory::radial_2d(32, 64), 6);
   GridderOptions opt = base_options();
@@ -376,10 +355,6 @@ TEST(SharedPlan, BinningSimd) {
 
 TEST(SharedPlan, SliceDice) {
   expect_shared_plan_matches_one_call(engine(GridderKind::SliceDice));
-}
-
-TEST(SharedPlan, SliceDiceSimd) {
-  expect_shared_plan_matches_one_call(engine(GridderKind::SliceDice, true));
 }
 
 TEST(SharedPlan, SliceDiceModelFaithful) {

@@ -1,8 +1,7 @@
 // Engine-selection tests: TuneKey hashing (the router's shard key,
-// serve/tune_key.hpp), the constructibility predicate, and the GridderKind::Auto reuse rule
+// serve/tune_key.hpp) and the GridderKind::Auto reuse rule
 // (core::resolve_auto): its table, the fields it preserves, SIMD handling,
-// thread agreement, fallback at awkward grid sizes, and the factory that
-// applies it.
+// thread agreement, awkward grid sizes, and the factory that applies it.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -71,28 +70,6 @@ TEST(TuneKey, OfCopiesKernelGeometryFromOptions) {
   EXPECT_EQ(key.label(), "3d/n48/m9000/w5/s1.5/c2/t4");
 }
 
-// ------------------------------------------------------- constructibility
-
-TEST(Constructible, MirrorsEngineRequirements) {
-  using core::GridderKind;
-  const std::int64_t n = 24;  // sigma=2 -> G=48, W=4
-  EXPECT_TRUE(core::config_constructible(
-      n, options_of(GridderKind::SliceDice, 4, 8)));
-  EXPECT_FALSE(core::config_constructible(
-      n, options_of(GridderKind::SliceDice, 4, 2)))
-      << "T < W must be rejected";
-  EXPECT_FALSE(core::config_constructible(
-      n, options_of(GridderKind::SliceDice, 4, 5)))
-      << "T must divide G";
-  EXPECT_TRUE(core::config_constructible(
-      n, options_of(GridderKind::Binning, 4, 8)));
-  EXPECT_FALSE(core::config_constructible(
-      n, options_of(GridderKind::Binning, 4, 5)))
-      << "B must divide G";
-  EXPECT_TRUE(core::config_constructible(
-      n, options_of(GridderKind::Serial, 4, 1)));
-}
-
 // ---------------------------------------------------------------- reuse rule
 
 struct AutoCase {
@@ -107,34 +84,33 @@ struct AutoCase {
   bool resolved_simd;
 };
 
-// G = 2N throughout (sigma = 2).
+// G = 2N throughout (sigma = 2). Neither resolved engine tiles the grid,
+// so the tile passes through untouched at every size.
 const AutoCase kAutoCases[] = {
     {"reused_is_sparse_without_simd", 64, 6, 8, true, true,
      core::GridderKind::Sparse, 8, false},
     {"reused_scalar_is_sparse", 48, 4, 8, false, true,
      core::GridderKind::Sparse, 8, false},
-    {"one_shot_is_slice_dice", 48, 4, 8, false, false,
-     core::GridderKind::SliceDice, 8, false},
-    {"one_shot_keeps_simd", 64, 6, 8, true, false,
-     core::GridderKind::SliceDice, 8, true},
-    {"one_shot_keeps_constructible_tile", 64, 6, 16, false, false,
-     core::GridderKind::SliceDice, 16, false},
-    // G=260: tile 8 does not divide it and 4 < W, so no tile of {4, 8, 16,
-    // 32} fits slice-and-dice; serial is the constructible fallback.
-    {"n130_falls_back_to_serial", 130, 6, 8, false, false,
+    {"one_shot_is_serial", 48, 4, 8, false, false,
      core::GridderKind::Serial, 8, false},
-    // G=260 with W=4: tile 4 divides it and T >= W.
-    {"n130_takes_first_fitting_tile", 130, 4, 8, false, false,
-     core::GridderKind::SliceDice, 4, false},
-    {"tile_below_width_is_replaced", 64, 6, 4, false, false,
-     core::GridderKind::SliceDice, 8, false},
+    {"one_shot_keeps_simd", 64, 6, 8, true, false,
+     core::GridderKind::Serial, 8, true},
+    {"one_shot_keeps_tile", 64, 6, 16, false, false,
+     core::GridderKind::Serial, 16, false},
+    // G=260: no tile of 8 or 16 divides it; neither engine cares.
+    {"n130_one_shot_is_serial", 130, 6, 8, false, false,
+     core::GridderKind::Serial, 8, false},
+    {"n130_reused_is_sparse", 130, 4, 8, false, true,
+     core::GridderKind::Sparse, 8, false},
+    {"tile_below_width_passes_through", 64, 6, 4, false, false,
+     core::GridderKind::Serial, 4, false},
 };
 
 core::GridderOptions resolve(const AutoCase& c) {
   core::GridderOptions options =
       options_of(core::GridderKind::Auto, c.width, c.tile);
   options.simd = c.simd;
-  return core::resolve_auto(c.n, options, c.reused);
+  return core::resolve_auto(options, c.reused);
 }
 
 TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
@@ -145,7 +121,6 @@ TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
     EXPECT_EQ(resolved.tile, c.resolved_tile);
     EXPECT_EQ(resolved.simd, c.resolved_simd);
     EXPECT_EQ(resolved.width, c.width);
-    EXPECT_TRUE(core::config_constructible(c.n, resolved));
     std::unique_ptr<core::Gridder<2>> gridder;
     ASSERT_NO_THROW(gridder = core::make_gridder<2>(c.n, resolved));
     EXPECT_EQ(gridder->kind(), c.kind);
@@ -173,9 +148,9 @@ TEST(AutoRule, SubstitutesTheEngineAndPreservesTheRest) {
   base.threads = 2;
   for (const bool reused : {false, true}) {
     SCOPED_TRACE(reused ? "reused" : "one-shot");
-    const core::GridderOptions resolved = core::resolve_auto(48, base, reused);
+    const core::GridderOptions resolved = core::resolve_auto(base, reused);
     EXPECT_EQ(resolved.kind, reused ? core::GridderKind::Sparse
-                                    : core::GridderKind::SliceDice);
+                                    : core::GridderKind::Serial);
     EXPECT_EQ(resolved.width, 5);
     EXPECT_DOUBLE_EQ(resolved.sigma, 1.5);
     EXPECT_EQ(resolved.table_oversampling, 64);
@@ -187,7 +162,7 @@ TEST(AutoRule, SubstitutesTheEngineAndPreservesTheRest) {
   const core::GridderOptions binning =
       options_of(core::GridderKind::Binning, 4, 16);
   for (const bool reused : {false, true}) {
-    const auto same = core::resolve_auto(48, binning, reused);
+    const auto same = core::resolve_auto(binning, reused);
     EXPECT_EQ(same.kind, core::GridderKind::Binning);
     EXPECT_EQ(same.tile, 16);
   }
@@ -222,7 +197,7 @@ TEST(AutoRule, BothResolutionsBuildAtAnAwkwardGridSize) {
   // resolutions must build a plan at the real N.
   const core::GridderOptions base = options_of(core::GridderKind::Auto, 6, 8);
   for (const bool reused : {false, true}) {
-    const core::GridderOptions resolved = core::resolve_auto(130, base, reused);
+    const core::GridderOptions resolved = core::resolve_auto(base, reused);
     std::unique_ptr<core::Gridder<2>> gridder;
     ASSERT_NO_THROW(gridder = core::make_gridder<2>(130, resolved))
         << "engine=" << core::to_string(resolved.kind)
@@ -236,16 +211,16 @@ TEST(AutoRule, OneShotKeepsSimdAndReusedClearsIt) {
   core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
   base.simd = true;
 
-  // One-shot: slice-and-dice keeps the SIMD twin the caller asked for.
-  const core::GridderOptions one_shot = core::resolve_auto(48, base, false);
-  EXPECT_EQ(one_shot.kind, core::GridderKind::SliceDice);
+  // One-shot: serial keeps the SIMD twin the caller asked for.
+  const core::GridderOptions one_shot = core::resolve_auto(base, false);
+  EXPECT_EQ(one_shot.kind, core::GridderKind::Serial);
   EXPECT_TRUE(one_shot.simd);
   const auto simd_gridder = core::make_gridder<2>(48, one_shot);
   EXPECT_TRUE(simd_gridder->options().simd);
 
   // Reused: sparse has no SIMD twin, so the flag is cleared and the plan
   // builds instead of being rejected.
-  const core::GridderOptions reused = core::resolve_auto(48, base, true);
+  const core::GridderOptions reused = core::resolve_auto(base, true);
   EXPECT_EQ(reused.kind, core::GridderKind::Sparse);
   EXPECT_FALSE(reused.simd);
   EXPECT_NO_THROW(core::make_gridder<2>(48, reused));
@@ -257,7 +232,7 @@ template <int D>
 void expect_concrete_engine() {
   const core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
   for (const bool reused : {false, true}) {
-    EXPECT_NE(core::resolve_auto(24, base, reused).kind,
+    EXPECT_NE(core::resolve_auto(base, reused).kind,
               core::GridderKind::Auto)
         << "dims=" << D << " reused=" << reused;
   }
@@ -272,30 +247,17 @@ TEST(AutoRule, PicksAConcreteEngineForEveryDim) {
   expect_concrete_engine<3>();
 }
 
-TEST(AutoRule, FallsBackToAConstructibleTile) {
-  // G=260: neither 8 nor 16 divides it. With W=6 no slice-and-dice tile
-  // fits, so the rule falls back to serial; with W=4 tile 4 fits.
-  for (const int width : {4, 6}) {
-    const core::GridderOptions resolved = core::resolve_auto(
-        130, options_of(core::GridderKind::Auto, width, 8), false);
-    EXPECT_TRUE(core::config_constructible(130, resolved))
-        << "engine=" << core::to_string(resolved.kind)
-        << " tile=" << resolved.tile;
-    EXPECT_NO_THROW(core::make_gridder<2>(130, resolved)) << "W=" << width;
-  }
-}
-
 // ------------------------------------------------------------ Auto factory
 
 TEST(AutoFactory, MakeGridderResolvesAutoWithoutTuner) {
   // Sites that build a gridder straight from options (stream sessions,
-  // dataset requests) get the one-shot resolution: slice-and-dice.
+  // dataset requests) get the one-shot resolution: serial.
   core::GridderOptions options;
   options.kind = core::GridderKind::Auto;
   options.width = 4;
   const auto gridder = core::make_gridder<2>(32, options);
   ASSERT_NE(gridder, nullptr);
-  EXPECT_EQ(gridder->kind(), core::GridderKind::SliceDice);
+  EXPECT_EQ(gridder->kind(), core::GridderKind::Serial);
 }
 
 }  // namespace

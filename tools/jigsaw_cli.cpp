@@ -1,7 +1,8 @@
 // jigsaw_cli — command-line front end to the library.
 //
 //   jigsaw_cli recon    --n 128 --traj radial --samples 50000
-//                       [--engine slice-dice|auto] [--kernel kaiser-bessel]
+//                       [--engine serial|slice-dice|auto|...]
+//                       [--kernel kaiser-bessel]
 //                       [--width 6] [--sigma 2.0] [--table 32]
 //                       [--dcf ramp|pipe-menon|none] [--iters K]
 //                       [--dataset file.jksd [--dcf none|embedded|pipe-menon]]
@@ -16,7 +17,8 @@
 //
 // --engine auto chooses by plan reuse (core::resolve_auto): sparse-matrix
 // when the plan is applied more than once (--iters K > 0, --coils C > 1,
-// --dataset), slice-and-dice for a one-shot grid or adjoint recon.
+// --dataset), serial for a one-shot grid or adjoint recon. Without --engine
+// the engine is core's default (GridderOptions::kind, serial).
 //   jigsaw_cli simulate --n 128 --samples 50000 [--3d] [--z-binned]
 //                       run the JIGSAW cycle simulator + synthesis estimate
 //   jigsaw_cli info     list engines, kernels, trajectories
@@ -78,10 +80,11 @@ core::GridderOptions options_from(const CliArgs& args) {
   core::GridderOptions opt;
   // Misspelled engines exit 1 through main()'s catch with the one-line
   // "unknown engine '<name>', valid: ..." message from the parser. A
-  // "-simd" suffix (serial-simd, slice-dice-simd, binning-simd) selects the
-  // vectorized variant of the engine.
+  // "-simd" suffix (serial-simd, binning-simd) selects the vectorized
+  // variant of the engine.
   const core::GridderSpec spec =
-      core::parse_gridder_spec(args.get("engine", "slice-dice"));
+      core::parse_gridder_spec(
+          args.get("engine", core::to_string(core::GridderSpec{})));
   opt.kind = spec.kind;
   opt.simd = spec.simd;
   opt.kernel = parse_kernel(args.get("kernel", "kaiser-bessel"));
@@ -104,11 +107,10 @@ core::GridderOptions options_from(const CliArgs& args) {
 core::GridderOptions resolve_engine(core::GridderOptions opt,
                                     std::int64_t n, bool reused) {
   if (opt.kind != core::GridderKind::Auto) return opt;
-  opt = core::resolve_auto(n, opt, reused);
-  std::printf("auto: n%lld -> engine=%s tile=%d (%s)\n",
-              static_cast<long long>(n),
+  opt = core::resolve_auto(opt, reused);
+  std::printf("auto: n%lld -> engine=%s (%s)\n", static_cast<long long>(n),
               core::to_string(core::GridderSpec{opt.kind, opt.simd}).c_str(),
-              opt.tile, reused ? "reused" : "one-shot");
+              reused ? "reused" : "one-shot");
   return opt;
 }
 
@@ -457,8 +459,7 @@ int cmd_info() {
               "(IPDPS 2021 reproduction)\n\n");
   std::printf("engines:      serial, output-driven, binning, slice-dice, "
               "jigsaw (fixed point), sparse, float, auto (alias: tuned)\n");
-  std::printf("              SIMD variants: serial-simd, slice-dice-simd, "
-              "binning-simd\n");
+  std::printf("              SIMD variants: serial-simd, binning-simd\n");
   std::printf("kernels:      kaiser-bessel, gaussian, bspline, triangle, "
               "sinc-hann\n");
   std::printf(
@@ -482,8 +483,9 @@ void print_help(std::FILE* out) {
                "  info      list engines, kernels, trajectories\n\n"
                "common flags:\n"
                "  --engine %s\n"
-               "            (auto: sparse when the plan is reused — --iters K,\n"
-               "             --coils C > 1, --dataset — else slice-dice)\n"
+               "            (default %s; auto: sparse when the plan is reused\n"
+               "             — --iters K, --coils C > 1, --dataset — else "
+               "serial)\n"
                "  --simd auto|scalar|avx2|avx512|neon\n"
                "            force the micro-kernel ISA for *-simd engines\n"
                "            (also $JIGSAW_SIMD; default auto-detects)\n"
@@ -495,7 +497,8 @@ void print_help(std::FILE* out) {
                "docs/datasets.md)\n"
                "  --kernel kaiser-bessel|gaussian|bspline|triangle|sinc-hann\n"
                "  --width W --sigma S --table L --tile T --iters K\n",
-               core::gridder_kind_names().c_str());
+               core::gridder_spec_names().c_str(),
+               core::to_string(core::GridderSpec{}).c_str());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // jigsaw_client: command-line client for jigsaw_serve / jigsaw_router.
 //
 //   jigsaw_client recon --endpoint unix:/tmp/jigsaw_serve.sock --n 128
-//       --samples 40000 --traj radial --engine slice-dice --out img.pgm
+//       --samples 40000 --traj radial --engine serial --out img.pgm
 //   jigsaw_client stats --endpoint 127.0.0.1:7421
 //
 // --endpoint accepts "unix:/path" or "host:port" (--socket PATH is the
@@ -51,6 +51,12 @@ std::string endpoint_spec(const CliArgs& args) {
                   args.get("socket", "/tmp/jigsaw_serve.sock"));
 }
 
+// --engine as a wire engine code; the default is core's default engine.
+std::uint32_t engine_arg(const CliArgs& args) {
+  return serve::engine_code(core::parse_gridder_spec(
+      args.get("engine", core::to_string(core::GridderSpec{}))));
+}
+
 int cmd_stats(const CliArgs& args) {
   serve::ServeClient client(endpoint_spec(args));
   std::printf("%s", client.statsz().c_str());
@@ -63,10 +69,7 @@ int cmd_recon(const CliArgs& args) {
   const int count = static_cast<int>(args.get_int("count", 1));
 
   serve::ReconRequestWire req;
-  const core::GridderSpec spec =
-      core::parse_gridder_spec(args.get("engine", "slice-dice"));
-  req.engine = static_cast<std::uint32_t>(spec.kind) |
-               (spec.simd ? serve::kEngineSimdFlag : 0u);
+  req.engine = engine_arg(args);
   req.n = n;
   req.iters = static_cast<std::uint32_t>(args.get_int("iters", 0));
   req.coils = static_cast<std::uint32_t>(args.get_int("coils", 1));
@@ -133,10 +136,7 @@ int cmd_dataset(const CliArgs& args) {
     return 1;
   }
   serve::DatasetRequestWire req;
-  const core::GridderSpec spec =
-      core::parse_gridder_spec(args.get("engine", "slice-dice"));
-  req.engine = static_cast<std::uint32_t>(spec.kind) |
-               (spec.simd ? serve::kEngineSimdFlag : 0u);
+  req.engine = engine_arg(args);
   req.iters = static_cast<std::uint32_t>(args.get_int("iters", 0));
   const std::string dcf = args.get("dcf", "pipe-menon");
   if (dcf == "none") {
@@ -189,10 +189,7 @@ int cmd_stream(const CliArgs& args) {
   const stream::DynamicPhantom phantom;
 
   serve::OpenSessionWire open;
-  const core::GridderSpec spec =
-      core::parse_gridder_spec(args.get("engine", "slice-dice"));
-  open.engine = static_cast<std::uint32_t>(spec.kind) |
-                (spec.simd ? serve::kEngineSimdFlag : 0u);
+  open.engine = engine_arg(args);
   open.n = n;
   open.iters = static_cast<std::uint32_t>(args.get_int("iters", 10));
   open.coils = 1;
