@@ -14,9 +14,11 @@
 #   3b. TSan build (JIGSAW_TSAN=ON) of the serve/deadline/router/stream
 #      suites and the shared-plan suites — the service layer's dispatcher +
 #      connection threads, the deadline token, the router's forwarder +
-#      health-ping threads, the streaming-session machinery, and coil/frame
+#      health-ping threads, the streaming-session machinery, coil/frame
 #      threads calling one const NufftPlan (SENSE, batch, thread
-#      invariance, SharedPlan) run under ThreadSanitizer on every CI pass
+#      invariance, SharedPlan), and threaded FFT lines on every plan kind
+#      and one shared FftNd (FftNd, FftPlanCache) run under ThreadSanitizer
+#      on every CI pass
 #   4. bench_suite --smoke (obs ON) compared against the committed
 #      BENCH_baseline.json — fails on any checksum drift, any work-counter
 #      drift or a missing entry on every host, and on a >15% slowdown when
@@ -84,14 +86,18 @@ echo "=== TSan build + serve/deadline/router/stream + shared-plan suites ==="
 # per-connection readers, concurrent clients, the router's forwarders +
 # health pinger, and the session dispatcher shared by streaming frames);
 # coil and frame threads all call one const NufftPlan (SENSE, batch, the
-# thread-invariance and SharedPlan suites). Run exactly those suites under
-# ThreadSanitizer. Bench/examples are skipped to keep the stage short.
+# thread-invariance and SharedPlan suites); FftNd::execute splits the lines
+# of radix-2, mixed-radix and Bluestein plans alike across threads, and
+# many threads share one cached FftNd (FftNd, FftPlanCache). Run exactly
+# those suites under ThreadSanitizer. Bench/examples are skipped to keep
+# the stage short.
 cmake -B build-tsan -S . -DJIGSAW_TSAN=ON \
   -DJIGSAW_BUILD_BENCH=OFF -DJIGSAW_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target test_serve test_deadline \
-  test_router test_stream test_sense test_batch test_thread_invariance
+  test_router test_stream test_sense test_batch test_thread_invariance \
+  test_fft test_plan_cache
 ctest --test-dir build-tsan --output-on-failure -j"${JOBS}" \
-  -R 'Serve|Deadline|Router|Stream|Sense|Batch|ThreadInvariance|SharedPlan'
+  -R 'Serve|Deadline|Router|Stream|Sense|Batch|ThreadInvariance|SharedPlan|FftNd|FftPlanCache'
 
 echo "=== benchmark smoke + regression/work gate (obs ON) ==="
 ./build/bench/bench_suite --smoke --tag ci --out build/BENCH_ci.json

@@ -67,6 +67,162 @@ void radix2_core(c64* a, std::size_t n, const std::vector<std::uint32_t>& rev,
   }
 }
 
+/// One stage of the mixed-radix kernel: a radix-p butterfly that joins p
+/// interleaved sub-transforms of length m each.
+struct Stage {
+  std::size_t p;
+  std::size_t m;
+};
+
+/// The generic butterfly keeps its p inputs on the stack.
+constexpr std::size_t kMaxGenericRadix = 7;
+
+/// Stages of n, outermost first, taking fours before the single two that
+/// may remain, then 3, 5 and 7 (the KISS FFT order). Empty when n has a
+/// prime factor above kMaxGenericRadix: such lengths take Bluestein.
+std::vector<Stage> factor_small_radices(std::size_t n) {
+  std::vector<Stage> stages;
+  std::size_t rest = n;
+  for (const std::size_t p : {4, 2, 3, 5, 7}) {
+    while (rest % p == 0) {
+      rest /= p;
+      stages.push_back({p, rest});
+    }
+  }
+  if (rest != 1) stages.clear();
+  return stages;
+}
+
+/// Plain complex product: std::complex's operator* also runs the C99
+/// inf/NaN recovery, which a finite FFT never needs.
+inline c64 cmul(c64 a, c64 b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+// Butterflies over f[k + q*m], q < p: the p sub-transforms' bin k, each
+// twiddled by tw[q*k*fstride]. `tw` holds the n roots of the transform's
+// own direction, so only the radix-4 rotation by ±i needs the direction.
+
+void bfly2(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+  c64* g = f + m;
+  for (std::size_t k = 0; k < m; ++k) {
+    const c64 t = cmul(g[k], tw[k * fstride]);
+    g[k] = f[k] - t;
+    f[k] += t;
+  }
+}
+
+template <bool Inverse>
+void bfly4(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const c64 s0 = cmul(f[k + m], tw[k * fstride]);
+    const c64 s1 = cmul(f[k + 2 * m], tw[2 * k * fstride]);
+    const c64 s2 = cmul(f[k + 3 * m], tw[3 * k * fstride]);
+    const c64 even = f[k] + s1;
+    const c64 odd = f[k] - s1;
+    const c64 s3 = s0 + s2;
+    const c64 s4 = s0 - s2;
+    // s4 times -i (forward) or +i (inverse).
+    const c64 r = Inverse ? c64(-s4.imag(), s4.real())
+                          : c64(s4.imag(), -s4.real());
+    f[k] = even + s3;
+    f[k + m] = odd + r;
+    f[k + 2 * m] = even - s3;
+    f[k + 3 * m] = odd - r;
+  }
+}
+
+void bfly3(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+  const double sin3 = tw[fstride * m].imag();  // Im of the cube root
+  for (std::size_t k = 0; k < m; ++k) {
+    const c64 s1 = cmul(f[k + m], tw[k * fstride]);
+    const c64 s2 = cmul(f[k + 2 * m], tw[2 * k * fstride]);
+    const c64 sum = s1 + s2;
+    const c64 d = (s1 - s2) * sin3;
+    const c64 h = f[k] - 0.5 * sum;
+    f[k] += sum;
+    f[k + m] = c64(h.real() - d.imag(), h.imag() + d.real());
+    f[k + 2 * m] = c64(h.real() + d.imag(), h.imag() - d.real());
+  }
+}
+
+void bfly5(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+  const c64 ya = tw[fstride * m];      // fifth root w
+  const c64 yb = tw[2 * fstride * m];  // w^2
+  for (std::size_t k = 0; k < m; ++k) {
+    const c64 s0 = f[k];
+    const c64 s1 = cmul(f[k + m], tw[k * fstride]);
+    const c64 s2 = cmul(f[k + 2 * m], tw[2 * k * fstride]);
+    const c64 s3 = cmul(f[k + 3 * m], tw[3 * k * fstride]);
+    const c64 s4 = cmul(f[k + 4 * m], tw[4 * k * fstride]);
+    // w^4 = conj(w) and w^3 = conj(w^2) pair the terms into sums and
+    // differences.
+    const c64 s7 = s1 + s4, s10 = s1 - s4;
+    const c64 s8 = s2 + s3, s9 = s2 - s3;
+    f[k] = s0 + s7 + s8;
+    const c64 s5 = s0 + s7 * ya.real() + s8 * yb.real();
+    const c64 s6(s10.imag() * ya.imag() + s9.imag() * yb.imag(),
+                 -(s10.real() * ya.imag() + s9.real() * yb.imag()));
+    f[k + m] = s5 - s6;
+    f[k + 4 * m] = s5 + s6;
+    const c64 s11 = s0 + s7 * yb.real() + s8 * ya.real();
+    const c64 s12(s9.imag() * ya.imag() - s10.imag() * yb.imag(),
+                  s10.real() * yb.imag() - s9.real() * ya.imag());
+    f[k + 2 * m] = s11 + s12;
+    f[k + 3 * m] = s11 - s12;
+  }
+}
+
+/// Direct p-point butterfly for an odd radix without its own kernel (7).
+void bfly_generic(c64* f, std::size_t fstride, const c64* tw, std::size_t m,
+                  std::size_t p, std::size_t n) {
+  c64 in[kMaxGenericRadix];
+  for (std::size_t u = 0; u < m; ++u) {
+    for (std::size_t q = 0; q < p; ++q) in[q] = f[u + q * m];
+    for (std::size_t q1 = 0; q1 < p; ++q1) {
+      const std::size_t k = u + q1 * m;
+      const std::size_t step = fstride * k;  // < n
+      std::size_t idx = 0;
+      c64 acc = in[0];
+      for (std::size_t q = 1; q < p; ++q) {
+        idx += step;
+        if (idx >= n) idx -= n;
+        acc += cmul(in[q], tw[idx]);
+      }
+      f[k] = acc;
+    }
+  }
+}
+
+/// Out-of-place decimation-in-time recursion: writes the transform of the
+/// n-point line in[j * in_step] to out[0..n). Each stage first transforms
+/// its p interleaved sub-sequences into consecutive runs of `out`, then
+/// joins them with one radix-p butterfly pass.
+template <bool Inverse>
+void mixed_work(c64* out, const c64* in, std::size_t in_step,
+                std::size_t fstride, const Stage* stage, const c64* tw,
+                std::size_t n) {
+  const std::size_t p = stage->p;
+  const std::size_t m = stage->m;
+  const std::size_t step = fstride * in_step;
+  if (m == 1) {
+    for (std::size_t q = 0; q < p; ++q) out[q] = in[q * step];
+  } else {
+    for (std::size_t q = 0; q < p; ++q) {
+      mixed_work<Inverse>(out + q * m, in + q * step, in_step, fstride * p,
+                          stage + 1, tw, n);
+    }
+  }
+  switch (p) {
+    case 2: bfly2(out, fstride, tw, m); break;
+    case 3: bfly3(out, fstride, tw, m); break;
+    case 4: bfly4<Inverse>(out, fstride, tw, m); break;
+    case 5: bfly5(out, fstride, tw, m); break;
+    default: bfly_generic(out, fstride, tw, m, p, n); break;
+  }
+}
+
 }  // namespace
 
 struct Fft1D::Impl {
@@ -74,7 +230,14 @@ struct Fft1D::Impl {
   std::vector<std::uint32_t> bitrev;
   std::vector<c64> twiddles;
 
-  // Bluestein path (arbitrary n): convolution length m = next_pow2(2n-1).
+  // Mixed-radix path (every prime factor of n is <= 7, n not a power of
+  // two): the stages and the n roots e^{-2*pi*i*k/n} per direction
+  // (forward, then inverse = conjugate).
+  std::vector<Stage> stages;
+  std::vector<c64> roots[2];
+
+  // Bluestein path (a prime factor > 7): convolution length
+  // m = next_pow2(2n-1).
   std::size_t bluestein_m = 0;
   std::vector<std::uint32_t> m_bitrev;
   std::vector<c64> m_twiddles;
@@ -82,19 +245,33 @@ struct Fft1D::Impl {
   std::vector<c64> chirp_fft;   // FFT_m of the chirp filter e^{+i*pi*k^2/n}
 };
 
-// NOTE: Bluestein executes borrow convolution scratch from the global
-// ScratchPool per call, so every plan — radix-2 and Bluestein alike — is
-// safe for concurrent execute() on distinct buffers. This is what allows
-// FftPlanCache to hand one shared plan to many threads. All oversampled
-// grid sizes used by the NuFFT (sigma*N with sigma=2 and power-of-two N)
-// hit the radix-2 path; Bluestein exists for odd/irregular sizes (e.g.
-// sigma=1.5).
+// NOTE: no plan holds mutable state. Mixed-radix executes write through
+// the caller's scratch line and Bluestein executes borrow convolution
+// scratch from the global ScratchPool per call, so every plan is safe for
+// concurrent execute() on distinct buffers. This is what allows
+// FftPlanCache to hand one shared plan to many threads. Oversampled NuFFT
+// grids (sigma*N with sigma=2) are radix-2 for power-of-two N and
+// mixed-radix otherwise: the stream's N=48 grid is 96 = 2^5*3, and a
+// Toeplitz operator at N=48 grids its PSF on 192. Bluestein is left for
+// lengths with a prime factor above 7.
 
 Fft1D::Fft1D(std::size_t n) : n_(n), impl_(std::make_unique<Impl>()) {
   JIGSAW_REQUIRE(n >= 1, "FFT length must be >= 1, got " << n);
   if (is_pow2(n)) {
     impl_->bitrev = make_bitrev(n);
     impl_->twiddles = make_twiddles(n);
+    return;
+  }
+  impl_->stages = factor_small_radices(n);
+  if (!impl_->stages.empty()) {
+    impl_->roots[0].resize(n);
+    impl_->roots[1].resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double ang =
+          -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+      impl_->roots[0][k] = c64(std::cos(ang), std::sin(ang));
+      impl_->roots[1][k] = std::conj(impl_->roots[0][k]);
+    }
     return;
   }
   // Bluestein setup.
@@ -126,6 +303,11 @@ Fft1D& Fft1D::operator=(Fft1D&&) noexcept = default;
 
 void Fft1D::execute(c64* data, Direction dir) const {
   if (n_ == 1) return;
+  if (!impl_->stages.empty()) {
+    ScratchLease lease(n_);
+    execute_strided(data, 1, dir, lease.data());
+    return;
+  }
   if (impl_->bluestein_m == 0) {
     radix2_core(data, n_, impl_->bitrev, impl_->twiddles, dir);
     return;
@@ -175,6 +357,19 @@ void Fft1D::execute(c64* data, Direction dir) const {
 
 void Fft1D::execute_strided(c64* data, std::size_t stride, Direction dir,
                             c64* scratch) const {
+  if (!impl_->stages.empty()) {
+    // Out of place from the strided line into scratch, then back.
+    const Stage* first = impl_->stages.data();
+    if (dir == Direction::Forward) {
+      mixed_work<false>(scratch, data, stride, 1, first,
+                        impl_->roots[0].data(), n_);
+    } else {
+      mixed_work<true>(scratch, data, stride, 1, first,
+                       impl_->roots[1].data(), n_);
+    }
+    for (std::size_t i = 0; i < n_; ++i) data[i * stride] = scratch[i];
+    return;
+  }
   if (stride == 1) {
     execute(data, dir);
     return;
@@ -204,18 +399,11 @@ FftNd::FftNd(std::vector<std::size_t> dims) : dims_(std::move(dims)) {
   }
 }
 
-bool FftNd::parallelizable() const {
-  for (std::size_t d : dims_) {
-    if (!is_pow2(d)) return false;
-  }
-  return true;
-}
-
 void FftNd::execute(c64* data, Direction dir, unsigned threads) const {
   obs::add("fft.execs", 1);
   obs::Span obs_span("fft.execute");
   const std::size_t ndim = dims_.size();
-  const bool parallel = threads > 1 && parallelizable();
+  const bool parallel = threads > 1;
   std::vector<c64> scratch;
   // For each dimension, transform every 1-D line along that dimension.
   for (std::size_t axis = 0; axis < ndim; ++axis) {
@@ -253,13 +441,23 @@ void FftNd::execute(c64* data, Direction dir, unsigned threads) const {
 }
 
 void dft_reference(const c64* in, c64* out, std::size_t n, Direction dir) {
+  // Reducing j*k mod n before taking the angle keeps every root exact to
+  // an ulp, whatever n: the oracle must stay well below the 1e-12 it
+  // checks the fast paths to.
   const double sign = dir == Direction::Forward ? -1.0 : 1.0;
+  std::vector<c64> roots(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double ang =
+        sign * kTwoPi * static_cast<double>(r) / static_cast<double>(n);
+    roots[r] = c64(std::cos(ang), std::sin(ang));
+  }
   for (std::size_t k = 0; k < n; ++k) {
     c64 acc{};
+    std::size_t r = 0;  // j*k mod n
     for (std::size_t j = 0; j < n; ++j) {
-      const double ang = sign * kTwoPi * static_cast<double>(j) *
-                         static_cast<double>(k) / static_cast<double>(n);
-      acc += in[j] * c64(std::cos(ang), std::sin(ang));
+      acc += in[j] * roots[r];
+      r += k;
+      if (r >= n) r -= n;
     }
     out[k] = acc;
   }

@@ -1,8 +1,14 @@
 // Self-contained complex FFT library (no external dependency).
 //
-// Supports any transform length: power-of-two lengths use an iterative
-// radix-2 Cooley-Tukey kernel with precomputed twiddles; all other lengths
-// fall back to Bluestein's chirp-z algorithm built on a power-of-two FFT.
+// Supports any transform length; the plan picks its algorithm from the
+// length alone:
+//   * powers of two use an iterative radix-2 Cooley-Tukey kernel with
+//     precomputed twiddles;
+//   * lengths whose prime factors are all <= 7 (96 = 2^5*3, 80, 120, ...)
+//     use an out-of-place mixed-radix decimation-in-time kernel with
+//     radix-4/2/3/5 butterflies and a generic one for 7;
+//   * lengths with a larger prime factor use Bluestein's chirp-z algorithm
+//     built on the power-of-two FFT.
 //
 // Conventions:
 //   Forward : X[k] = sum_n x[n] e^{-2*pi*i*n*k/N}   (unnormalized)
@@ -38,7 +44,9 @@ class Fft1D {
   void execute(c64* data, Direction dir) const;
 
   /// Strided in-place transform: element i lives at data[i * stride].
-  /// Uses the provided scratch buffer (length >= n).
+  /// Uses the provided scratch buffer (length >= n); mixed-radix plans need
+  /// no other memory, so a caller that holds one scratch line per thread
+  /// runs them without allocating.
   void execute_strided(c64* data, std::size_t stride, Direction dir,
                        c64* scratch) const;
 
@@ -59,16 +67,14 @@ class FftNd {
 
   /// In-place transform of `data[0..total_size())`.
   /// `threads > 1` splits the independent 1-D lines of each axis across a
-  /// thread pool (power-of-two lengths only — Bluestein lengths fall back
-  /// to serial execution of the lines). The paper's conclusion makes the
-  /// FFT the post-JIGSAW bottleneck; this is the library's corresponding
-  /// knob. Regardless of `threads`, execute() is const and thread-safe:
-  /// concurrent calls on one plan with distinct buffers are allowed (the
-  /// coil-parallel reconstruction path relies on this).
+  /// thread pool, for every plan kind; each line is the same work on any
+  /// thread, so the result is bit-identical to one thread's. The paper's
+  /// conclusion makes the FFT the post-JIGSAW bottleneck; this is the
+  /// library's corresponding knob. Regardless of `threads`, execute() is
+  /// const and thread-safe: concurrent calls on one plan with distinct
+  /// buffers are allowed (the coil-parallel reconstruction path relies on
+  /// this).
   void execute(c64* data, Direction dir, unsigned threads = 1) const;
-
-  /// True when every dimension takes the radix-2 (thread-safe) path.
-  bool parallelizable() const;
 
  private:
   std::vector<std::size_t> dims_;

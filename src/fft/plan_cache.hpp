@@ -1,7 +1,7 @@
 // Process-wide FFT plan and scratch-buffer caches.
 //
-// Planning an FftNd costs twiddle/bit-reversal table construction per
-// distinct length — cheap once, wasteful when every NufftPlan and Toeplitz
+// Planning an FftNd costs twiddle, bit-reversal or chirp table construction
+// per distinct length — cheap once, wasteful when every NufftPlan and Toeplitz
 // operator re-plans the same (sigma*N)^d geometry. The cache
 // hands out shared immutable plans keyed by the dimension vector, so any
 // number of transform objects (and any number of threads) reuse one table
@@ -11,7 +11,9 @@
 // The scratch pool complements it: hot paths that need a temporary c64
 // buffer (Bluestein convolution scratch, Toeplitz embedding grids, the
 // per-call NuFFT work grid and slice-and-dice dice) borrow from a bounded
-// freelist instead of hitting the allocator per call.
+// freelist instead of hitting the allocator per call. Radix-2 and
+// mixed-radix lines inside FftNd::execute borrow nothing: they run in
+// place or through the per-axis scratch line FftNd holds.
 #pragma once
 
 #include <cstdint>

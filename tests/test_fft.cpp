@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "obs/obs.hpp"
 
 namespace jigsaw::fft {
 namespace {
@@ -26,6 +27,15 @@ double max_err(const std::vector<c64>& a, const std::vector<c64>& b) {
     worst = std::max(worst, std::abs(a[i] - b[i]));
   }
   return worst;
+}
+
+double rel_l2(const std::vector<c64>& got, const std::vector<c64>& want) {
+  double err = 0, ref = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    err += std::norm(got[i] - want[i]);
+    ref += std::norm(want[i]);
+  }
+  return std::sqrt(err / ref);
 }
 
 class Fft1DSizes : public ::testing::TestWithParam<std::size_t> {};
@@ -75,8 +85,9 @@ TEST_P(Fft1DSizes, ParsevalHolds) {
               1e-8 * time_energy * static_cast<double>(n));
 }
 
-// Powers of two exercise radix-2; the rest exercise Bluestein
-// (including primes 7, 13, 31 and composites 6, 12, 48, 100).
+// Powers of two exercise radix-2; 3, 5, 6, 7, 12, 27, 48, 100 and 384
+// (prime factors <= 7) exercise the mixed-radix kernel, and 13 and 31
+// exercise Bluestein.
 INSTANTIATE_TEST_SUITE_P(AllSizes, Fft1DSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16,
                                            27, 31, 32, 48, 64, 100, 128, 384));
@@ -113,40 +124,67 @@ TEST(Fft1D, SingleToneLandsInOneBin) {
 }
 
 TEST(Fft1D, LinearityHolds) {
-  const std::size_t n = 48;  // Bluestein path
-  auto a = random_signal(n, 7);
-  auto b = random_signal(n, 8);
-  const c64 alpha(0.7, -0.3);
-  std::vector<c64> combo(n);
-  for (std::size_t i = 0; i < n; ++i) combo[i] = a[i] + alpha * b[i];
-  Fft1D plan(n);
-  plan.execute(a.data(), Direction::Forward);
-  plan.execute(b.data(), Direction::Forward);
-  plan.execute(combo.data(), Direction::Forward);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_LT(std::abs(combo[i] - (a[i] + alpha * b[i])), 1e-9);
+  // 48 = 2^4*3 takes the mixed-radix path, 52 = 4*13 Bluestein.
+  for (const std::size_t n : {48u, 52u}) {
+    auto a = random_signal(n, 7);
+    auto b = random_signal(n, 8);
+    const c64 alpha(0.7, -0.3);
+    std::vector<c64> combo(n);
+    for (std::size_t i = 0; i < n; ++i) combo[i] = a[i] + alpha * b[i];
+    Fft1D plan(n);
+    plan.execute(a.data(), Direction::Forward);
+    plan.execute(b.data(), Direction::Forward);
+    plan.execute(combo.data(), Direction::Forward);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LT(std::abs(combo[i] - (a[i] + alpha * b[i])), 1e-9)
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(Fft1D, MatchesDftReferenceForEveryLengthTo512AndLargePrimes) {
+  // Every algorithm and every radix combination up to 512, plus primes
+  // whose Bluestein convolution is 1024 and 2048 points long.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 512; ++n) sizes.push_back(n);
+  sizes.push_back(1021);
+  sizes.push_back(1031);
+  for (const std::size_t n : sizes) {
+    Fft1D plan(n);
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      auto x = random_signal(n, 500 + n);
+      std::vector<c64> expect(n);
+      dft_reference(x.data(), expect.data(), n, dir);
+      plan.execute(x.data(), dir);
+      ASSERT_LT(rel_l2(x, expect), 1e-12)
+          << "n=" << n
+          << (dir == Direction::Forward ? " forward" : " inverse");
+    }
   }
 }
 
 TEST(Fft1D, RejectsZeroLength) { EXPECT_THROW(Fft1D(0), std::invalid_argument); }
 
 TEST(Fft1D, StridedMatchesContiguous) {
-  const std::size_t n = 32, stride = 3;
-  auto base = random_signal(n * stride, 11);
-  auto strided = base;
-  std::vector<c64> line(n), scratch(n);
-  for (std::size_t i = 0; i < n; ++i) line[i] = base[i * stride];
-  Fft1D plan(n);
-  plan.execute(line.data(), Direction::Forward);
-  plan.execute_strided(strided.data(), stride, Direction::Forward,
-                       scratch.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_LT(std::abs(strided[i * stride] - line[i]), 1e-12);
-  }
-  // Elements off the stride lattice are untouched.
-  for (std::size_t i = 0; i < n * stride; ++i) {
-    if (i % stride != 0) {
-      EXPECT_EQ(strided[i], base[i]);
+  // One length per algorithm: radix-2, mixed-radix and Bluestein.
+  for (const std::size_t n : {32u, 96u, 26u}) {
+    const std::size_t stride = 3;
+    auto base = random_signal(n * stride, 11);
+    auto strided = base;
+    std::vector<c64> line(n), scratch(n);
+    for (std::size_t i = 0; i < n; ++i) line[i] = base[i * stride];
+    Fft1D plan(n);
+    plan.execute(line.data(), Direction::Forward);
+    plan.execute_strided(strided.data(), stride, Direction::Forward,
+                         scratch.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LT(std::abs(strided[i * stride] - line[i]), 1e-12) << "n=" << n;
+    }
+    // Elements off the stride lattice are untouched.
+    for (std::size_t i = 0; i < n * stride; ++i) {
+      if (i % stride != 0) {
+        EXPECT_EQ(strided[i], base[i]) << "n=" << n;
+      }
     }
   }
 }
@@ -220,7 +258,6 @@ TEST(FftNd, ThreadedMatchesSerial) {
   auto serial = random_signal(n * n, 51);
   auto threaded = serial;
   FftNd plan({n, n});
-  EXPECT_TRUE(plan.parallelizable());
   plan.execute(serial.data(), Direction::Forward);
   plan.execute(threaded.data(), Direction::Forward, /*threads=*/4);
   // Same per-line transforms, just distributed: identical results.
@@ -229,15 +266,35 @@ TEST(FftNd, ThreadedMatchesSerial) {
   }
 }
 
-TEST(FftNd, ThreadedFallsBackOnBluestein) {
-  const std::size_t n = 24;  // not a power of two
-  FftNd plan({n, n});
-  EXPECT_FALSE(plan.parallelizable());
-  auto a = random_signal(n * n, 52);
-  auto b = a;
-  plan.execute(a.data(), Direction::Forward);
-  plan.execute(b.data(), Direction::Forward, 4);  // serial fallback
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+TEST(FftNd, ThreadedMatchesSerialOnMixedRadixAndBluestein) {
+  // {96, 80} is mixed-radix on both axes, {26, 22} Bluestein on both:
+  // threads split their lines exactly as they split radix-2 ones.
+  const std::vector<std::vector<std::size_t>> shapes = {{96, 80}, {26, 22}};
+  for (const auto& dims : shapes) {
+    FftNd plan(dims);
+    auto a = random_signal(plan.total_size(), 52);
+    auto b = a;
+    plan.execute(a.data(), Direction::Forward);
+    plan.execute(b.data(), Direction::Forward, 4);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << dims[0] << "x" << dims[1];
+    }
+  }
+}
+
+TEST(FftNd, MixedRadixExecuteLeasesNoScratch) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with JIGSAW_OBS=OFF";
+  // Mixed-radix lines run through the scratch line FftNd holds per axis;
+  // only Bluestein borrows convolution scratch from the pool.
+  for (const std::size_t n : {80u, 96u, 120u, 192u}) {
+    FftNd plan({n, n});
+    auto x = random_signal(n * n, 53);
+    const auto before = obs::snapshot().counter("scratch.acquires");
+    plan.execute(x.data(), Direction::Forward);
+    plan.execute(x.data(), Direction::Inverse);
+    EXPECT_EQ(obs::snapshot().counter("scratch.acquires"), before)
+        << "n=" << n;
+  }
 }
 
 TEST(NextPow2, Values) {

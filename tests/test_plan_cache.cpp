@@ -60,7 +60,7 @@ TEST(FftPlanCache, DistinctDimsGetDistinctPlans) {
 
 TEST(FftPlanCache, ClearKeepsOutstandingPlansAlive) {
   FftPlanCache cache;
-  const auto plan = cache.get({24});  // Bluestein length
+  const auto plan = cache.get({24});  // mixed-radix length
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   // The shared_ptr still owns the plan: executing it must be safe.
@@ -120,34 +120,41 @@ TEST(FftPlanCache, ConcurrentRequestsPlanEachKeyExactlyOnce) {
 }
 
 TEST(FftPlanCache, SharedBluesteinPlanIsSafeForConcurrentExecute) {
-  // Bluestein lengths use pooled scratch per execute() call; a single
-  // shared plan must give every thread the serial answer.
+  // Bluestein lengths use pooled scratch per execute() call, mixed-radix
+  // lengths the caller's scratch line; a single shared plan of either kind
+  // must give every thread the serial answer.
   FftPlanCache cache;
-  const auto plan = cache.get({18, 12});  // both lengths non-pow2
-  const auto input = random_signal(18 * 12, 2);
-  auto ref = input;
-  plan->execute(ref.data(), Direction::Forward);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {18, 12},   // mixed-radix on both axes
+      {26, 22}};  // Bluestein on both axes (primes 13 and 11)
+  for (const auto& dims : shapes) {
+    const auto plan = cache.get(dims);
+    const auto input = random_signal(plan->total_size(), 2);
+    auto ref = input;
+    plan->execute(ref.data(), Direction::Forward);
 
-  constexpr int kThreads = 8;
-  std::vector<std::vector<c64>> results(kThreads);
-  std::atomic<int> start{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      start.fetch_add(1);
-      while (start.load() < kThreads) {
-      }
-      for (int round = 0; round < 20; ++round) {
-        auto buf = input;
-        plan->execute(buf.data(), Direction::Forward);
-        results[static_cast<std::size_t>(t)] = std::move(buf);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (const auto& r : results) {
-    ASSERT_EQ(r.size(), ref.size());
-    EXPECT_EQ(max_abs_diff(r, ref), 0.0);  // identical serial code path
+    constexpr int kThreads = 8;
+    std::vector<std::vector<c64>> results(kThreads);
+    std::atomic<int> start{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        start.fetch_add(1);
+        while (start.load() < kThreads) {
+        }
+        for (int round = 0; round < 20; ++round) {
+          auto buf = input;
+          plan->execute(buf.data(), Direction::Forward);
+          results[static_cast<std::size_t>(t)] = std::move(buf);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (const auto& r : results) {
+      ASSERT_EQ(r.size(), ref.size());
+      // Identical serial code path.
+      EXPECT_EQ(max_abs_diff(r, ref), 0.0) << dims[0] << "x" << dims[1];
+    }
   }
 }
 

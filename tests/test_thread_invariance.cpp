@@ -164,18 +164,20 @@ TEST(ThreadInvariance, FftNdExecutePow2IsBitExact) {
   }
 }
 
-TEST(ThreadInvariance, FftNdExecuteBluesteinIsBitExact) {
-  // Non-pow2 dims are not parallelizable(); the threads knob must degrade
-  // to the serial path without changing results.
-  fft::FftNd plan({24, 18});
-  ASSERT_FALSE(plan.parallelizable());
-  const auto input = random_image(24 * 18, 8);
-  auto ref = input;
-  plan.execute(ref.data(), fft::Direction::Inverse, 1);
-  for (unsigned t : kThreadCounts) {
-    auto buf = input;
-    plan.execute(buf.data(), fft::Direction::Inverse, t);
-    ASSERT_EQ(buf, ref) << "threads=" << t;
+TEST(ThreadInvariance, FftNdExecuteMixedRadixAndBluesteinAreBitExact) {
+  // Threads split the lines of every plan kind: mixed-radix ({24, 18}) and
+  // Bluestein ({26, 22}) lines are the same work on any thread.
+  const std::vector<std::vector<std::size_t>> shapes = {{24, 18}, {26, 22}};
+  for (const auto& dims : shapes) {
+    fft::FftNd plan(dims);
+    const auto input = random_image(static_cast<std::int64_t>(plan.total_size()), 8);
+    auto ref = input;
+    plan.execute(ref.data(), fft::Direction::Inverse, 1);
+    for (unsigned t : kThreadCounts) {
+      auto buf = input;
+      plan.execute(buf.data(), fft::Direction::Inverse, t);
+      ASSERT_EQ(buf, ref) << dims[0] << "x" << dims[1] << " threads=" << t;
+    }
   }
 }
 
