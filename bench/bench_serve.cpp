@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
     const std::int64_t m = args.get_int("samples", smoke ? 4000 : 8192);
     const core::GridderKind engine_kind =
         core::parse_gridder_kind(
-            args.get("engine", core::to_string(core::GridderOptions{}.kind)));
+            args.get("engine", core::to_string(core::kDefaultEngine)));
     const int requests_per_client = smoke ? 20 : 100;
     const std::vector<int> client_counts =
         smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};

@@ -269,8 +269,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(args.get_int("n", smoke ? 48 : 96));
     const auto iters = static_cast<std::uint32_t>(args.get_int("iters", 60));
     const std::uint32_t engine =
-        serve::engine_code(core::parse_gridder_spec(
-            args.get("engine", core::to_string(core::GridderSpec{}))));
+        serve::engine_code(core::parse_gridder_kind(
+            args.get("engine", core::to_string(core::kDefaultEngine))));
 
     stream::FrameWindow window;
     window.spokes_per_frame = static_cast<int>(args.get_int("spokes", 13));

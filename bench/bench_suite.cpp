@@ -55,7 +55,7 @@ struct Entry {
   double checksum = 0.0;
   std::vector<std::pair<std::string, double>> extra;
   // Non-empty only on "/auto/" entries: the concrete engine auto resolved
-  // to, in kEngines spelling ("-simd" suffix for vectorized engines). Lets
+  // to, in kEngines spelling. Lets
   // bench_compare.py work-gate the entry against that engine's own
   // baseline counters instead of exempting it wholesale.
   std::string resolved_engine;
@@ -89,18 +89,12 @@ struct EngineSpec {
   const char* name;
   core::GridderKind kind;
   bool model_faithful;
-  bool simd = false;
 };
 
-// The vectorized twins ride along unconditionally: on a host without vector
-// units the runtime dispatcher resolves them to the staged scalar kernel
-// table, so the entries stay comparable (identical work counters) if slower.
 const EngineSpec kEngines[] = {
     {"serial", core::GridderKind::Serial, false},
-    {"serial-simd", core::GridderKind::Serial, false, true},
     {"output-driven", core::GridderKind::OutputDriven, false},
     {"binning", core::GridderKind::Binning, false},
-    {"binning-simd", core::GridderKind::Binning, false, true},
     {"slice-dice", core::GridderKind::SliceDice, false},
     {"slice-dice-model", core::GridderKind::SliceDice, true},
     {"sparse", core::GridderKind::Sparse, false},
@@ -108,15 +102,12 @@ const EngineSpec kEngines[] = {
     {"jigsaw", core::GridderKind::Jigsaw, false},
 };
 
-/// The bench-local name of the engine auto resolved to — kEngines
-/// spelling ("slice-dice", not "slice-and-dice"), "-simd" suffix for
-/// vectorized engines. bench_compare.py uses this to work-gate /auto/
+/// The bench-local name of an engine — kEngines spelling ("slice-dice",
+/// not "slice-and-dice"). bench_compare.py uses it to work-gate /auto/
 /// entries against the matching concrete entry's counters.
-std::string bench_engine_name(core::GridderKind kind, bool simd) {
+std::string bench_engine_name(core::GridderKind kind) {
   for (const EngineSpec& spec : kEngines) {
-    if (spec.kind == kind && !spec.model_faithful && !spec.simd) {
-      return std::string(spec.name) + (simd ? "-simd" : "");
-    }
+    if (spec.kind == kind && !spec.model_faithful) return spec.name;
   }
   return core::to_string(kind);
 }
@@ -149,7 +140,6 @@ void bench_gridder(const EngineSpec& spec, std::int64_t n, std::int64_t m,
   core::GridderOptions opt;
   opt.kind = spec.kind;
   opt.model_faithful_checks = spec.model_faithful;
-  opt.simd = spec.simd;
   opt.width = width;
   opt.tile = 8;
   auto g = core::make_gridder<D>(n, opt);
@@ -202,8 +192,7 @@ void bench_auto(std::int64_t n, std::int64_t m, int width,
   opt.width = width;
   opt.tile = 8;
   const auto resolved = core::resolve_auto(opt, /*reused=*/false);
-  const std::string resolved_name =
-      bench_engine_name(resolved.kind, resolved.simd);
+  const std::string resolved_name = bench_engine_name(resolved.kind);
   std::printf("auto: n%lld -> %s\n", static_cast<long long>(n),
               resolved_name.c_str());
 
@@ -221,8 +210,7 @@ void bench_auto(std::int64_t n, std::int64_t m, int width,
     e.checksum = core::norm2(
         std::vector<c64>(grid.data(), grid.data() + grid.total()));
     e.extra = {{"resolved_engine_code",
-                static_cast<double>(static_cast<int>(resolved.kind))},
-               {"resolved_simd", resolved.simd ? 1.0 : 0.0}};
+                static_cast<double>(static_cast<int>(resolved.kind))}};
     e.resolved_engine = resolved_name;
     out.push_back(std::move(e));
   }
@@ -251,7 +239,7 @@ void bench_nufft(std::int64_t n, std::int64_t m, int width,
   core::GridderOptions opt;
   opt.width = width;
   opt.tile = 8;
-  const std::string engine = bench_engine_name(opt.kind, opt.simd);
+  const std::string engine = bench_engine_name(opt.kind);
   const auto in = random_samples<D>(m, 7);
 
   core::NufftTimings t;
@@ -421,7 +409,7 @@ DatasetSummary bench_dataset(bool smoke, std::vector<Entry>& out) {
   const auto run = [&] { result = data::recon_dataset(path, opt); };
   Entry e;
   e.name = "dataset2d/recon/" +
-           bench_engine_name(opt.gridding.kind, opt.gridding.simd) +
+           bench_engine_name(opt.gridding.kind) +
            size_suffix(gen.n, static_cast<std::int64_t>(gen.chunks) *
                                   gen.samples_per_chunk);
   e.dim = 2;

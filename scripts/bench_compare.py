@@ -28,12 +28,10 @@ Exit status 1 when:
     resolves to a concrete engine, and the resolution rule may differ
     between the baseline's producer and the candidate's, so their counters
     are not compared against the baseline's auto entry. When the candidate
-    entry records "resolved_engine", the gate
-    instead compares its counters against the BASELINE entry of that
-    concrete engine's scalar twin at the same problem size — a SIMD winner
-    must do bit-identical logical work to its scalar twin, so e.g. an auto
-    entry resolved to "binning-simd" is checked against ".../binning/...".
-    Candidates without resolved_engine (pre-SIMD producers) keep the old
+    entry records "resolved_engine", the gate instead compares its
+    counters against the BASELINE entry of that concrete engine at the
+    same problem size, e.g. an auto entry resolved to "serial" is checked
+    against ".../serial/...". Candidates without resolved_engine keep the
     wholesale exemption. The checksum gate always applies — every engine
     must produce the same grid.
 
@@ -125,16 +123,14 @@ def main():
         # Auto entries run on whichever engine auto resolved to when each
         # file was produced, so their work counters are not diffed against
         # the baseline's own auto entry. When the candidate says which
-        # engine it resolved to, gate against that engine's scalar twin in
-        # the baseline instead (SIMD variants perform identical logical
-        # work); otherwise fall back to exempting.
+        # engine it resolved to, gate against that engine's entry in the
+        # baseline instead; otherwise fall back to exempting.
         tuned_entry = "/auto/" in name
         ref_counters = b.get("counters")
         if tuned_entry:
             resolved = c.get("resolved_engine")
             if resolved:
-                scalar = resolved[:-len("-simd")] if resolved.endswith("-simd") else resolved
-                ref_name = name.replace("/auto/", f"/{scalar}/")
+                ref_name = name.replace("/auto/", f"/{resolved}/")
                 ref_entry = base.get(ref_name)
                 if ref_entry is None or "counters" not in ref_entry:
                     notes.append(f"NOTE      {name}: resolved to {resolved} but "

@@ -8,10 +8,7 @@
 #   3. ASan+UBSan build (JIGSAW_SANITIZE=ON), tier-1 tests — includes the
 #      thread-invariance, plan-cache, and counter-shard concurrency suites,
 #      so the lock-free counter paths run sanitized on every CI pass
-#   3a. the SIMD kernel/differential/thread-invariance suites rerun from
-#      the ASan build with JIGSAW_SIMD=scalar — sanitized coverage for the
-#      portable staged-scalar dispatch path, not just the host's best ISA
-#   3b. TSan build (JIGSAW_TSAN=ON) of the serve/deadline/router/stream
+#   3a. TSan build (JIGSAW_TSAN=ON) of the serve/deadline/router/stream
 #      suites and the shared-plan suites — the service layer's dispatcher +
 #      connection threads, the deadline token, the router's forwarder +
 #      health-ping threads, the streaming-session machinery, coil/frame
@@ -25,15 +22,21 @@
 #      the baseline was recorded on the same host class (nproc, CPU model,
 #      SIMD ISA, build type; see scripts/bench_compare.py); the JSON is
 #      schema-validated with counters required
-#   4b. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
-#      behind jigsaw_router on an ephemeral TCP port; interleaved requests
-#      across three geometry classes must all relay, each class must pin to
-#      exactly one worker (shard counts read from the router's stats JSON),
-#      and SIGTERM must drain router and workers to a clean exit 0
+#   4a. serve smoke — bench_serve --smoke, direct and behind a 2-worker
+#      router, schema-validated (every closed-loop request must complete)
+#   4b. streaming smoke — bench_stream --smoke cold vs warm frames through
+#      the routed tier; warm start must save >= 30% of the CG iterations
 #   4c. dataset smoke — jigsaw_dataset generate -> validate -> jigsaw_cli
 #      recon --dataset with Pipe-Menon DCF under an NRMSE <= 0.30 quality
 #      gate, then a mid-file byte flip: validate must exit 2 naming the
 #      rejected chunk and the recon must complete on the survivors
+#   4d. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
+#      behind jigsaw_router on an ephemeral TCP port; interleaved requests
+#      across three geometry classes must all relay, each class must pin to
+#      exactly one worker (shard counts read from the router's stats JSON),
+#      and SIGTERM must drain router and workers to a clean exit 0
+#   4e. stream smoke — one jigsaw_serve session of 8 warm-started frames,
+#      then a SIGTERM mid-stream: every admitted frame must get a reply
 #   5. bench_suite --smoke from the OFF build compared against the ON
 #      build of the same run — the overhead guard: a disabled
 #      observability layer must bench within the ordinary noise threshold
@@ -71,15 +74,6 @@ echo "=== ASan+UBSan build + ctest ==="
 cmake -B build-asan -S . -DJIGSAW_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}"
 ctest --test-dir build-asan "${TEST_ARGS[@]}"
-
-echo "=== ASan+UBSan SIMD kernel suites, forced-scalar dispatch ==="
-# The tier-1 ASan pass above already ran the SIMD suites under whichever
-# ISA the dispatcher picked on this machine; rerun them with
-# JIGSAW_SIMD=scalar so the portable staged-scalar kernel table (the path
-# hosts without vector units take, and the wrapped-edge fallback every ISA
-# shares) gets sanitizer coverage on every CI run too.
-JIGSAW_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
-  -j"${JOBS}" -R 'Simd|Differential|ThreadInvariance'
 
 echo "=== TSan build + serve/deadline/router/stream + shared-plan suites ==="
 # The service layer is the most thread-heavy subsystem (dispatcher thread,

@@ -7,9 +7,10 @@
 // uniform point of the tile performs a boundary check against every sample
 // of the bin (Fig. 3a). This reproduces the three overheads the paper
 // attributes to binning: the presort pass, duplicate sample processing, and
-// B^d-per-sample boundary checks. Weights are computed on-line by default
-// (Impatient evaluates its Kaiser-Bessel kernel during processing rather
-// than from a LUT — paper Sec. VI.A reason (1)).
+// B^d-per-sample boundary checks. Weights come from the LUT, as in every
+// engine; GridderOptions::exact_weights evaluates them on-line instead, as
+// Impatient evaluates its Kaiser-Bessel kernel during processing (paper
+// Sec. VI.A reason (1)).
 #pragma once
 
 #include <vector>
@@ -18,7 +19,6 @@
 #include "common/timer.hpp"
 #include "core/gridder.hpp"
 #include "core/window.hpp"
-#include "kernels/simd/simd.hpp"
 
 namespace jigsaw::core {
 
@@ -95,7 +95,6 @@ class BinningGridder final : public Gridder<D> {
   void do_adjoint(SampleView<D> in, Grid<D>& out,
                   GriddingStats& stats) const override {
     JIGSAW_REQUIRE(out.size() == this->g_, "grid size mismatch in adjoint()");
-    const int w = this->options_.width;
     const std::int64_t g = this->g_;
     const std::int64_t b = this->options_.tile;
     out.clear();
@@ -114,58 +113,6 @@ class BinningGridder final : public Gridder<D> {
     std::uint64_t checks = 0;
     std::uint64_t interpolations = 0;
     std::uint64_t duplicates = 0;
-
-    // SIMD variant: stage each bin's samples into a structure-of-arrays
-    // buffer, then vectorize the output-driven boundary-check/accumulate
-    // across the bin's samples for every tile point. Boundary and LUT-index
-    // arithmetic match the scalar loop bit-for-bit; only the accumulation
-    // order differs. Tiles stay disjoint, so the result is still independent
-    // of the thread count. exact_weights (Impatient's on-line evaluation)
-    // has no LUT to gather; a memory tracer needs the per-point scalar
-    // writes — both keep the scalar path.
-    const bool use_simd = this->options_.simd &&
-                          !this->options_.exact_weights &&
-                          this->tracer_ == nullptr;
-
-    auto work_simd = [&](std::int64_t tile_begin, std::int64_t tile_end,
-                         unsigned) {
-      const kernels::simd::KernelTable& K = kernels::simd::table();
-      const kernels::simd::LutView lv = kernels::simd::lut_view(*this->lut_);
-      kernels::simd::BinSoa soa;  // reused across this range's bins
-      std::uint64_t local_checks = 0, local_interp = 0, local_dups = 0;
-      for (std::int64_t tl = tile_begin; tl < tile_end; ++tl) {
-        const auto& bin = bins[static_cast<std::size_t>(tl)];
-        if (bin.empty()) continue;
-        local_dups += bin.size();
-        soa.clear();
-        for (const std::int32_t j : bin) {
-          const auto js = static_cast<std::size_t>(j);
-          for (int d = 0; d < D; ++d) {
-            const auto ds = static_cast<std::size_t>(d);
-            soa.u[ds].push_back(u[js][ds]);
-            soa.g0[ds].push_back(static_cast<double>(w0[js][ds]));
-          }
-          soa.re.push_back(in.values[js].real());
-          soa.im.push_back(in.values[js].imag());
-        }
-        const Index<D> tcoord = unlinear_index<D>(tl, tiles_per_dim_);
-        for (std::int64_t pl = 0; pl < tile_points; ++pl) {
-          const Index<D> local = unlinear_index<D>(pl, b);
-          Index<D> p{};
-          for (int d = 0; d < D; ++d) {
-            p[static_cast<std::size_t>(d)] =
-                tcoord[static_cast<std::size_t>(d)] * b +
-                local[static_cast<std::size_t>(d)];
-          }
-          local_checks += bin.size();
-          out[linear_index<D>(p, g)] +=
-              K.bin_point(soa, lv, D, p.data(), g, w, &local_interp);
-        }
-      }
-      __atomic_fetch_add(&checks, local_checks, __ATOMIC_RELAXED);
-      __atomic_fetch_add(&interpolations, local_interp, __ATOMIC_RELAXED);
-      __atomic_fetch_add(&duplicates, local_dups, __ATOMIC_RELAXED);
-    };
 
     auto work = [&](std::int64_t tile_begin, std::int64_t tile_end, unsigned) {
       std::uint64_t local_checks = 0, local_interp = 0, local_dups = 0;
@@ -206,14 +153,10 @@ class BinningGridder final : public Gridder<D> {
     };
 
     if (this->options_.threads <= 1) {
-      use_simd ? work_simd(0, ntiles, 0) : work(0, ntiles, 0);
+      work(0, ntiles, 0);
     } else {
       ThreadPool pool(this->options_.threads);
-      if (use_simd) {
-        pool.parallel_for(ntiles, work_simd);
-      } else {
-        pool.parallel_for(ntiles, work);
-      }
+      pool.parallel_for(ntiles, work);
     }
 
     stats.grid_seconds += timer.seconds();

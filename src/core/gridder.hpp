@@ -66,35 +66,13 @@ std::string gridder_kind_names();
 /// Throws std::invalid_argument("unknown engine '<name>', valid: ...").
 GridderKind parse_gridder_kind(const std::string& s);
 
-/// Engine spec: a GridderKind plus the SIMD-variant flag. The "-simd"
-/// suffixed names ("serial-simd", "binning-simd") select the
-/// runtime-dispatched vectorized variant of the corresponding scalar engine
-/// (see kernels/simd/simd.hpp). Its default is the library's one default
-/// engine, which GridderOptions and every CLI, client and wire default
-/// read from here: serial, the fastest one-shot engine on a CPU.
-struct GridderSpec {
-  GridderKind kind = GridderKind::Serial;
-  bool simd = false;
-};
-
-/// True when `kind` honors GridderOptions::simd (Serial and Binning — the
-/// engines with vectorized inner loops).
-bool gridder_kind_has_simd(GridderKind kind);
-
-/// Comma-separated list of every name parse_gridder_spec() accepts:
-/// gridder_kind_names() plus the "-simd" variants.
-std::string gridder_spec_names();
-
-/// Parse an engine spec: every parse_gridder_kind() name plus the "-simd"
-/// suffix forms. Throws std::invalid_argument("unknown engine ...") listing
-/// gridder_spec_names().
-GridderSpec parse_gridder_spec(const std::string& s);
-
-/// Display name: to_string(kind), with "-simd" appended when set.
-std::string to_string(const GridderSpec& spec);
+/// The library's one default engine, which GridderOptions and every CLI,
+/// client and wire default read: serial, the fastest one-shot engine on a
+/// CPU.
+inline constexpr GridderKind kDefaultEngine = GridderKind::Serial;
 
 struct GridderOptions {
-  GridderKind kind = GridderSpec{}.kind;
+  GridderKind kind = kDefaultEngine;
   double sigma = 2.0;  // grid oversampling factor
   int width = 6;       // interpolation kernel width W
   int table_oversampling = 32;  // LUT factor L (power of two)
@@ -102,18 +80,9 @@ struct GridderOptions {
   int tile = 8;        // virtual tile dimension T (SliceDice/Jigsaw) or
                        // bin tile dimension (Binning)
   unsigned threads = 1;
-  bool simd = false;   // use the runtime-dispatched SIMD micro-kernels for
-                       // the inner interpolate/accumulate loops (Serial and
-                       // Binning). 1D/2D windows and binning's 3D adjoint
-                       // vectorize; other 3D windows run scalar. Falls back
-                       // to the scalar path under exact_weights (no LUT to
-                       // gather from) or an attached memory tracer; results
-                       // match the scalar engine to rel-L2 <= 1e-9 (weights
-                       // are bit-identical, accumulation order/FMA
-                       // contraction differ)
-  bool exact_weights = false;  // evaluate the kernel on-line instead of LUT
-                               // (Impatient computes weights during
-                               // processing; Binning defaults to this)
+  bool exact_weights = false;  // evaluate the kernel on-line instead of the
+                               // LUT, as Impatient does during processing
+                               // (every engine defaults to the LUT)
   bool model_faithful_checks = false;  // SliceDice: check every column per
                                        // sample (exactly M*T^d checks, as the
                                        // hardware does in parallel) instead of
@@ -293,11 +262,12 @@ class Gridder {
 };
 
 /// Resolve GridderKind::Auto by plan reuse; other kinds pass through.
-///   reused   -> Sparse with simd cleared (sparse has no SIMD twin): the
-///               matrix build pays for itself within a few applications.
-///   one-shot -> Serial, keeping the caller's simd: the direct input-driven
-///               interpolator, the fastest engine that precomputes nothing.
-/// Pure: the same arguments give the same options in every process.
+///   reused   -> Sparse: the matrix build pays for itself within a few
+///               applications.
+///   one-shot -> Serial: the direct input-driven interpolator, the fastest
+///               engine that precomputes nothing.
+/// Only the kind changes. Pure: the same arguments give the same options in
+/// every process.
 GridderOptions resolve_auto(GridderOptions options, bool reused);
 
 /// Factory: build a gridder for base grid size N (per dimension).

@@ -6,7 +6,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/window.hpp"
-#include "kernels/simd/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace jigsaw::core {
@@ -72,40 +71,6 @@ GridderKind parse_gridder_kind(const std::string& s) {
   if (s == "auto" || s == "tuned") return GridderKind::Auto;
   throw std::invalid_argument("unknown engine '" + s +
                               "', valid: " + gridder_kind_names());
-}
-
-bool gridder_kind_has_simd(GridderKind kind) {
-  return kind == GridderKind::Serial || kind == GridderKind::Binning;
-}
-
-std::string gridder_spec_names() {
-  return gridder_kind_names() + ", serial-simd, binning-simd";
-}
-
-GridderSpec parse_gridder_spec(const std::string& s) {
-  constexpr const char* kSuffix = "-simd";
-  constexpr std::size_t kSuffixLen = 5;
-  if (s.size() > kSuffixLen &&
-      s.compare(s.size() - kSuffixLen, kSuffixLen, kSuffix) == 0) {
-    try {
-      const GridderKind kind = parse_gridder_kind(s.substr(0, s.size() -
-                                                           kSuffixLen));
-      if (gridder_kind_has_simd(kind)) return {kind, true};
-    } catch (const std::invalid_argument&) {
-      // fall through to the spec-level diagnostic
-    }
-  } else {
-    try {
-      return {parse_gridder_kind(s), false};
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  throw std::invalid_argument("unknown engine '" + s +
-                              "', valid: " + gridder_spec_names());
-}
-
-std::string to_string(const GridderSpec& spec) {
-  return to_string(spec.kind) + (spec.simd ? "-simd" : "");
 }
 
 template <int D>
@@ -233,38 +198,12 @@ void Gridder<D>::do_forward(const Grid<D>& in, SampleSlots<D> out,
   const int w = options_.width;
   const std::int64_t g = g_;
   const auto m = static_cast<std::int64_t>(out.size());
-  // SIMD fast path (1D/2D): vector LUT-weight gather, and when the
-  // innermost-dim window does not wrap the torus its W grid points are
-  // contiguous memory — a vector complex dot. Wrapping samples keep the
-  // scalar gather. Weight values are bit-identical either way (same LUT
-  // index rounding); only the accumulation order differs. 3D windows
-  // measured faster scalar, and exact_weights has no LUT: both stay scalar.
-  const bool use_simd = D <= 2 && options_.simd && !options_.exact_weights;
   Timer timer;
 
   auto work = [&](std::int64_t begin, std::int64_t end, unsigned) {
-    const kernels::simd::KernelTable* K =
-        use_simd ? &kernels::simd::table() : nullptr;
-    const kernels::simd::LutView lv =
-        use_simd ? kernels::simd::lut_view(*lut_) : kernels::simd::LutView{};
     std::int64_t idx[3][64];
     double wt[3][64];
     for (std::int64_t j = begin; j < end; ++j) {
-      if (K != nullptr) {
-        // Fused whole-window kernel: weights + W^d weighted sum in one
-        // call, vectorized at the dispatched ISA's native width.
-        double u[D];
-        std::int64_t g0[D];
-        for (int d = 0; d < D; ++d) {
-          u[d] = grid_coord(out.coords[static_cast<std::size_t>(j)]
-                                      [static_cast<std::size_t>(d)],
-                            g);
-          g0[d] = window_start(u[d], w);
-        }
-        out.values[static_cast<std::size_t>(j)] =
-            K->gather(lv, D, u, g0, g, w, &in[0]);
-        continue;
-      }
       for (int d = 0; d < D; ++d) {
         window_1d(out.coords[static_cast<std::size_t>(j)]
                   [static_cast<std::size_t>(d)],

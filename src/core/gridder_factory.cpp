@@ -10,12 +10,8 @@
 namespace jigsaw::core {
 
 GridderOptions resolve_auto(GridderOptions options, bool reused) {
-  if (options.kind != GridderKind::Auto) return options;
-  if (reused) {
-    options.kind = GridderKind::Sparse;
-    options.simd = false;
-  } else {
-    options.kind = GridderKind::Serial;
+  if (options.kind == GridderKind::Auto) {
+    options.kind = reused ? GridderKind::Sparse : GridderKind::Serial;
   }
   return options;
 }
@@ -25,11 +21,6 @@ std::unique_ptr<Gridder<D>> make_gridder(std::int64_t n,
                                          const GridderOptions& options) {
   if (options.kind == GridderKind::Auto) {
     return make_gridder<D>(n, resolve_auto(options, /*reused=*/false));
-  }
-  if (options.simd && !gridder_kind_has_simd(options.kind)) {
-    throw std::invalid_argument("engine '" + to_string(options.kind) +
-                                "' has no SIMD variant (valid: serial-simd, "
-                                "binning-simd)");
   }
   switch (options.kind) {
     case GridderKind::Serial:

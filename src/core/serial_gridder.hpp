@@ -10,7 +10,6 @@
 #include "common/timer.hpp"
 #include "core/gridder.hpp"
 #include "core/window.hpp"
-#include "kernels/simd/simd.hpp"
 
 namespace jigsaw::core {
 
@@ -28,21 +27,6 @@ class SerialGridder final : public Gridder<D> {
     const int w = this->options_.width;
     const std::int64_t g = this->g_;
     out.clear();
-    // SIMD fast path (1D/2D): vector LUT-weight gather, and a vector
-    // complex axpy onto the innermost-dim window row whenever it does not
-    // wrap the torus (then its W grid points are contiguous). Wrapping
-    // samples scatter through the scalar index path with the same
-    // (bit-identical) weights. 3D windows measured faster scalar;
-    // exact_weights has no LUT to gather; a memory tracer needs the
-    // per-point scalar writes — all three stay scalar.
-    const bool use_simd = D <= 2 && this->options_.simd &&
-                          !this->options_.exact_weights &&
-                          this->tracer_ == nullptr;
-    const kernels::simd::KernelTable* K =
-        use_simd ? &kernels::simd::table() : nullptr;
-    const kernels::simd::LutView lv =
-        use_simd ? kernels::simd::lut_view(*this->lut_)
-                 : kernels::simd::LutView{};
     Timer timer;
 
     std::int64_t idx[3][64];
@@ -50,20 +34,6 @@ class SerialGridder final : public Gridder<D> {
     const auto m = static_cast<std::int64_t>(in.size());
     for (std::int64_t j = 0; j < m; ++j) {
       const c64 f = in.values[static_cast<std::size_t>(j)];
-      if (K != nullptr) {
-        // Fused whole-window kernel: weights + W^d accumulate in one call,
-        // vectorized at the dispatched ISA's native width.
-        double u[D];
-        std::int64_t g0[D];
-        for (int d = 0; d < D; ++d) {
-          u[d] = grid_coord(in.coords[static_cast<std::size_t>(j)]
-                                     [static_cast<std::size_t>(d)],
-                            g);
-          g0[d] = window_start(u[d], w);
-        }
-        K->scatter(lv, D, u, g0, g, w, f, &out[0]);
-        continue;
-      }
       for (int d = 0; d < D; ++d) {
         this->window_1d(in.coords[static_cast<std::size_t>(j)]
                         [static_cast<std::size_t>(d)],

@@ -45,9 +45,6 @@ class KernelLut {
     return table_[static_cast<std::size_t>(i)];
   }
 
-  /// Raw table for the SIMD gather path (see kernels/simd/simd.hpp).
-  const double* data() const { return table_.data(); }
-
   /// 16-bit Q1.15 quantized weight (JIGSAW datapath).
   fixed::Weight16 entry_fixed(std::int32_t i) const {
     return fixed_table_[static_cast<std::size_t>(i)];

@@ -1,91 +1,6 @@
 #include "kernels/simd/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-
 namespace jigsaw::kernels::simd {
-
-// Every per-ISA translation unit defines its accessor unconditionally; on
-// the wrong architecture it returns nullptr ("not compiled in").
-namespace detail {
-const KernelTable* scalar_table();
-const KernelTable* avx2_table();
-const KernelTable* avx512_table();
-const KernelTable* neon_table();
-}  // namespace detail
-
-namespace {
-
-constexpr const char* kModeNames = "auto, scalar, avx2, avx512, neon";
-
-const KernelTable* table_of(Isa isa) {
-  switch (isa) {
-    case Isa::Scalar: return detail::scalar_table();
-    case Isa::Avx2: return detail::avx2_table();
-    case Isa::Avx512: return detail::avx512_table();
-    case Isa::Neon: return detail::neon_table();
-  }
-  return nullptr;
-}
-
-bool cpu_supports(Isa isa) {
-  switch (isa) {
-    case Isa::Scalar:
-      return true;
-    case Isa::Avx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("fma") != 0;
-#else
-      return false;
-#endif
-    case Isa::Avx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0;
-#else
-      return false;
-#endif
-    case Isa::Neon:
-      // NEON is baseline on aarch64; compiled(Neon) is false elsewhere.
-      return compiled(Isa::Neon);
-  }
-  return false;
-}
-
-Isa detect_best() {
-  for (const Isa isa : {Isa::Avx512, Isa::Avx2, Isa::Neon}) {
-    if (compiled(isa) && cpu_supports(isa)) return isa;
-  }
-  return Isa::Scalar;
-}
-
-Isa parse_mode(const std::string& mode) {
-  if (mode == "scalar") return Isa::Scalar;
-  if (mode == "avx2") return Isa::Avx2;
-  if (mode == "avx512") return Isa::Avx512;
-  if (mode == "neon") return Isa::Neon;
-  throw std::invalid_argument("unknown simd mode '" + mode +
-                              "', valid: " + std::string(kModeNames));
-}
-
-Isa resolve_mode(const std::string& mode) {
-  if (mode.empty() || mode == "auto") return detect_best();
-  const Isa isa = parse_mode(mode);
-  if (!supported(isa)) {
-    throw std::invalid_argument("simd mode '" + mode +
-                                "' not supported on this host, supported: " +
-                                supported_names());
-  }
-  return isa;
-}
-
-// -1 = not yet resolved. force() wins over $JIGSAW_SIMD wins over detection.
-std::atomic<int> g_active{-1};
-
-}  // namespace
 
 const char* to_string(Isa isa) {
   switch (isa) {
@@ -97,54 +12,22 @@ const char* to_string(Isa isa) {
   return "?";
 }
 
-bool compiled(Isa isa) { return table_of(isa) != nullptr; }
-
-bool supported(Isa isa) { return compiled(isa) && cpu_supports(isa); }
-
-std::string supported_names() {
-  std::string out;
-  for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon}) {
-    if (!supported(isa)) continue;
-    if (!out.empty()) out += ", ";
-    out += to_string(isa);
-  }
-  return out;
-}
-
 Isa active() {
-  const int cur = g_active.load(std::memory_order_acquire);
-  if (cur >= 0) return static_cast<Isa>(cur);
-  const char* env = std::getenv("JIGSAW_SIMD");
-  const Isa resolved = resolve_mode(env == nullptr ? std::string() : env);
-  int expected = -1;
-  g_active.compare_exchange_strong(expected, static_cast<int>(resolved),
-                                   std::memory_order_acq_rel);
-  return static_cast<Isa>(g_active.load(std::memory_order_acquire));
-}
-
-void force(const std::string& mode) {
-  g_active.store(static_cast<int>(resolve_mode(mode)),
-                 std::memory_order_release);
-}
-
-const KernelTable& table() { return table(active()); }
-
-const KernelTable& table(Isa isa) {
-  const KernelTable* t = table_of(isa);
-  if (t == nullptr || !cpu_supports(isa)) {
-    throw std::invalid_argument(
-        std::string("simd mode '") + to_string(isa) +
-        "' not supported on this host, supported: " + supported_names());
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return Isa::Avx512;
   }
-  return *t;
-}
-
-LutView lut_view(const KernelLut& lut) {
-  LutView v;
-  v.table = lut.data();
-  v.scale = static_cast<double>(lut.oversampling());
-  v.last = static_cast<std::int32_t>(lut.entries()) - 1;
-  return v;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return Isa::Avx2;
+  }
+  return Isa::Scalar;
+#elif defined(__aarch64__)
+  return Isa::Neon;
+#else
+  return Isa::Scalar;
+#endif
 }
 
 }  // namespace jigsaw::kernels::simd

@@ -48,21 +48,12 @@ const char* frame_status_counter(Status s) {
 
 }  // namespace
 
-WireEngine decode_engine(std::uint32_t engine) {
-  WireEngine out;
-  out.spec.simd = (engine & kEngineSimdFlag) != 0;
-  const std::uint32_t code = engine & ~kEngineSimdFlag;
-  if (code > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
-    out.error = "unknown engine code " + std::to_string(code);
-    return out;
+core::GridderKind decode_engine(std::uint32_t engine) {
+  if (engine > static_cast<std::uint32_t>(core::GridderKind::Auto)) {
+    throw std::invalid_argument("unknown engine code " +
+                                std::to_string(engine));
   }
-  out.spec.kind = static_cast<core::GridderKind>(code);
-  if (out.spec.simd && out.spec.kind != core::GridderKind::Auto &&
-      !core::gridder_kind_has_simd(out.spec.kind)) {
-    out.error = "engine '" + core::to_string(out.spec.kind) +
-                "' has no SIMD variant";
-  }
-  return out;
+  return static_cast<core::GridderKind>(engine);
 }
 
 ServeEngine::ServeEngine(const ServeConfig& config) : config_(config) {
@@ -99,22 +90,20 @@ ServeEngine::GeometryKey ServeEngine::key_of(const ReconJob& job) {
   // for adjoint and CG requests alike.
   const bool auto_reused = o.kind == core::GridderKind::Auto &&
                            (job.iters > 0 || job.coils > 1);
-  // An even count of int32 fields keeps sizeof == sum-of-members: the
-  // struct is hashed as raw bytes, so a padding hole before the double
-  // would feed indeterminate bytes into the key.
+  // The struct is hashed as raw bytes, so it must have no padding hole
+  // (indeterminate bytes would enter the key): an even count of int32
+  // fields before the double, with the two booleans sharing `flags`.
   struct {
-    std::int32_t kind, kernel, width, table, tile, exact, simd, auto_reused;
+    std::int32_t kind, kernel, width, table, tile, flags;
     double sigma;
   } sig{static_cast<std::int32_t>(o.kind),
         static_cast<std::int32_t>(o.kernel),
         o.width,
         o.table_oversampling,
         o.tile,
-        o.exact_weights ? 1 : 0,
-        o.simd ? 1 : 0,
-        auto_reused ? 1 : 0,
+        (o.exact_weights ? 1 : 0) | (auto_reused ? 2 : 0),
         o.sigma};
-  static_assert(sizeof(sig) == 8 * sizeof(std::int32_t) + sizeof(double),
+  static_assert(sizeof(sig) == 6 * sizeof(std::int32_t) + sizeof(double),
                 "options signature must have no padding bytes");
   key.options_sig = fnv1a(&sig, sizeof sig, kFnv1aShortBasis);
   return key;
@@ -204,17 +193,20 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
   SessionOutcome out;
   out.client_tag = req.client_tag;
 
-  const WireEngine engine = decode_engine(req.engine);
+  core::GridderKind kind{};
   std::string error;
-  if (!engine.error.empty()) {
-    error = engine.error;
-  } else if (req.kernel_width < 2 || req.kernel_width > 16) {
-    error = "kernel width " + std::to_string(req.kernel_width) +
-            " outside [2, 16]";
-  } else if (!(req.sigma >= 1.125 && req.sigma <= 4.0)) {
-    error = "oversampling sigma outside [1.125, 4]";
-  } else if (!(req.divergence_guard >= 0.0)) {  // !>= rejects NaN too
-    error = "divergence guard must be >= 0 (0 disables the guard)";
+  try {
+    kind = decode_engine(req.engine);
+    if (req.kernel_width < 2 || req.kernel_width > 16) {
+      error = "kernel width " + std::to_string(req.kernel_width) +
+              " outside [2, 16]";
+    } else if (!(req.sigma >= 1.125 && req.sigma <= 4.0)) {
+      error = "oversampling sigma outside [1.125, 4]";
+    } else if (!(req.divergence_guard >= 0.0)) {  // !>= rejects NaN too
+      error = "divergence guard must be >= 0 (0 disables the guard)";
+    }
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
   }
   if (!error.empty()) {
     out.status = Status::kError;
@@ -241,8 +233,7 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
 
   stream::PipelineConfig pc;
   pc.n = static_cast<std::int64_t>(req.n);
-  pc.options.kind = engine.spec.kind;
-  pc.options.simd = engine.spec.simd;
+  pc.options.kind = kind;
   pc.options.width = static_cast<int>(req.kernel_width);
   pc.options.sigma = req.sigma;
   pc.iters = static_cast<int>(req.iters);

@@ -78,15 +78,9 @@ struct ServeConfig {
 };
 
 /// The engine field of a request (ReconRequestWire, DatasetRequestWire,
-/// OpenSessionWire): the low bits a core::GridderKind, kEngineSimdFlag the
-/// SIMD variant. `error` is empty when the field is valid, else the reason
-/// it is refused: an unknown engine code, or the SIMD flag on an engine
-/// without a SIMD variant (auto is exempt).
-struct WireEngine {
-  core::GridderSpec spec;
-  std::string error;
-};
-WireEngine decode_engine(std::uint32_t engine);
+/// OpenSessionWire) as a core::GridderKind. Throws std::invalid_argument
+/// ("unknown engine code <N>") for a code above GridderKind::Auto.
+core::GridderKind decode_engine(std::uint32_t engine);
 
 /// A parsed, validated-enough-to-try reconstruction job.
 struct ReconJob {

@@ -87,26 +87,21 @@ class FrameTooLarge : public ProtocolError {
   std::uint64_t limit;
 };
 
+/// Wire code of an engine (decode_engine in serve/engine.hpp reads it
+/// back): the core::GridderKind value. Every body defaults to core's
+/// default engine.
+constexpr std::uint32_t engine_code(core::GridderKind kind) {
+  return static_cast<std::uint32_t>(kind);
+}
+
 /// Recon request body. Layout (in order):
 ///   u32 version, u32 engine, u32 n, u32 iters, u32 coils, u32 sanitize,
 ///   u32 kernel_width, u32 pad, f64 sigma, u64 deadline_ms, u64 client_tag,
 ///   u64 m, f64 coords[2*m], f64 values[2*m*coils]
 /// Values are per-coil blocks of m complex samples (coil-major).
 /// deadline_ms == 0 means unbounded.
-/// High bit of ReconRequestWire::engine selects the SIMD variant of the
-/// engine; the low bits remain a core::GridderKind. The wire layout is
-/// unchanged (pre-SIMD servers reject flagged codes as unknown engines).
-inline constexpr std::uint32_t kEngineSimdFlag = 0x80000000u;
-
-/// Wire code of an engine spec (decode_engine in serve/engine.hpp reads it
-/// back). engine_code({}) is core's default engine, every body's default.
-constexpr std::uint32_t engine_code(const core::GridderSpec& spec) {
-  return static_cast<std::uint32_t>(spec.kind) |
-         (spec.simd ? kEngineSimdFlag : 0u);
-}
-
 struct ReconRequestWire {
-  std::uint32_t engine = engine_code({});
+  std::uint32_t engine = engine_code(core::kDefaultEngine);
   std::uint32_t n = 128;      // base grid side
   std::uint32_t iters = 0;    // 0 = adjoint-only, >0 = CG iterations; with
                               // coils > 1 (where adjoint-only is undefined)
@@ -157,7 +152,7 @@ ReconReplyWire decode_recon_reply(const std::uint8_t* data, std::size_t len);
 /// follows kRecon semantics (0 = adjoint + RSS). Chunk-level corruption is
 /// NOT an error — the reply is kOk as long as one chunk survived.
 struct DatasetRequestWire {
-  std::uint32_t engine = engine_code({});
+  std::uint32_t engine = engine_code(core::kDefaultEngine);
   std::uint32_t iters = 0;
   std::uint32_t dcf = 2;     // data::DcfMode, pipe-menon by default
   std::uint64_t deadline_ms = 0;
@@ -189,7 +184,7 @@ DatasetRequestWire decode_dataset_request(const std::uint8_t* data,
 /// not need session state). frame_deadline_ms is the per-frame default
 /// (0 = unbounded); push-frame may override per frame.
 struct OpenSessionWire {
-  std::uint32_t engine = engine_code({});
+  std::uint32_t engine = engine_code(core::kDefaultEngine);
   std::uint32_t n = 128;
   std::uint32_t iters = 10;
   std::uint32_t coils = 1;

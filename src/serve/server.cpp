@@ -9,9 +9,21 @@
 
 namespace jigsaw::serve {
 
+namespace {
+
+/// decode_engine, refusing an unknown code as a protocol error.
+core::GridderKind wire_engine(std::uint32_t engine) {
+  try {
+    return decode_engine(engine);
+  } catch (const std::invalid_argument& e) {
+    throw ProtocolError(e.what());
+  }
+}
+
+}  // namespace
+
 ReconJob job_from_wire(const ReconRequestWire& wire) {
-  const WireEngine engine = decode_engine(wire.engine);
-  if (!engine.error.empty()) throw ProtocolError(engine.error);
+  const core::GridderKind kind = wire_engine(wire.engine);
   if (wire.sanitize >
       static_cast<std::uint32_t>(robustness::SanitizePolicy::Clamp)) {
     throw ProtocolError("unknown sanitize code " +
@@ -29,8 +41,7 @@ ReconJob job_from_wire(const ReconRequestWire& wire) {
     throw ProtocolError("value count does not equal samples x coils");
   }
   ReconJob job;
-  job.options.kind = engine.spec.kind;
-  job.options.simd = engine.spec.simd;
+  job.options.kind = kind;
   job.options.width = static_cast<int>(wire.kernel_width);
   job.options.sigma = wire.sigma;
   job.options.sanitize =
@@ -222,11 +233,8 @@ bool ReconServer::handle_dataset_request(
     const DatasetRequestWire wire =
         decode_dataset_request(frame.body.data(), frame.body.size());
     reply.client_tag = wire.client_tag;
-    const WireEngine engine = decode_engine(wire.engine);
-    if (!engine.error.empty()) throw ProtocolError(engine.error);
     data::ReconDatasetOptions opt;
-    opt.gridding.kind = engine.spec.kind;
-    opt.gridding.simd = engine.spec.simd;
+    opt.gridding.kind = wire_engine(wire.engine);
     opt.dcf = static_cast<data::DcfMode>(wire.dcf);
     opt.iters = static_cast<int>(wire.iters);
 

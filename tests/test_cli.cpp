@@ -84,18 +84,23 @@ TEST(EngineParse, AcceptsEveryListedName) {
 }
 
 TEST(EngineParse, UnknownNameThrowsWithOneLineDiagnostic) {
-  try {
-    core::parse_gridder_kind("bogus");
-    FAIL() << "must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    // The jigsaw_cli contract: one line naming the bad engine AND listing
-    // every valid name.
-    EXPECT_NE(what.find("unknown engine 'bogus', valid:"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find(core::gridder_kind_names()), std::string::npos)
-        << what;
-    EXPECT_EQ(what.find('\n'), std::string::npos) << "must be one line";
+  // The retired vectorized twins' names are unknown engines too.
+  for (const std::string name : {"bogus", "serial-simd", "binning-simd"}) {
+    SCOPED_TRACE(name);
+    try {
+      core::parse_gridder_kind(name);
+      ADD_FAILURE() << "must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      // The jigsaw_cli contract: one line naming the bad engine AND listing
+      // every valid name.
+      EXPECT_NE(what.find("unknown engine '" + name + "', valid:"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(core::gridder_kind_names()), std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << "must be one line";
+    }
   }
 }
 

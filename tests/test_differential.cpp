@@ -71,8 +71,6 @@ struct EngineCase {
   GridderKind kind;
   bool model_faithful;  // only meaningful for SliceDice
   Contract contract;
-  bool simd = false;  // vectorized twin; rel-L2 <= 1e-9 vs serial oracle,
-                      // bit-exactness across ISA paths is NOT required
 };
 
 const EngineCase kEngines[] = {
@@ -83,15 +81,10 @@ const EngineCase kEngines[] = {
     {GridderKind::Sparse, false, Contract::DoubleTight},
     {GridderKind::FloatSerial, false, Contract::Float32},
     {GridderKind::Jigsaw, false, Contract::FixedPoint},
-    // Every SIMD variant rides the same geometries as its scalar twin,
-    // under the whichever ISA the dispatcher resolved on this host
-    // (forced-ISA sweeps live in test_simd_kernels).
-    {GridderKind::Serial, false, Contract::DoubleTight, true},
-    {GridderKind::Binning, false, Contract::DoubleTight, true},
 };
 
 std::string engine_label(const EngineCase& e) {
-  std::string s = to_string(GridderSpec{e.kind, e.simd});
+  std::string s = to_string(e.kind);
   if (e.model_faithful) s += "+model-faithful";
   return s;
 }
@@ -141,7 +134,6 @@ void run_differential(const SampleSet<D>& in, std::int64_t n,
   for (const auto& e : kEngines) {
     GridderOptions eopt = opt;
     eopt.kind = e.kind;
-    eopt.simd = e.simd;
     eopt.model_faithful_checks = e.model_faithful;
     auto g = make_gridder<D>(n, eopt);
     expect_matches<D>(e, adjoint_values<D>(*g, in), ref_adj, "adjoint",

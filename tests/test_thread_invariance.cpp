@@ -90,35 +90,12 @@ TEST(ThreadInvariance, BinningGridderIsBitExact) {
   }
 }
 
-TEST(ThreadInvariance, BinningSimdGridderIsBitExact) {
-  // The vectorized binning path stays per-tile deterministic: staging a
-  // bin into the SoA buffer and accumulating across its samples is a fixed
-  // order per tile, so the thread count still cannot change a single bit.
-  const auto in = samples_on<2>(trajectory::random_2d(2000, 5), 5);
-  GridderOptions opt = base_options();
-  opt.kind = GridderKind::Binning;
-  opt.simd = true;
-  BinningGridder<2> ref(16, opt);
-  Grid<2> gref(ref.grid_size());
-  ref.adjoint(in, gref);
-  for (unsigned t : kThreadCounts) {
-    opt.threads = t;
-    BinningGridder<2> g(16, opt);
-    Grid<2> out(g.grid_size());
-    g.adjoint(in, out);
-    for (std::int64_t i = 0; i < out.total(); ++i) {
-      ASSERT_EQ(out[i], gref[i]) << "threads=" << t << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadInvariance, SerialSimdGridderIgnoresThreadKnob) {
-  // SerialGridder is single-threaded by definition; the vectorized variant
-  // must likewise be a pure function of its inputs under any threads value.
+TEST(ThreadInvariance, SerialGridderIgnoresThreadKnob) {
+  // SerialGridder, the default engine, is single-threaded by definition: it
+  // must be a pure function of its inputs under any threads value.
   const auto in = samples_on<2>(trajectory::radial_2d(32, 64), 9);
   GridderOptions opt = base_options();
   opt.kind = GridderKind::Serial;
-  opt.simd = true;
   SerialGridder<2> ref(16, opt);
   Grid<2> gref(ref.grid_size());
   ref.adjoint(in, gref);
@@ -328,19 +305,14 @@ void expect_shared_plan_matches_one_call(GridderOptions opt) {
   EXPECT_EQ(work_counts(plan.gridder().stats()), expected);
 }
 
-GridderOptions engine(GridderKind kind, bool simd = false) {
+GridderOptions engine(GridderKind kind) {
   GridderOptions opt = base_options();
   opt.kind = kind;
-  opt.simd = simd;
   return opt;
 }
 
 TEST(SharedPlan, Serial) {
   expect_shared_plan_matches_one_call(engine(GridderKind::Serial));
-}
-
-TEST(SharedPlan, SerialSimd) {
-  expect_shared_plan_matches_one_call(engine(GridderKind::Serial, true));
 }
 
 TEST(SharedPlan, OutputDriven) {
@@ -349,10 +321,6 @@ TEST(SharedPlan, OutputDriven) {
 
 TEST(SharedPlan, Binning) {
   expect_shared_plan_matches_one_call(engine(GridderKind::Binning));
-}
-
-TEST(SharedPlan, BinningSimd) {
-  expect_shared_plan_matches_one_call(engine(GridderKind::Binning, true));
 }
 
 TEST(SharedPlan, SliceDice) {

@@ -1,7 +1,7 @@
 // Engine-selection tests: TuneKey hashing (the router's shard key,
 // serve/tune_key.hpp) and the GridderKind::Auto reuse rule
-// (core::resolve_auto): its table, the fields it preserves, SIMD handling,
-// thread agreement, awkward grid sizes, and the factory that applies it.
+// (core::resolve_auto): its table, the fields it preserves, thread
+// agreement, awkward grid sizes, and the factory that applies it.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -77,40 +77,28 @@ struct AutoCase {
   std::int64_t n;
   int width;
   int tile;
-  bool simd;
   bool reused;
   core::GridderKind kind;  // expected resolution
   int resolved_tile;
-  bool resolved_simd;
 };
 
 // G = 2N throughout (sigma = 2). Neither resolved engine tiles the grid,
 // so the tile passes through untouched at every size.
 const AutoCase kAutoCases[] = {
-    {"reused_is_sparse_without_simd", 64, 6, 8, true, true,
-     core::GridderKind::Sparse, 8, false},
-    {"reused_scalar_is_sparse", 48, 4, 8, false, true,
-     core::GridderKind::Sparse, 8, false},
-    {"one_shot_is_serial", 48, 4, 8, false, false,
-     core::GridderKind::Serial, 8, false},
-    {"one_shot_keeps_simd", 64, 6, 8, true, false,
-     core::GridderKind::Serial, 8, true},
-    {"one_shot_keeps_tile", 64, 6, 16, false, false,
-     core::GridderKind::Serial, 16, false},
+    {"reused_is_sparse", 48, 4, 8, true, core::GridderKind::Sparse, 8},
+    {"one_shot_is_serial", 48, 4, 8, false, core::GridderKind::Serial, 8},
+    {"one_shot_keeps_tile", 64, 6, 16, false, core::GridderKind::Serial, 16},
     // G=260: no tile of 8 or 16 divides it; neither engine cares.
-    {"n130_one_shot_is_serial", 130, 6, 8, false, false,
-     core::GridderKind::Serial, 8, false},
-    {"n130_reused_is_sparse", 130, 4, 8, false, true,
-     core::GridderKind::Sparse, 8, false},
-    {"tile_below_width_passes_through", 64, 6, 4, false, false,
-     core::GridderKind::Serial, 4, false},
+    {"n130_one_shot_is_serial", 130, 6, 8, false, core::GridderKind::Serial,
+     8},
+    {"n130_reused_is_sparse", 130, 4, 8, true, core::GridderKind::Sparse, 8},
+    {"tile_below_width_passes_through", 64, 6, 4, false,
+     core::GridderKind::Serial, 4},
 };
 
 core::GridderOptions resolve(const AutoCase& c) {
-  core::GridderOptions options =
-      options_of(core::GridderKind::Auto, c.width, c.tile);
-  options.simd = c.simd;
-  return core::resolve_auto(options, c.reused);
+  return core::resolve_auto(
+      options_of(core::GridderKind::Auto, c.width, c.tile), c.reused);
 }
 
 TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
@@ -119,7 +107,6 @@ TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
     const core::GridderOptions resolved = resolve(c);
     EXPECT_EQ(resolved.kind, c.kind);
     EXPECT_EQ(resolved.tile, c.resolved_tile);
-    EXPECT_EQ(resolved.simd, c.resolved_simd);
     EXPECT_EQ(resolved.width, c.width);
     std::unique_ptr<core::Gridder<2>> gridder;
     ASSERT_NO_THROW(gridder = core::make_gridder<2>(c.n, resolved));
@@ -127,13 +114,10 @@ TEST(AutoRule, ResolvesByReuseToAConstructibleEngine) {
 
     // make_gridder(Auto) is the one-shot rule.
     if (!c.reused) {
-      core::GridderOptions options =
-          options_of(core::GridderKind::Auto, c.width, c.tile);
-      options.simd = c.simd;
-      const auto factory = core::make_gridder<2>(c.n, options);
+      const auto factory = core::make_gridder<2>(
+          c.n, options_of(core::GridderKind::Auto, c.width, c.tile));
       EXPECT_EQ(factory->kind(), resolved.kind);
       EXPECT_EQ(factory->options().tile, resolved.tile);
-      EXPECT_EQ(factory->options().simd, resolved.simd);
     }
   }
 }
@@ -187,7 +171,6 @@ TEST(AutoRule, EightThreadsResolveLikeOne) {
       const core::GridderOptions expected = resolve(kAutoCases[i]);
       EXPECT_EQ(results[i].kind, expected.kind) << kAutoCases[i].name;
       EXPECT_EQ(results[i].tile, expected.tile) << kAutoCases[i].name;
-      EXPECT_EQ(results[i].simd, expected.simd) << kAutoCases[i].name;
     }
   }
 }
@@ -205,25 +188,6 @@ TEST(AutoRule, BothResolutionsBuildAtAnAwkwardGridSize) {
     ASSERT_NE(gridder, nullptr);
     EXPECT_NE(gridder->kind(), core::GridderKind::Auto);
   }
-}
-
-TEST(AutoRule, OneShotKeepsSimdAndReusedClearsIt) {
-  core::GridderOptions base = options_of(core::GridderKind::Auto, 4, 8);
-  base.simd = true;
-
-  // One-shot: serial keeps the SIMD twin the caller asked for.
-  const core::GridderOptions one_shot = core::resolve_auto(base, false);
-  EXPECT_EQ(one_shot.kind, core::GridderKind::Serial);
-  EXPECT_TRUE(one_shot.simd);
-  const auto simd_gridder = core::make_gridder<2>(48, one_shot);
-  EXPECT_TRUE(simd_gridder->options().simd);
-
-  // Reused: sparse has no SIMD twin, so the flag is cleared and the plan
-  // builds instead of being rejected.
-  const core::GridderOptions reused = core::resolve_auto(base, true);
-  EXPECT_EQ(reused.kind, core::GridderKind::Sparse);
-  EXPECT_FALSE(reused.simd);
-  EXPECT_NO_THROW(core::make_gridder<2>(48, reused));
 }
 
 // ---------------------------------------------------------- concrete engine

@@ -41,7 +41,6 @@
 #include "data/driver.hpp"
 #include "energy/asic_model.hpp"
 #include "jigsaw/cycle_sim.hpp"
-#include "kernels/simd/simd.hpp"
 #include "obs/obs.hpp"
 #include "robustness/fault_injection.hpp"
 #include "trajectory/phantom.hpp"
@@ -79,14 +78,9 @@ trajectory::TrajectoryType parse_traj(const std::string& s) {
 core::GridderOptions options_from(const CliArgs& args) {
   core::GridderOptions opt;
   // Misspelled engines exit 1 through main()'s catch with the one-line
-  // "unknown engine '<name>', valid: ..." message from the parser. A
-  // "-simd" suffix (serial-simd, binning-simd) selects the vectorized
-  // variant of the engine.
-  const core::GridderSpec spec =
-      core::parse_gridder_spec(
-          args.get("engine", core::to_string(core::GridderSpec{})));
-  opt.kind = spec.kind;
-  opt.simd = spec.simd;
+  // "unknown engine '<name>', valid: ..." message from the parser.
+  opt.kind = core::parse_gridder_kind(
+      args.get("engine", core::to_string(core::kDefaultEngine)));
   opt.kernel = parse_kernel(args.get("kernel", "kaiser-bessel"));
   opt.width = static_cast<int>(args.get_int("width", 6));
   opt.sigma = args.get_double("sigma", 2.0);
@@ -109,7 +103,7 @@ core::GridderOptions resolve_engine(core::GridderOptions opt,
   if (opt.kind != core::GridderKind::Auto) return opt;
   opt = core::resolve_auto(opt, reused);
   std::printf("auto: n%lld -> engine=%s (%s)\n", static_cast<long long>(n),
-              core::to_string(core::GridderSpec{opt.kind, opt.simd}).c_str(),
+              core::to_string(opt.kind).c_str(),
               reused ? "reused" : "one-shot");
   return opt;
 }
@@ -183,8 +177,7 @@ int cmd_recon_dataset(const CliArgs& args) {
   std::printf("dataset recon: mean NRMSE %.4f over %zu chunks "
               "(%s engine, dcf %s, iters %d) in %.3f s\n",
               result.mean_nrmse, result.chunks.size(),
-              core::to_string(core::GridderSpec{opt.gridding.kind,
-                                                opt.gridding.simd}).c_str(),
+              core::to_string(opt.gridding.kind).c_str(),
               data::to_string(opt.dcf).c_str(), opt.iters, secs);
 
   // First surviving chunk's image as the visual artifact.
@@ -356,7 +349,7 @@ int cmd_recon(const CliArgs& args) {
   std::printf("recon: %s, %zu samples -> %lldx%lld (%s engine) in %.3f s\n",
               trajectory::to_string(traj_type).c_str(), coords.size(),
               static_cast<long long>(n), static_cast<long long>(n),
-              core::to_string(core::GridderSpec{opt.kind, opt.simd}).c_str(),
+              core::to_string(opt.kind).c_str(),
               secs);
   std::printf("NRMSD vs phantom: %.4f | SSIM: %.4f\n",
               core::nrmsd(mag, truth),
@@ -384,7 +377,7 @@ int cmd_grid(const CliArgs& args) {
 
   std::printf("%s gridding of %zu samples onto %lld^2: %.4f s "
               "(%.1f ns/sample)\n",
-              core::to_string(core::GridderSpec{opt.kind, opt.simd}).c_str(),
+              core::to_string(opt.kind).c_str(),
               coords.size(),
               static_cast<long long>(g->grid_size()), secs,
               1e9 * secs / static_cast<double>(coords.size()));
@@ -459,16 +452,11 @@ int cmd_info() {
               "(IPDPS 2021 reproduction)\n\n");
   std::printf("engines:      serial, output-driven, binning, slice-dice, "
               "jigsaw (fixed point), sparse, float, auto (alias: tuned)\n");
-  std::printf("              SIMD variants: serial-simd, binning-simd\n");
   std::printf("kernels:      kaiser-bessel, gaussian, bspline, triangle, "
               "sinc-hann\n");
   std::printf(
       "trajectories: radial, golden-radial, spiral, vd-spiral, rosette, "
       "propeller, random, cartesian\n");
-  std::printf("simd:         active=%s (supported: %s; override with "
-              "--simd or $JIGSAW_SIMD)\n",
-              kernels::simd::to_string(kernels::simd::active()),
-              kernels::simd::supported_names().c_str());
   std::printf("hardware:     T=8 (64 pipelines), W<=8, L<=64, grid<=1024^2, "
               "M+12 cycles @1 GHz\n");
   return 0;
@@ -486,9 +474,6 @@ void print_help(std::FILE* out) {
                "            (default %s; auto: sparse when the plan is reused\n"
                "             — --iters K, --coils C > 1, --dataset — else "
                "serial)\n"
-               "  --simd auto|scalar|avx2|avx512|neon\n"
-               "            force the micro-kernel ISA for *-simd engines\n"
-               "            (also $JIGSAW_SIMD; default auto-detects)\n"
                "  --n N --samples M --traj radial|golden-radial|spiral|"
                "vd-spiral|rosette|propeller|random|cartesian\n"
                "  --dataset file.jksd   reconstruct an ingested JKSD "
@@ -497,8 +482,8 @@ void print_help(std::FILE* out) {
                "docs/datasets.md)\n"
                "  --kernel kaiser-bessel|gaussian|bspline|triangle|sinc-hann\n"
                "  --width W --sigma S --table L --tile T --iters K\n",
-               core::gridder_spec_names().c_str(),
-               core::to_string(core::GridderSpec{}).c_str());
+               core::gridder_kind_names().c_str(),
+               core::to_string(core::kDefaultEngine).c_str());
 }
 
 }  // namespace
@@ -520,12 +505,9 @@ int main(int argc, char** argv) {
       "input",  "save",    "sanitize",  "drop-spokes",  "noise-spikes",
       "inject-nan", "perturb-coords", "bitflip-rate", "bitflip-bit",
       "seed",   "coils",   "coil-threads", "trace-json", "counters",
-      "simd",   "dataset", "dcf"};
+      "dataset", "dcf"};
   try {
     CliArgs args(argc - 1, argv + 1, flags);
-    // ISA override before any gridding: an unknown mode or one this host
-    // cannot run exits 1 with the parser's one-line diagnostic.
-    if (args.has("simd")) kernels::simd::force(args.get("simd"));
     const std::string trace_path = args.get("trace-json", "");
     if (!trace_path.empty()) obs::trace_start();
 

@@ -53,8 +53,8 @@ std::string endpoint_spec(const CliArgs& args) {
 
 // --engine as a wire engine code; the default is core's default engine.
 std::uint32_t engine_arg(const CliArgs& args) {
-  return serve::engine_code(core::parse_gridder_spec(
-      args.get("engine", core::to_string(core::GridderSpec{}))));
+  return serve::engine_code(core::parse_gridder_kind(
+      args.get("engine", core::to_string(core::kDefaultEngine))));
 }
 
 int cmd_stats(const CliArgs& args) {

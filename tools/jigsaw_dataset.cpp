@@ -68,9 +68,7 @@ int cmd_generate(const CliArgs& args) {
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   opt.embed_dcf = args.has("embed-dcf");
   if (args.has("engine")) {
-    const auto spec = core::parse_gridder_spec(args.get("engine"));
-    opt.gridding.kind = spec.kind;
-    opt.gridding.simd = spec.simd;
+    opt.gridding.kind = core::parse_gridder_kind(args.get("engine"));
   }
 
   const auto rep = data::generate_synthetic(out, opt);
