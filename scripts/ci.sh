@@ -166,6 +166,21 @@ PYEOF
   echo "dataset smoke: corrupt chunk rejected, recon survived on 2/3 chunks"
 )
 
+# Daemon helpers for the router and stream smokes (stages 4d, 4e), which
+# run in subshells that inherit them.
+wait_for_line() {  # <file> <pattern>: daemons print readiness to stdout
+  for _ in $(seq 1 100); do
+    grep -q "$2" "$1" 2>/dev/null && return 0
+    sleep 0.1
+  done
+  echo "timeout waiting for '$2' in $1" >&2
+  cat "$1" >&2 || true
+  return 1
+}
+bound_endpoint() {  # <file>: the host:port of a daemon's "listening on" line
+  sed -n 's/.*listening on \([0-9.]*:[0-9]*\).*/\1/p' "$1" | head -1
+}
+
 echo "=== router smoke: sharded fleet + stats gate + graceful drain ==="
 # Two workers — one TCP, one Unix socket (the router mixes transports) —
 # behind jigsaw_router, everything on ephemeral ports parsed from the
@@ -176,17 +191,6 @@ echo "=== router smoke: sharded fleet + stats gate + graceful drain ==="
   RSMOKE=build/router_smoke
   rm -rf "${RSMOKE}" && mkdir -p "${RSMOKE}"
   trap 'kill ${WA:-} ${WB:-} ${RT:-} 2>/dev/null || true' EXIT
-
-  wait_for_line() {  # <file> <pattern>: daemons print readiness to stdout
-    for _ in $(seq 1 100); do
-      grep -q "$2" "$1" 2>/dev/null && return 0
-      sleep 0.1
-    done
-    echo "timeout waiting for '$2' in $1" >&2
-    cat "$1" >&2 || true
-    return 1
-  }
-  bound_endpoint() { sed -n 's/.*listening on \([0-9.]*:[0-9]*\).*/\1/p' "$1" | head -1; }
 
   ./build/tools/jigsaw_serve --listen 127.0.0.1:0 --threads 2 \
     > "${RSMOKE}/worker_a.log" 2>&1 &
@@ -250,17 +254,6 @@ echo "=== stream smoke: session round trip + lossless mid-stream drain ==="
   SSMOKE=build/stream_smoke
   rm -rf "${SSMOKE}" && mkdir -p "${SSMOKE}"
   trap 'kill ${SW:-} 2>/dev/null || true' EXIT
-
-  wait_for_line() {
-    for _ in $(seq 1 100); do
-      grep -q "$2" "$1" 2>/dev/null && return 0
-      sleep 0.1
-    done
-    echo "timeout waiting for '$2' in $1" >&2
-    cat "$1" >&2 || true
-    return 1
-  }
-  bound_endpoint() { sed -n 's/.*listening on \([0-9.]*:[0-9]*\).*/\1/p' "$1" | head -1; }
 
   ./build/tools/jigsaw_serve --listen 127.0.0.1:0 --threads 2 \
     > "${SSMOKE}/worker.log" 2>&1 &

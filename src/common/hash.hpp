@@ -14,9 +14,10 @@ namespace jigsaw {
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
 
 /// The standard basis with its last decimal digit dropped
-/// (14695981039346656037 -> 1469598103934665603). TuneKey::hash(), the
-/// serve plan pool, router rendezvous scores and the stream coordinate hash
-/// were built on it; shard placement depends on the values, so it stays.
+/// (14695981039346656037 -> 1469598103934665603). The router's shard key
+/// and rendezvous scores, the serve plan pool and the stream coordinate
+/// hash were built on it; shard placement depends on the values, so it
+/// stays.
 inline constexpr std::uint64_t kFnv1aShortBasis = 1469598103934665603ull;
 
 inline std::uint64_t fnv1a(const void* data, std::size_t len,

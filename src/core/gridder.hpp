@@ -4,8 +4,8 @@
 // oversampling L, oversampling factor sigma) and implements the adjoint
 // (non-uniform samples -> uniform grid, "gridding") and forward (uniform
 // grid -> non-uniform samples, "re-gridding") interpolation steps of the
-// NuFFT. Five engines are provided, mirroring the implementations the paper
-// evaluates:
+// NuFFT. Seven engines are provided, mirroring the implementations and the
+// numeric configurations the paper evaluates:
 //
 //   Serial       — input-driven serial double precision (MIRT-like baseline;
 //                  the default engine)
@@ -19,10 +19,12 @@
 //                  datapath (Sec. IV); shares arithmetic with jigsaw::CycleSim
 //   Sparse       — precomputed CSR interpolation matrix (MIRT's sparse
 //                  mode [7]): pay O(M*W^d) setup once, then SpMV applies
+//   FloatSerial  — Serial in single precision, the numeric configuration
+//                  of the paper's GPU implementations (Secs. V, VI-C)
 //
-// All engines use the same window convention (see window.hpp) and therefore
-// produce numerically identical grids in double precision — a property the
-// test suite asserts.
+// All engines use the same window convention (see window.hpp); the
+// double-precision ones therefore produce numerically identical grids — a
+// property the test suite asserts.
 #pragma once
 
 #include <array>

@@ -38,11 +38,6 @@ ReconReplyWire ServeClient::recon(const ReconRequestWire& request) {
   return recv_recon_reply();
 }
 
-ReconReplyWire ServeClient::recon_dataset(const DatasetRequestWire& request) {
-  send_frame(fd_, MsgType::kReconDataset, encode_dataset_request(request));
-  return recv_recon_reply();
-}
-
 ReconReplyWire ServeClient::recv_recon_reply() {
   const Frame frame = recv_reply_frame();
   if (frame.type != MsgType::kReconReply) {

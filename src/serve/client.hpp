@@ -32,11 +32,6 @@ class ServeClient {
   /// Synchronous reconstruction round-trip.
   ReconReplyWire recon(const ReconRequestWire& request);
 
-  /// Synchronous by-reference dataset reconstruction: the request names a
-  /// JKSD file on the worker's filesystem; the reply image is the mean
-  /// magnitude across the dataset's surviving chunks.
-  ReconReplyWire recon_dataset(const DatasetRequestWire& request);
-
   /// Fetch the /statsz JSON snapshot.
   std::string statsz();
 

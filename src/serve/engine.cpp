@@ -166,27 +166,11 @@ void ServeEngine::submit(ReconJob job, Callback done) {
   }
 
   p.key = key_of(p.job);
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (draining_ || stop_) {
-      lk.unlock();
-      finish(p, make_outcome(Status::kRejected, "server draining"),
-             /*was_inflight=*/false);
-      return;
-    }
-    if (queue_.size() >= config_.max_queue) {
-      lk.unlock();
-      finish(p,
-             make_outcome(Status::kRejected,
-                          "admission queue full (" +
-                              std::to_string(config_.max_queue) + ")"),
-             /*was_inflight=*/false);
-      return;
-    }
-    queue_.push_back(std::move(p));
-    publish_gauges();
+  std::string refusal = enqueue(p);
+  if (!refusal.empty()) {
+    finish(p, make_outcome(Status::kRejected, std::move(refusal)),
+           /*was_inflight=*/false);
   }
-  cv_work_.notify_one();
 }
 
 SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
@@ -218,10 +202,10 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
   if (req.n < 2 || static_cast<std::int64_t>(req.n) > config_.max_n) {
     reject = "grid size " + std::to_string(req.n) + " outside [2, " +
              std::to_string(config_.max_n) + "]";
-  } else if (static_cast<int>(req.iters) > config_.max_iters) {
+  } else if (static_cast<std::int64_t>(req.iters) > config_.max_iters) {
     reject = "iteration count outside [1, " +
              std::to_string(config_.max_iters) + "]";
-  } else if (static_cast<int>(req.coils) > config_.max_coils) {
+  } else if (static_cast<std::int64_t>(req.coils) > config_.max_coils) {
     reject = "coil count outside [1, " + std::to_string(config_.max_coils) +
              "]";
   }
@@ -290,13 +274,7 @@ void ServeEngine::submit_frame(StreamFrameJob job, FrameCallback done) {
   p.frame = std::move(job);
   p.frame_done = std::move(done);
 
-  std::shared_ptr<StreamSession> session;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = sessions_.find(p.frame.session_id);
-    if (it != sessions_.end() && !it->second->closed) session = it->second;
-  }
-
+  std::shared_ptr<StreamSession> session = live_session(p.frame.session_id);
   auto reject_frame = [&](Status status, std::string message) {
     FrameOutcome out;
     out.status = status;
@@ -347,27 +325,9 @@ void ServeEngine::submit_frame(StreamFrameJob job, FrameCallback done) {
     return;
   }
 
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (draining_ || stop_ || session->closed) {
-      lk.unlock();
-      reject_frame(Status::kRejected, session->closed
-                                          ? "session closed"
-                                          : "server draining");
-      return;
-    }
-    if (queue_.size() >= config_.max_queue) {
-      lk.unlock();
-      reject_frame(Status::kRejected,
-                   "admission queue full (" +
-                       std::to_string(config_.max_queue) + ")");
-      return;
-    }
-    p.session = session;
-    queue_.push_back(std::move(p));
-    publish_gauges();
-  }
-  cv_work_.notify_one();
+  p.session = std::move(session);
+  std::string refusal = enqueue(p);
+  if (!refusal.empty()) reject_frame(Status::kRejected, std::move(refusal));
 }
 
 void ServeEngine::submit_close(std::uint64_t session_id,
@@ -379,53 +339,74 @@ void ServeEngine::submit_close(std::uint64_t session_id,
   p.frame.client_tag = client_tag;
   p.close_done = std::move(done);
 
-  std::string reject = "unknown or closed session " +
-                       std::to_string(session_id);
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const auto it = sessions_.find(session_id);
-    if (it != sessions_.end() && !it->second->closed) {
-      if (draining_ || stop_) {
-        reject = "server draining";
-      } else if (queue_.size() >= config_.max_queue) {
-        reject = "admission queue full (" +
-                 std::to_string(config_.max_queue) + ")";
-      } else {
-        // Mark closed NOW, under the lock: pushes that arrive after the
-        // close are rejected, frames already queued still complete (the
-        // sentinel sits behind them in FIFO order).
-        it->second->closed = true;
-        p.session = it->second;
-        queue_.push_back(std::move(p));
-        publish_gauges();
-        lk.unlock();
-        cv_work_.notify_one();
-        return;
-      }
-    }
-  }
+  p.session = live_session(session_id);
+  std::string refusal =
+      p.session != nullptr
+          ? enqueue(p)
+          : "unknown or closed session " + std::to_string(session_id);
+  if (refusal.empty()) return;
   SessionOutcome out;
   out.status = Status::kRejected;
-  out.message = std::move(reject);
+  out.message = std::move(refusal);
   out.session_id = session_id;
   out.client_tag = client_tag;
   finish_close(p, std::move(out), /*was_inflight=*/false);
+}
+
+std::shared_ptr<ServeEngine::StreamSession> ServeEngine::live_session(
+    std::uint64_t id) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end() || it->second->closed) return nullptr;
+  return it->second;
+}
+
+std::string ServeEngine::enqueue(Pending& p) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (p.session != nullptr && p.session->closed) return "session closed";
+    if (draining_ || stop_) return "server draining";
+    if (queue_.size() >= config_.max_queue) {
+      return "admission queue full (" + std::to_string(config_.max_queue) +
+             ")";
+    }
+    // A close marks its session closed under the same lock as its push:
+    // pushes that arrive after it are refused, frames already queued still
+    // complete (the sentinel sits behind them in FIFO order).
+    if (p.close) p.session->closed = true;
+    queue_.push_back(std::move(p));
+    publish_gauges();
+  }
+  cv_work_.notify_one();
+  return {};
+}
+
+void ServeEngine::retire() {
+  std::lock_guard<std::mutex> lk(mu_);
+  --inflight_;
+  publish_gauges();
+  if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
+}
+
+void ServeEngine::count_status(Status status) {
+  obs::add(status_counter(status), 1);
+  std::lock_guard<std::mutex> lk(mu_);
+  switch (status) {
+    case Status::kOk: ++counts_.ok; break;
+    case Status::kSanitizedPartial: ++counts_.sanitized_partial; break;
+    case Status::kTimeout: ++counts_.timeout; break;
+    case Status::kRejected: ++counts_.rejected; break;
+    case Status::kError: ++counts_.error; break;
+  }
 }
 
 void ServeEngine::count_external(Status status) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++counts_.submitted;
-    switch (status) {
-      case Status::kOk: ++counts_.ok; break;
-      case Status::kSanitizedPartial: ++counts_.sanitized_partial; break;
-      case Status::kTimeout: ++counts_.timeout; break;
-      case Status::kRejected: ++counts_.rejected; break;
-      case Status::kError: ++counts_.error; break;
-    }
   }
   obs::add("serve.submitted", 1);
-  obs::add(status_counter(status), 1);
+  count_status(status);
 }
 
 void ServeEngine::drain() {
@@ -797,30 +778,14 @@ std::shared_ptr<const core::BatchedNufft<2>> ServeEngine::plan_for(
 void ServeEngine::finish(Pending& p, ReconOutcome outcome, bool was_inflight) {
   outcome.client_tag = p.job.client_tag;
   if (outcome.n == 0) outcome.n = p.job.n;
-  const Status status = outcome.status;
   // Count BEFORE completing: a caller that observes its reply must already
   // see itself in the per-status totals.
-  obs::add(status_counter(status), 1);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    switch (status) {
-      case Status::kOk: ++counts_.ok; break;
-      case Status::kSanitizedPartial: ++counts_.sanitized_partial; break;
-      case Status::kTimeout: ++counts_.timeout; break;
-      case Status::kRejected: ++counts_.rejected; break;
-      case Status::kError: ++counts_.error; break;
-    }
-  }
+  count_status(outcome.status);
   if (p.done) p.done(std::move(outcome));
   // Retire from inflight only AFTER the callback: drain() must not return
   // (and the server must not tear down connections) while a reply is still
   // being written.
-  if (was_inflight) {
-    std::lock_guard<std::mutex> lk(mu_);
-    --inflight_;
-    publish_gauges();
-    if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
-  }
+  if (was_inflight) retire();
 }
 
 void ServeEngine::finish_frame(Pending& p, FrameOutcome outcome,
@@ -841,23 +806,13 @@ void ServeEngine::finish_frame(Pending& p, FrameOutcome outcome,
     }
   }
   if (p.frame_done) p.frame_done(std::move(outcome));
-  if (was_inflight) {
-    std::lock_guard<std::mutex> lk(mu_);
-    --inflight_;
-    publish_gauges();
-    if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
-  }
+  if (was_inflight) retire();
 }
 
 void ServeEngine::finish_close(Pending& p, SessionOutcome outcome,
                                bool was_inflight) {
   if (p.close_done) p.close_done(std::move(outcome));
-  if (was_inflight) {
-    std::lock_guard<std::mutex> lk(mu_);
-    --inflight_;
-    publish_gauges();
-    if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
-  }
+  if (was_inflight) retire();
 }
 
 void ServeEngine::publish_gauges() {

@@ -77,9 +77,9 @@ struct ServeConfig {
   std::size_t max_sessions = 8;  // concurrent streaming sessions
 };
 
-/// The engine field of a request (ReconRequestWire, DatasetRequestWire,
-/// OpenSessionWire) as a core::GridderKind. Throws std::invalid_argument
-/// ("unknown engine code <N>") for a code above GridderKind::Auto.
+/// The engine field of a request (ReconRequestWire, OpenSessionWire) as a
+/// core::GridderKind. Throws std::invalid_argument ("unknown engine code
+/// <N>") for a code above GridderKind::Auto.
 core::GridderKind decode_engine(std::uint32_t engine);
 
 /// A parsed, validated-enough-to-try reconstruction job.
@@ -281,6 +281,18 @@ class ServeEngine {
   ReconOutcome execute_single(
       Pending& p, const std::shared_ptr<const core::BatchedNufft<2>>& plan);
   std::shared_ptr<const core::BatchedNufft<2>> plan_for(const Pending& p);
+
+  // The session `id` names, or nullptr when it is unknown or closed.
+  std::shared_ptr<StreamSession> live_session(std::uint64_t id) const;
+  // The one admission step of submit, submit_frame and submit_close: under
+  // mu_, refuse a closed session, a draining engine or a full queue, else
+  // push `p` (moved from), publish the gauges and wake the dispatcher.
+  // Returns the refusal, empty when admitted.
+  std::string enqueue(Pending& p);
+  // The one retire step after an admitted job's callback: inflight
+  // decrement, gauges, and the idle wakeup drain() waits for.
+  void retire();
+  void count_status(Status status);  // per-status request totals
 
   void finish(Pending& p, ReconOutcome outcome, bool was_inflight);
   void finish_frame(Pending& p, FrameOutcome outcome, bool was_inflight);

@@ -21,7 +21,6 @@ namespace {
 constexpr std::uint64_t kAbsoluteMaxElements = 1ull << 28;
 constexpr std::uint32_t kMaxCoils = 1024;
 constexpr std::uint32_t kMaxMessageBytes = 1u << 20;
-constexpr std::uint32_t kMaxPathBytes = 4096;
 
 // Coordinate and value payloads cross the wire as the host's in-memory
 // arrays, one bulk copy each.
@@ -54,9 +53,6 @@ class Writer {
   void image(const std::vector<c64>& pixels) {
     u64(pixels.size(), "pixel_count");
     raw(pixels.data(), pixels.size() * sizeof(c64));
-  }
-  void path(const std::string& p, std::uint32_t /*path_len*/) {
-    raw(p.data(), p.size());
   }
   void check(bool, const char*) {}
 
@@ -138,10 +134,6 @@ class Reader {
     pixels.resize(static_cast<std::size_t>(count));
     raw(pixels.data(), pixels.size() * sizeof(c64), "image");
   }
-  void path(std::string& p, std::uint32_t path_len) {
-    tail_is("path_len", path_len);
-    p.assign(reinterpret_cast<const char*>(take(path_len, "path")), path_len);
-  }
   void check(bool ok, const char* what) {
     if (!ok) throw ProtocolError(what);
   }
@@ -221,26 +213,6 @@ void layout(IO& io, M& m) {
   io.u64(m.sanitize_repaired, "sanitize_repaired");
   io.message(m.message);
   io.image(m.image);
-}
-
-template <class IO, Is<DatasetRequestWire> M>
-void layout(IO& io, M& m) {
-  io.version();
-  io.u32(m.engine, "engine");
-  io.u32(m.iters, "iters");
-  io.u32(m.dcf, "dcf");
-  auto path_len = static_cast<std::uint32_t>(m.path.size());
-  io.u32(path_len, "path_len");
-  io.pad();  // 8-byte alignment of the u64s that follow
-  io.u64(m.deadline_ms, "deadline_ms");
-  io.u64(m.client_tag, "client_tag");
-  io.check(m.dcf <= 2, "dcf: unknown dcf mode");
-  io.check(path_len != 0, "path_len: empty dataset path");
-  io.check(path_len <= kMaxPathBytes,
-           "path_len: dataset path implausibly long");
-  io.path(m.path, path_len);
-  io.check(m.path.find('\0') == std::string::npos,
-           "path: dataset path contains NUL");
 }
 
 template <class IO, Is<OpenSessionWire> M>
@@ -447,7 +419,6 @@ const char* to_string(Status s) {
   }
 JIGSAW_SERVE_CODEC(recon_request, ReconRequestWire)
 JIGSAW_SERVE_CODEC(recon_reply, ReconReplyWire)
-JIGSAW_SERVE_CODEC(dataset_request, DatasetRequestWire)
 JIGSAW_SERVE_CODEC(open_session, OpenSessionWire)
 JIGSAW_SERVE_CODEC(session_reply, SessionReplyWire)
 JIGSAW_SERVE_CODEC(push_frame, PushFrameWire)
@@ -503,7 +474,6 @@ bool recv_frame(int fd, Frame& out, std::size_t max_body, int timeout_ms) {
     case MsgType::kOpenSession:
     case MsgType::kPushFrame:
     case MsgType::kCloseSession:
-    case MsgType::kReconDataset:
     case MsgType::kReconReply:
     case MsgType::kStatsReply:
     case MsgType::kSessionReply:

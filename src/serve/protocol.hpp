@@ -45,7 +45,6 @@ enum class MsgType : std::uint32_t {
   kOpenSession = 3,   // OpenSessionWire body; answered with kSessionReply
   kPushFrame = 4,     // PushFrameWire body; answered with kFrameReply
   kCloseSession = 5,  // CloseSessionWire body; answered with kSessionReply
-  kReconDataset = 6,  // DatasetRequestWire body; answered with kReconReply
   kReconReply = 101,
   kStatsReply = 102,  // UTF-8 JSON text body (the /statsz snapshot)
   kSessionReply = 103,  // SessionReplyWire body (open + close)
@@ -138,31 +137,6 @@ ReconRequestWire decode_recon_request(const std::uint8_t* data,
 
 std::vector<std::uint8_t> encode_recon_reply(const ReconReplyWire& reply);
 ReconReplyWire decode_recon_reply(const std::uint8_t* data, std::size_t len);
-
-/// Dataset-by-reference recon request (kReconDataset). Instead of shipping
-/// coords + samples inline, the client names a JKSD file on the *worker's*
-/// filesystem (docs/datasets.md); the worker streams it through
-/// data::recon_dataset and answers with a normal kReconReply whose image is
-/// the mean magnitude across surviving chunks (imaginary parts zero) and
-/// whose message summarizes ingest (chunks read/rejected, mean NRMSE).
-/// Layout:
-///   u32 version, u32 engine, u32 iters, u32 dcf, u32 path_len, u32 pad,
-///   u64 deadline_ms, u64 client_tag, u8 path[path_len]
-/// `dcf` is a data::DcfMode (0 none, 1 embedded, 2 pipe-menon). `iters`
-/// follows kRecon semantics (0 = adjoint + RSS). Chunk-level corruption is
-/// NOT an error — the reply is kOk as long as one chunk survived.
-struct DatasetRequestWire {
-  std::uint32_t engine = engine_code(core::kDefaultEngine);
-  std::uint32_t iters = 0;
-  std::uint32_t dcf = 2;     // data::DcfMode, pipe-menon by default
-  std::uint64_t deadline_ms = 0;
-  std::uint64_t client_tag = 0;  // echoed verbatim in the reply
-  std::string path;              // worker-local JKSD file
-};
-
-std::vector<std::uint8_t> encode_dataset_request(const DatasetRequestWire& req);
-DatasetRequestWire decode_dataset_request(const std::uint8_t* data,
-                                          std::size_t len);
 
 // --- streaming sessions ---------------------------------------------------
 //

@@ -13,8 +13,6 @@
 #include <utility>
 
 #include "common/hash.hpp"
-#include "core/gridder.hpp"
-#include "serve/tune_key.hpp"
 
 namespace jigsaw::serve {
 
@@ -50,11 +48,25 @@ Clock::time_point wait_deadline(const RouterConfig& config,
 }
 
 enum class Route {
-  kSharded,       // rendezvous rank order of a shard key, with spill
-  kSticky,        // the session's pinned worker, no failover
-  kWorkerDirect,  // refused: the request names worker-local state
-  kLocal,         // answered by the router itself
+  kSharded,  // rendezvous rank order of a shard key, with spill
+  kSticky,   // the session's pinned worker, no failover
+  kLocal,    // answered by the router itself
 };
+
+/// The shard key of a geometry class: FNV-1a over a packed canonical
+/// encoding of {dims, n, m, width, coils, threads, sigma} (fixed-width
+/// integers plus the raw double), so it is stable across processes on one
+/// platform. Requests are 2D and run one thread per plan, so dims and
+/// threads are constants; they stay in the encoding, which keeps every
+/// placement where it was.
+std::uint64_t geometry_hash(std::int64_t n, std::int64_t m, int width,
+                            double sigma, int coils) {
+  struct {
+    std::int64_t dims, n, m, width, coils, threads;
+    double sigma;
+  } packed{2, n, m, width, coils, 1, sigma};
+  return fnv1a(&packed, sizeof packed, kFnv1aShortBasis);
+}
 
 enum class Pin {
   kNone,
@@ -173,24 +185,14 @@ int Router::shutdown_how() const { return SHUT_RD; }
 void Router::on_stop_accepting() { stop_health(); }
 
 std::uint64_t Router::shard_hash(const ReconRequestWire& wire) {
-  core::GridderOptions options;
-  options.width = static_cast<int>(wire.kernel_width);
-  options.sigma = wire.sigma;
-  return TuneKey::of(2, wire.n,
-                           static_cast<std::int64_t>(wire.coords.size()),
-                           options, static_cast<int>(wire.coils),
-                           /*threads=*/1)
-      .hash();
+  return geometry_hash(wire.n, static_cast<std::int64_t>(wire.coords.size()),
+                       static_cast<int>(wire.kernel_width), wire.sigma,
+                       static_cast<int>(wire.coils));
 }
 
 std::uint64_t Router::session_shard_hash(const OpenSessionWire& wire) {
-  core::GridderOptions options;
-  options.width = static_cast<int>(wire.kernel_width);
-  options.sigma = wire.sigma;
-  return TuneKey::of(2, static_cast<std::int64_t>(wire.n),
-                           /*m=*/0, options, static_cast<int>(wire.coils),
-                           /*threads=*/1)
-      .hash();
+  return geometry_hash(wire.n, /*m=*/0, static_cast<int>(wire.kernel_width),
+                       wire.sigma, static_cast<int>(wire.coils));
 }
 
 std::uint64_t Router::rendezvous_score(std::uint64_t key_hash,
@@ -293,19 +295,6 @@ const Router::Policy* Router::policy_for(MsgType type) {
          Request r;
          r.session_id = w.session_id;
          r.client_tag = w.client_tag;
-         return r;
-       }},
-      {MsgType::kReconDataset, Route::kWorkerDirect, MsgType::kReconReply,
-       Pin::kNone, nullptr,
-       [](const Frame& f) {
-         // Refused either way; a malformed body just loses its tag.
-         Request r;
-         try {
-           r.client_tag =
-               decode_dataset_request(f.body.data(), f.body.size())
-                   .client_tag;
-         } catch (const std::exception&) {
-         }
          return r;
        }},
       {MsgType::kStats, Route::kLocal, MsgType::kStatsReply, Pin::kNone,
@@ -484,14 +473,6 @@ Router::ForwardResult Router::route(const Policy& policy, const Frame& frame,
   }
   ForwardResult out;
   out.status = Status::kRejected;
-  if (policy.route == Route::kWorkerDirect) {
-    // By-reference datasets name a file on one worker's filesystem; the
-    // router cannot know which worker that is.
-    out.message =
-        "dataset requests are worker-direct (the path is worker-local); "
-        "connect to a worker endpoint";
-    return out;
-  }
   std::size_t home = 0;
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);

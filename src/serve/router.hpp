@@ -3,14 +3,13 @@
 // One router listens on its own endpoint (Unix or TCP — same JSRV frames
 // as the workers) and forwards each recon request to one worker out of a
 // configured pool, chosen by RENDEZVOUS (highest-random-weight) hashing of
-// the request's geometry: the shard key is the FNV-1a `TuneKey` hash
-// ({dims, N, M, W, sigma, coils, threads=1} — see serve/tune_key.hpp), so
-// every request of one geometry equivalence class lands on the same worker
-// and that worker's NuFFT plan pool and FFT plan cache stay hot for "its"
-// geometries. Rendezvous hashing gives the spill property
-// for free: when a worker is unhealthy its keys fall to the next-ranked
-// worker, and only its keys — the rest of the fleet's assignment is
-// untouched; when it recovers, exactly those keys come back.
+// the request's geometry: the shard key is an FNV-1a hash of its geometry
+// class {N, M, W, sigma, coils} (shard_hash below), so every request of
+// one class lands on the same worker and that worker's NuFFT plan pool and
+// FFT plan cache stay hot for "its" geometries. Rendezvous hashing gives
+// the spill property for free: when a worker is unhealthy its keys fall to
+// the next-ranked worker, and only its keys — the rest of the fleet's
+// assignment is untouched; when it recovers, exactly those keys come back.
 //
 // Forwarding is store-and-forward per request on the client connection's
 // reader thread: decode enough of the body to route it, then relay the
@@ -41,8 +40,10 @@
 //   push frame   (4)  sticky         ERROR, no failover       unpin if the
 //                                                             worker is lost
 //   close        (5)  sticky         ERROR, no failover       always unpin
-//   dataset      (6)  worker-direct  REJECTED at the router   -
 //   stats        (2)  local          the router's own JSON    -
+//
+// Any other type (a reply type, or a code no message has) closes the
+// client's connection, exactly as a worker does.
 //
 // Sharded requests walk the workers in rendezvous rank order of their shard
 // key, healthy ones first (a request must not fail just because the health
@@ -143,9 +144,9 @@ class Router : public FrameServer {
   RouterCounts counts() const;
   std::string statsz_json() const;
 
-  /// The shard key for a decoded request — exposed so tests can predict
-  /// placement. Matches TuneKey::of(2, n, m, {width, sigma}, coils,
-  /// 1).hash().
+  /// The shard key for a decoded request: a hash of its geometry class
+  /// (n, m, kernel width, sigma, coils), never of its coordinates. Exposed
+  /// so tests can predict placement.
   static std::uint64_t shard_hash(const ReconRequestWire& wire);
 
   /// The shard key for a streaming session, from its open parameters.

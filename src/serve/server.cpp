@@ -2,10 +2,7 @@
 
 #include <sys/socket.h>
 
-#include <chrono>
 #include <stdexcept>
-
-#include "data/driver.hpp"
 
 namespace jigsaw::serve {
 
@@ -225,66 +222,6 @@ bool ReconServer::handle_stream_frame(const std::shared_ptr<Connection>& conn,
   return true;
 }
 
-bool ReconServer::handle_dataset_request(
-    const std::shared_ptr<Connection>& conn, const Frame& frame) {
-  ReconReplyWire reply;
-  reply.status = Status::kError;
-  try {
-    const DatasetRequestWire wire =
-        decode_dataset_request(frame.body.data(), frame.body.size());
-    reply.client_tag = wire.client_tag;
-    data::ReconDatasetOptions opt;
-    opt.gridding.kind = wire_engine(wire.engine);
-    opt.dcf = static_cast<data::DcfMode>(wire.dcf);
-    opt.iters = static_cast<int>(wire.iters);
-
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = data::recon_dataset(wire.path, opt);
-    const auto elapsed_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-
-    const auto n = static_cast<std::size_t>(result.info.n);
-    std::vector<double> mean(n * n, 0.0);
-    for (const auto& c : result.chunks) {
-      for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += c.image[i];
-    }
-    reply.image.resize(mean.size());
-    for (std::size_t i = 0; i < mean.size(); ++i) {
-      reply.image[i] =
-          c64(mean[i] / static_cast<double>(result.chunks.size()), 0.0);
-    }
-    reply.n = static_cast<std::uint32_t>(result.info.n);
-    reply.message =
-        "dataset: " + std::to_string(result.report.chunks_read) +
-        " chunks read, " + std::to_string(result.report.rejects.size()) +
-        " rejected, mean NRMSE " + std::to_string(result.mean_nrmse);
-    if (wire.deadline_ms > 0 &&
-        static_cast<std::uint64_t>(elapsed_ms) > wire.deadline_ms) {
-      // Phase-boundary deadline check (the recon is not interruptible
-      // mid-chunk): the work completed but too late to be useful.
-      reply.status = Status::kTimeout;
-      reply.image.clear();
-    } else {
-      reply.status = Status::kOk;
-    }
-  } catch (const std::exception& e) {
-    // Bad body, unreadable file header, or no surviving chunk — terminal
-    // for this request only; the body was fully consumed either way.
-    reply.status = Status::kError;
-    reply.message = e.what();
-    reply.image.clear();
-  }
-  engine_.count_external(reply.status);
-  try {
-    send_reply_locked(conn, reply);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
 void ReconServer::serve_connection(const std::shared_ptr<Connection>& conn) {
   for (;;) {
     Frame frame;
@@ -324,10 +261,6 @@ void ReconServer::serve_connection(const std::shared_ptr<Connection>& conn) {
         frame.type == MsgType::kPushFrame ||
         frame.type == MsgType::kCloseSession) {
       if (!handle_stream_frame(conn, frame)) return;
-      continue;
-    }
-    if (frame.type == MsgType::kReconDataset) {
-      if (!handle_dataset_request(conn, frame)) return;
       continue;
     }
     if (frame.type != MsgType::kRecon) {

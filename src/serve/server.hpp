@@ -84,12 +84,6 @@ class ReconServer : public FrameServer {
   // types; returns false when the connection must close.
   bool handle_stream_frame(const std::shared_ptr<Connection>& conn,
                            const Frame& frame);
-  // kReconDataset: recon a worker-local JKSD file by reference and answer
-  // with a kReconReply. Runs on the connection's reader thread (the file
-  // streams through bounded memory; one in flight per connection). Returns
-  // false when the connection must close.
-  bool handle_dataset_request(const std::shared_ptr<Connection>& conn,
-                              const Frame& frame);
 
   const ServeConfig config_;
   ServeEngine engine_;

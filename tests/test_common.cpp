@@ -19,7 +19,6 @@
 #include "common/types.hpp"
 #include "data/dataset.hpp"
 #include "serve/router.hpp"
-#include "serve/tune_key.hpp"
 
 namespace jigsaw {
 namespace {
@@ -214,19 +213,17 @@ TEST(Fnv1a, StandardVectorsForBothBases) {
 }
 
 // Golden values of every persisted or placement-deciding hash. Shard
-// placement follows TuneKey::hash(), shard_hash and rendezvous_score, and
-// JKSD files on disk carry the checksums: a change to any of these values
-// moves geometries between workers or orphans data that already exists.
+// placement follows shard_hash and rendezvous_score, and JKSD files on
+// disk carry the checksums: a change to any of these values moves
+// geometries between workers or orphans data that already exists.
 TEST(Fnv1a, GoldenValuesOfWisdomShardAndJksdHashes) {
-  serve::TuneKey key;
-  key.dims = 2;
-  key.n = 128;
-  key.m = 4096;
-  key.width = 6;
-  key.sigma = 2.0;
-  key.coils = 1;
-  key.threads = 1;
-  EXPECT_EQ(key.hash(), 2957678958939547095ull);
+  serve::ReconRequestWire one_coil;
+  one_coil.n = 128;
+  one_coil.kernel_width = 6;
+  one_coil.sigma = 2.0;
+  one_coil.coils = 1;
+  one_coil.coords.resize(4096);
+  EXPECT_EQ(serve::Router::shard_hash(one_coil), 2957678958939547095ull);
 
   serve::ReconRequestWire req;
   req.n = 64;

@@ -1,8 +1,8 @@
 // Router-tier test battery: endpoint parsing, differential correctness
 // through the router vs a direct worker, the rendezvous sharding property
-// (same TuneKey -> one worker, one plan build per geometry per worker),
-// fault injection (dead worker, silent worker, rolling drain) and JSRV
-// protocol robustness over TCP against both a worker and the router.
+// (same geometry class -> one worker, one plan build per geometry per
+// worker), fault injection (dead worker, silent worker, rolling drain) and
+// JSRV protocol robustness over TCP against both a worker and the router.
 // Every Router* test also runs in the CI TSan stage (scripts/ci.sh).
 #include <gtest/gtest.h>
 
@@ -206,6 +206,21 @@ TEST(RouterDifferential, BitIdenticalWithDirectWorkerAndCountsBalance) {
 
 // ----------------------------------------------------------------- sharding
 
+TEST(RouterSharding, ShardHashIsStableAndFieldSensitive) {
+  ReconRequestWire a;
+  a.n = 24;
+  a.kernel_width = 4;
+  a.sigma = 2.0;
+  a.coords.resize(600);
+  ReconRequestWire b = a;
+  EXPECT_EQ(Router::shard_hash(a), Router::shard_hash(b));
+  b.coords.resize(601);
+  EXPECT_NE(Router::shard_hash(a), Router::shard_hash(b));
+  b = a;
+  b.sigma = 1.25;
+  EXPECT_NE(Router::shard_hash(a), Router::shard_hash(b));
+}
+
 TEST(RouterSharding, GeometryClassPinsToOneWorkerWithOnePlanBuild) {
   auto w0 = start_tcp_worker();
   auto w1 = start_tcp_worker();
@@ -243,7 +258,7 @@ TEST(RouterSharding, GeometryClassPinsToOneWorkerWithOnePlanBuild) {
   EXPECT_EQ(c[0].plan_builds + c[1].plan_builds, 3u);
 
   // Same geometry, different trajectory: still the same worker (the shard
-  // key is the TuneKey, which deliberately ignores the coordinates).
+  // key is the geometry class, which deliberately ignores the coordinates).
   const std::size_t home = predicted_worker(geometry[0], 2);
   const std::uint64_t before =
       (home == 0 ? w0 : w1)->engine().counts().submitted;
@@ -489,6 +504,35 @@ TEST(RouterProtocol, RouterEndpointRecoversLikeUnix) {
   EXPECT_EQ(rc.completed(), rc.received);
   EXPECT_GE(rc.errors, 1u);
   EXPECT_GE(rc.rejected, 1u);
+}
+
+// A frame whose type no request has, the retired dataset request (6)
+// included, is refused like any other unknown type: the connection closes,
+// no request is counted, and a fresh connection is still served.
+TEST(RouterProtocol, UnknownMessageTypeClosesTheConnection) {
+  auto worker = start_tcp_worker();
+  auto router = start_router(router_config({endpoint_of(*worker)}));
+  const ReconRequestWire good = make_request(32, 1200);
+  for (const std::string& endpoint :
+       {endpoint_of(*worker), endpoint_of(*router)}) {
+    for (const std::uint32_t type : {6u, 77u}) {
+      SCOPED_TRACE(endpoint + " type " + std::to_string(type));
+      {
+        ServeClient client(endpoint);
+        client.send_raw_header(type, 8);
+        client.send_raw_bytes(std::vector<std::uint8_t>(8, 0x11));
+        EXPECT_THROW(client.recv_recon_reply(), std::runtime_error);
+      }
+      ServeClient fresh(endpoint);
+      EXPECT_EQ(fresh.recon(good).status, Status::kOk);
+    }
+  }
+  const RouterCounts rc = router->counts();
+  EXPECT_EQ(rc.received, 2u);  // the two routed recon requests only
+  EXPECT_EQ(rc.completed(), rc.received);
+  const EngineCounts c = worker->engine().counts();
+  EXPECT_EQ(c.submitted, 4u);  // two direct, two routed
+  expect_engine_invariant(c);
 }
 
 // -------------------------------------------------------------------- stats

@@ -8,9 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <complex>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <map>
@@ -27,7 +25,6 @@
 #include "core/nufft.hpp"
 #include "core/recon.hpp"
 #include "core/sense.hpp"
-#include "data/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -261,14 +258,6 @@ std::vector<WireCase> wire_cases() {
   recon_reply.message = "three samples dropped";
   recon_reply.image = fixed_values(4);
 
-  DatasetRequestWire dataset;
-  dataset.engine = 4;
-  dataset.iters = 8;
-  dataset.dcf = 1;
-  dataset.deadline_ms = 2500;
-  dataset.client_tag = 0xFEEDBEEFull;
-  dataset.path = "/data/scan042.jksd";
-
   OpenSessionWire open;
   open.engine = 3;
   open.n = 64;
@@ -321,9 +310,6 @@ std::vector<WireCase> wire_cases() {
       {"recon_reply", encode_recon_reply(recon_reply),
        0x333B064E4EF76AC2ull, 129, false,
        reencoder(&decode_recon_reply, &encode_recon_reply)},
-      {"dataset_request", encode_dataset_request(dataset),
-       0xD977590DA1764721ull, 58, true,
-       reencoder(&decode_dataset_request, &encode_dataset_request)},
       {"open_session", encode_open_session(open),
        0x36BBF3F5A84423E5ull, 64, true,
        reencoder(&decode_open_session, &encode_open_session)},
@@ -384,7 +370,7 @@ TEST(ServeProtocol, BadVersionAndUnknownStatusAreRejected) {
     EXPECT_THROW(w.reencode(bad.data(), bad.size()), ProtocolError);
     ++(w.request ? requests : replies);
   }
-  EXPECT_EQ(requests, 5);
+  EXPECT_EQ(requests, 4);
   EXPECT_EQ(replies, 3);
 }
 
@@ -927,9 +913,8 @@ TEST(ServeProtocol, BadMagicIsReportedInHex) {
 
 // The engine field decodes the same way on every request type: a code
 // above auto (the retired SIMD flag bit 0x80000000 included) is refused
-// with one reason. Recon and dataset requests report it as a protocol
-// error; open-session answers it bare. The worker keeps serving
-// afterwards.
+// with one reason. A recon request reports it as a protocol error;
+// open-session answers it bare. The worker keeps serving afterwards.
 TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
   ServeConfig config;
   config.socket_path = unique_socket_path("engine_field");
@@ -969,13 +954,6 @@ TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
       const SessionReplyWire open_reply = client.open_session(open);
       EXPECT_EQ(open_reply.status, Status::kError);
       EXPECT_EQ(open_reply.message, reason);
-
-      DatasetRequestWire dataset;
-      dataset.engine = engine;
-      dataset.path = "/no/such/dataset.jksd";
-      const ReconReplyWire dataset_reply = client.recon_dataset(dataset);
-      EXPECT_EQ(dataset_reply.status, Status::kError);
-      EXPECT_EQ(dataset_reply.message, "protocol: " + reason);
     }
     ReconRequestWire valid;
     valid.n = 32;
@@ -987,107 +965,6 @@ TEST(ServeServer, BadEngineFieldIsRefusedAlikeOnEveryRequestType) {
     EXPECT_EQ(served.image.size(), 32u * 32u);
   }
   server.stop();
-}
-
-TEST(ServeProtocol, DatasetRequestRoundTrip) {
-  DatasetRequestWire req;
-  req.engine = 0x80000003u;  // an unknown code still round-trips
-  req.iters = 8;
-  req.dcf = 1;
-  req.deadline_ms = 2500;
-  req.client_tag = 0xfeedbeef;
-  req.path = "/data/scan042.jksd";
-  const auto body = encode_dataset_request(req);
-  const DatasetRequestWire back =
-      decode_dataset_request(body.data(), body.size());
-  EXPECT_EQ(back.engine, req.engine);
-  EXPECT_EQ(back.iters, req.iters);
-  EXPECT_EQ(back.dcf, req.dcf);
-  EXPECT_EQ(back.deadline_ms, req.deadline_ms);
-  EXPECT_EQ(back.client_tag, req.client_tag);
-  EXPECT_EQ(back.path, req.path);
-}
-
-TEST(ServeProtocol, DatasetRequestDecodeRejectsMalformed) {
-  DatasetRequestWire req;
-  req.path = "/data/x.jksd";
-  auto body = encode_dataset_request(req);
-  EXPECT_THROW(decode_dataset_request(body.data(), 8), ProtocolError);
-  // Path length disagreeing with the bytes present.
-  auto short_body = body;
-  short_body.pop_back();
-  EXPECT_THROW(decode_dataset_request(short_body.data(), short_body.size()),
-               ProtocolError);
-  // Out-of-enum dcf mode.
-  DatasetRequestWire bad_dcf = req;
-  bad_dcf.dcf = 9;
-  const auto b2 = encode_dataset_request(bad_dcf);
-  EXPECT_THROW(decode_dataset_request(b2.data(), b2.size()), ProtocolError);
-  // Empty path.
-  DatasetRequestWire no_path = req;
-  no_path.path.clear();
-  const auto b3 = encode_dataset_request(no_path);
-  EXPECT_THROW(decode_dataset_request(b3.data(), b3.size()), ProtocolError);
-}
-
-// End-to-end by-reference recon: generate a JKSD file, ask the server to
-// reconstruct it by path, get the mean-magnitude image back. Then corrupt
-// a chunk on disk — the same request still succeeds from the survivors
-// (the message reports the reject), and an unreadable path is a clean
-// ERROR reply on a connection that stays usable.
-TEST(ServeServer, DatasetByReferenceReconstructs) {
-  const std::string jksd =
-      "/tmp/jsrv_dataset_" + std::to_string(::getpid()) + ".jksd";
-  data::SyntheticOptions gen;
-  gen.n = 32;
-  gen.coils = 2;
-  gen.chunks = 2;
-  gen.samples_per_chunk = 1200;
-  data::generate_synthetic(jksd, gen);
-
-  ServeConfig config;
-  config.socket_path = unique_socket_path("dataset");
-  ReconServer server(config);
-  server.start();
-  {
-    ServeClient client(config.socket_path);
-    DatasetRequestWire req;
-    req.iters = 0;
-    req.dcf = 2;  // pipe-menon
-    req.client_tag = 77;
-    req.path = jksd;
-    const ReconReplyWire reply = client.recon_dataset(req);
-    EXPECT_EQ(reply.status, Status::kOk) << reply.message;
-    EXPECT_EQ(reply.client_tag, 77u);
-    EXPECT_EQ(reply.n, 32u);
-    EXPECT_EQ(reply.image.size(), 32u * 32u);
-    EXPECT_NE(reply.message.find("2 chunks read"), std::string::npos)
-        << reply.message;
-
-    // Corrupt chunk 1's payload on disk; the request must still succeed
-    // from the surviving chunk and say so.
-    {
-      std::fstream f(jksd, std::ios::binary | std::ios::in | std::ios::out);
-      char buf[32];
-      f.seekg(2048);
-      f.read(buf, sizeof buf);
-      for (char& b : buf) b = static_cast<char>(~b);
-      f.seekp(2048);
-      f.write(buf, sizeof buf);
-    }
-    const ReconReplyWire partial = client.recon_dataset(req);
-    EXPECT_EQ(partial.status, Status::kOk) << partial.message;
-    EXPECT_NE(partial.message.find("1 rejected"), std::string::npos)
-        << partial.message;
-
-    // Unreadable path: ERROR reply, connection still usable.
-    DatasetRequestWire missing = req;
-    missing.path = "/no/such/dataset.jksd";
-    EXPECT_EQ(client.recon_dataset(missing).status, Status::kError);
-    EXPECT_EQ(client.recon_dataset(req).status, Status::kOk);
-  }
-  server.stop();
-  std::remove(jksd.c_str());
 }
 
 TEST(ServeServer, StatsRequestReturnsJsonSnapshot) {

@@ -491,6 +491,19 @@ TEST(StreamSessionEngine, CapsConcurrentSessions) {
   ServeConfig config = engine_config();
   config.max_sessions = 2;
   ServeEngine engine(config);
+  // The iteration cap refuses an open before any session exists. The
+  // wire's u32 iters is compared unsigned: 2^31 and above are refused by
+  // the cap too, never wrapped past it.
+  const auto max_iters = static_cast<std::uint32_t>(config.max_iters);
+  for (const std::uint32_t iters : {max_iters + 1, 1u << 31, 0xFFFFFFFFu}) {
+    OpenSessionWire deep = open_wire();
+    deep.iters = iters;
+    const SessionOutcome refused = engine.open_session(deep);
+    EXPECT_EQ(refused.status, Status::kRejected) << iters;
+    EXPECT_EQ(refused.message.rfind("iteration count outside", 0), 0u)
+        << refused.message;
+  }
+  EXPECT_EQ(engine.counts().active_sessions, 0u);
   const SessionOutcome a = engine.open_session(open_wire());
   const SessionOutcome b = engine.open_session(open_wire());
   ASSERT_EQ(a.status, Status::kOk);

@@ -1,30 +1,17 @@
-// Engine-selection tests: TuneKey hashing (the router's shard key,
-// serve/tune_key.hpp) and the GridderKind::Auto reuse rule
+// Engine-selection tests: the GridderKind::Auto reuse rule
 // (core::resolve_auto): its table, the fields it preserves, thread
 // agreement, awkward grid sizes, and the factory that applies it.
 #include <gtest/gtest.h>
 
 #include <iterator>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/gridder.hpp"
-#include "serve/tune_key.hpp"
 
-namespace jigsaw::serve {
+namespace jigsaw {
 namespace {
-
-TuneKey small_key() {
-  TuneKey key;
-  key.dims = 2;
-  key.n = 24;
-  key.m = 600;
-  key.width = 4;
-  key.sigma = 2.0;
-  return key;
-}
 
 core::GridderOptions options_of(core::GridderKind kind, int width, int tile) {
   core::GridderOptions options;
@@ -32,42 +19,6 @@ core::GridderOptions options_of(core::GridderKind kind, int width, int tile) {
   options.width = width;
   options.tile = tile;
   return options;
-}
-
-// ------------------------------------------------------------------ TuneKey
-
-TEST(TuneKey, HashIsStableAndFieldSensitive) {
-  const TuneKey a = small_key();
-  TuneKey b = a;
-  EXPECT_EQ(a.hash(), b.hash());
-  b.m += 1;
-  EXPECT_NE(a.hash(), b.hash());
-  b = a;
-  b.sigma = 1.25;
-  EXPECT_NE(a.hash(), b.hash());
-}
-
-TEST(TuneKey, HexIsSixteenLowercaseDigits) {
-  const std::string hex = small_key().hex();
-  ASSERT_EQ(hex.size(), 16u);
-  for (const char c : hex) {
-    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hex;
-  }
-}
-
-TEST(TuneKey, OfCopiesKernelGeometryFromOptions) {
-  core::GridderOptions options;
-  options.width = 5;
-  options.sigma = 1.5;
-  const TuneKey key = TuneKey::of(3, 48, 9000, options, 2, 4);
-  EXPECT_EQ(key.dims, 3);
-  EXPECT_EQ(key.n, 48);
-  EXPECT_EQ(key.m, 9000);
-  EXPECT_EQ(key.width, 5);
-  EXPECT_DOUBLE_EQ(key.sigma, 1.5);
-  EXPECT_EQ(key.coils, 2);
-  EXPECT_EQ(key.threads, 4u);
-  EXPECT_EQ(key.label(), "3d/n48/m9000/w5/s1.5/c2/t4");
 }
 
 // ---------------------------------------------------------------- reuse rule
@@ -225,4 +176,4 @@ TEST(AutoFactory, MakeGridderResolvesAutoWithoutTuner) {
 }
 
 }  // namespace
-}  // namespace jigsaw::serve
+}  // namespace jigsaw

@@ -124,54 +124,6 @@ int cmd_recon(const CliArgs& args) {
              : 2;
 }
 
-// Send a by-reference dataset request: the server reconstructs a JKSD file
-// sitting on ITS filesystem (the path travels, not the samples) and replies
-// with the mean magnitude image across surviving chunks.
-int cmd_dataset(const CliArgs& args) {
-  const std::string path = args.get("dataset", args.get("path"));
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "dataset: --dataset <file.jksd> (worker-local path) is "
-                 "required\n");
-    return 1;
-  }
-  serve::DatasetRequestWire req;
-  req.engine = engine_arg(args);
-  req.iters = static_cast<std::uint32_t>(args.get_int("iters", 0));
-  const std::string dcf = args.get("dcf", "pipe-menon");
-  if (dcf == "none") {
-    req.dcf = 0;
-  } else if (dcf == "embedded") {
-    req.dcf = 1;
-  } else if (dcf == "pipe-menon" || dcf == "pipe") {
-    req.dcf = 2;
-  } else {
-    throw std::invalid_argument("unknown --dcf '" + dcf +
-                                "', valid: none, embedded, pipe-menon");
-  }
-  req.deadline_ms = static_cast<std::uint64_t>(args.get_int("deadline-ms", 0));
-  req.path = path;
-
-  serve::ServeClient client(endpoint_spec(args));
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::ReconReplyWire reply = client.recon_dataset(req);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  std::printf("dataset reply: %s (%.1f ms", serve::to_string(reply.status),
-              ms);
-  if (!reply.message.empty()) std::printf(", %s", reply.message.c_str());
-  std::printf(")\n");
-
-  if (args.has("out") && !reply.image.empty()) {
-    const std::string out = args.get("out");
-    write_pgm(out, reply.image, static_cast<int>(reply.n),
-              static_cast<int>(reply.n));
-    std::printf("wrote %s (%u x %u)\n", out.c_str(), reply.n, reply.n);
-  }
-  return reply.status == serve::Status::kOk ? 0 : 2;
-}
-
 // Stream a sliding-window golden-angle frame sequence of the dynamic
 // phantom through a session: open, push --frames frames, close, report
 // per-frame status / iterations / latency and the session totals.
@@ -268,15 +220,13 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) {
       std::fprintf(stderr,
-                   "usage: jigsaw_client <recon|stream|dataset|stats> "
+                   "usage: jigsaw_client <recon|stream|stats> "
                    "[--endpoint unix:/path|host:port] [--n N] [--samples M] "
                    "[--traj T] [--engine E] [--iters K] [--sanitize P] "
                    "[--deadline-ms D] [--count C] [--out F.pgm]\n"
                    "       stream also takes: [--frames N] [--spokes S] "
                    "[--window W] [--spoke-samples P] [--warm 0|1] "
-                   "[--guard G]\n"
-                   "       dataset takes: --dataset file.jksd (worker-local"
-                   " path) [--dcf none|embedded|pipe-menon] [--iters K]\n");
+                   "[--guard G]\n");
       return 1;
     }
     const std::string cmd = argv[1];
@@ -285,10 +235,8 @@ int main(int argc, char** argv) {
                         "engine", "iters", "coils", "sanitize", "width",
                         "sigma", "deadline-ms", "count", "seed", "out",
                         "stream", "frames", "spokes", "window",
-                        "spoke-samples", "warm", "guard", "dataset", "path",
-                        "dcf"});
+                        "spoke-samples", "warm", "guard"});
     if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "dataset") return cmd_dataset(args);
     // `recon --stream` is an accepted spelling of the stream command.
     if (cmd == "stream" || (cmd == "recon" && args.has("stream"))) {
       return cmd_stream(args);
@@ -296,7 +244,7 @@ int main(int argc, char** argv) {
     if (cmd == "recon") return cmd_recon(args);
     std::fprintf(stderr,
                  "error: unknown command '%s', valid: recon, stream, "
-                 "dataset, stats\n",
+                 "stats\n",
                  cmd.c_str());
     return 1;
   } catch (const std::exception& e) {
