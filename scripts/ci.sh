@@ -22,20 +22,16 @@
 #      the baseline was recorded on the same host class (nproc, CPU model,
 #      SIMD ISA, build type; see scripts/bench_compare.py); the JSON is
 #      schema-validated with counters required
-#   4a. serve smoke — bench_serve --smoke, direct and behind a 2-worker
-#      router, schema-validated (every closed-loop request must complete)
-#   4b. streaming smoke — bench_stream --smoke cold vs warm frames through
-#      the routed tier; warm start must save >= 30% of the CG iterations
-#   4c. dataset smoke — jigsaw_dataset generate -> validate -> jigsaw_cli
+#   4a. dataset smoke — jigsaw_dataset generate -> validate -> jigsaw_cli
 #      recon --dataset with Pipe-Menon DCF under an NRMSE <= 0.30 quality
 #      gate, then a mid-file byte flip: validate must exit 2 naming the
 #      rejected chunk and the recon must complete on the survivors
-#   4d. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
+#   4b. router smoke — two jigsaw_serve workers (one TCP, one Unix socket)
 #      behind jigsaw_router on an ephemeral TCP port; interleaved requests
 #      across three geometry classes must all relay, each class must pin to
 #      exactly one worker (shard counts read from the router's stats JSON),
 #      and SIGTERM must drain router and workers to a clean exit 0
-#   4e. stream smoke — one jigsaw_serve session of 8 warm-started frames,
+#   4c. stream smoke — one jigsaw_serve session of 8 warm-started frames,
 #      then a SIGTERM mid-stream: every admitted frame must get a reply
 #   5. bench_suite --smoke from the OFF build compared against the ON
 #      build of the same run — the overhead guard: a disabled
@@ -83,8 +79,10 @@ echo "=== TSan build + serve/deadline/router/stream + shared-plan suites ==="
 # thread-invariance and SharedPlan suites); FftNd::execute splits the lines
 # of radix-2, mixed-radix and Bluestein plans alike across threads, and
 # many threads share one cached FftNd (FftNd, FftPlanCache). Run exactly
-# those suites under ThreadSanitizer. Bench/examples are skipped to keep
-# the stage short.
+# those suites under ThreadSanitizer. They also hold the closed-loop serve
+# and stream gates (every request OK, worker shares summing to the totals,
+# one plan per geometry class, the warm-start iteration floor), so those
+# run sanitized too. Bench/examples are skipped to keep the stage short.
 cmake -B build-tsan -S . -DJIGSAW_TSAN=ON \
   -DJIGSAW_BUILD_BENCH=OFF -DJIGSAW_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target test_serve test_deadline \
@@ -97,27 +95,6 @@ echo "=== benchmark smoke + regression/work gate (obs ON) ==="
 ./build/bench/bench_suite --smoke --tag ci --out build/BENCH_ci.json
 python3 scripts/validate_bench.py build/BENCH_ci.json --require-counters
 python3 scripts/bench_compare.py BENCH_baseline.json build/BENCH_ci.json --smoke
-
-echo "=== serve throughput smoke + schema gate ==="
-# Latency numbers are machine-dependent, so there is no regression compare;
-# the gate is schema validity plus every closed-loop request completing OK.
-./build/bench/bench_serve --smoke --tag ci-serve \
-  --out build/BENCH_ci-serve.json
-python3 scripts/validate_bench.py build/BENCH_ci-serve.json
-# Routed mode: a 2-worker fleet behind an in-process router. The validator
-# cross-checks the per-worker request shares against the run's totals.
-./build/bench/bench_serve --smoke --workers 2 --tag ci-routed \
-  --out build/BENCH_ci-routed.json
-python3 scripts/validate_bench.py build/BENCH_ci-routed.json
-
-echo "=== streaming smoke + warm-start gate ==="
-# Cold vs warm frame sequences through the routed tier. bench_stream exits
-# non-zero unless every frame completes OK and warm-start saves >= 30% of
-# the total CG iterations at equal per-frame NRMSE; the validator then
-# checks the "stream" block accounts for every pushed frame.
-./build/bench/bench_stream --smoke --tag ci-stream \
-  --out build/BENCH_ci-stream.json
-python3 scripts/validate_bench.py build/BENCH_ci-stream.json
 
 echo "=== dataset smoke: generate -> validate -> recon + corruption gate ==="
 # End-to-end ingest path: synthesize a multi-coil JKSD acquisition, validate
@@ -166,7 +143,7 @@ PYEOF
   echo "dataset smoke: corrupt chunk rejected, recon survived on 2/3 chunks"
 )
 
-# Daemon helpers for the router and stream smokes (stages 4d, 4e), which
+# Daemon helpers for the router and stream smokes (stages 4b, 4c), which
 # run in subshells that inherit them.
 wait_for_line() {  # <file> <pattern>: daemons print readiness to stdout
   for _ in $(seq 1 100); do

@@ -6,7 +6,9 @@ Usage:
         [--require-counters]
 
 Stdlib-only on purpose (CI boxes have no jsonschema); the schema file uses
-a small declarative subset documented in its $comment. --require-counters
+a small declarative subset documented in its $comment. Beyond the schema,
+a "dataset" block must account for every chunk (chunks == chunks_ok +
+chunks_rejected) with at least one surviving. --require-counters
 additionally fails unless every benchmark entry carries a non-empty
 "counters" block and the document says obs_enabled — the CI assertion that
 a JIGSAW_OBS=ON build actually counted its work.
@@ -79,60 +81,6 @@ def main():
         schema = json.load(f)
     check(doc, schema, "$", errors)
 
-    # A document that carries a "serve" block (bench_serve output) must have
-    # actual results in it — an empty array means the benchmark ran nothing.
-    if "serve" in doc and not errors:
-        serve = doc["serve"]
-        if not serve:
-            errors.append("$.serve: present but empty — bench_serve must "
-                          "record at least one closed-loop result")
-        else:
-            for i, r in enumerate(serve):
-                if not isinstance(r, dict):
-                    continue
-                if r.get("requests") and not r.get("ok"):
-                    errors.append(f"$.serve[{i}] ({r.get('name')}): "
-                                  "no request completed OK")
-                # Routed results: the worker shares must add up to the run's
-                # totals — a mismatch means the router dropped or double-
-                # counted requests somewhere.
-                if "per_worker" in r:
-                    pw = r["per_worker"]
-                    if not pw:
-                        errors.append(f"$.serve[{i}] ({r.get('name')}): "
-                                      "per_worker present but empty")
-                    elif all(isinstance(w, dict) for w in pw):
-                        total = sum(w.get("requests", 0) for w in pw)
-                        if total != r.get("requests"):
-                            errors.append(
-                                f"$.serve[{i}] ({r.get('name')}): per-worker "
-                                f"requests sum to {total}, expected "
-                                f"{r.get('requests')}")
-
-    # A "stream" block (bench_stream output) must likewise be non-empty, and
-    # every frame pushed into a session must be accounted for by exactly one
-    # terminal status — frames != ok + timeout means the session dropped or
-    # double-answered a frame.
-    if "stream" in doc and not errors:
-        stream = doc["stream"]
-        if not stream:
-            errors.append("$.stream: present but empty — bench_stream must "
-                          "record at least one session result")
-        else:
-            for i, r in enumerate(stream):
-                if not isinstance(r, dict):
-                    continue
-                accounted = r.get("ok", 0) + r.get("timeout", 0)
-                if r.get("frames") != accounted:
-                    errors.append(
-                        f"$.stream[{i}] ({r.get('name')}): {r.get('frames')} "
-                        f"frames pushed but only {accounted} accounted for "
-                        "(ok + timeout)")
-                if r.get("warm_start") and not r.get("warm_frames"):
-                    errors.append(
-                        f"$.stream[{i}] ({r.get('name')}): warm_start run "
-                        "completed no warm frames")
-
     # A "dataset" block (bench_suite JKSD ingest) must account for every
     # chunk the header promised — ok + rejected — and at least one chunk
     # must have survived, or the "benchmark" reconstructed nothing.
@@ -167,14 +115,11 @@ def main():
         return 1
     n = len(doc.get("benchmarks", []))
     with_counters = sum(1 for b in doc.get("benchmarks", []) if b.get("counters"))
-    n_serve = len(doc.get("serve", []))
-    n_stream = len(doc.get("stream", []))
     ds = doc.get("dataset")
     ds_note = (f", dataset {ds.get('chunks_ok')}/{ds.get('chunks')} chunks"
                if isinstance(ds, dict) else "")
     print(f"OK: {args.bench} valid ({n} benchmarks, {with_counters} with "
-          f"counters, {n_serve} serve results, {n_stream} stream results"
-          f"{ds_note}, obs_enabled={doc.get('obs_enabled')})")
+          f"counters{ds_note}, obs_enabled={doc.get('obs_enabled')})")
     return 0
 
 

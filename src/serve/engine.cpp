@@ -400,13 +400,34 @@ void ServeEngine::count_status(Status status) {
   }
 }
 
-void ServeEngine::count_external(Status status) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++counts_.submitted;
+void ServeEngine::count_frame_status(Status status) {
+  obs::add(frame_status_counter(status), 1);
+  std::lock_guard<std::mutex> lk(mu_);
+  switch (status) {
+    case Status::kOk:
+    case Status::kSanitizedPartial: ++counts_.frames_ok; break;
+    case Status::kTimeout: ++counts_.frames_timeout; break;
+    case Status::kRejected: ++counts_.frames_rejected; break;
+    case Status::kError: ++counts_.frames_error; break;
   }
-  obs::add("serve.submitted", 1);
-  count_status(status);
+}
+
+void ServeEngine::count_external(MsgType type, Status status) {
+  if (type == MsgType::kRecon) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++counts_.submitted;
+    }
+    obs::add("serve.submitted", 1);
+    count_status(status);
+  } else if (type == MsgType::kPushFrame) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++counts_.frames_submitted;
+    }
+    obs::add("serve.frames_submitted", 1);
+    count_frame_status(status);
+  }
 }
 
 void ServeEngine::drain() {
@@ -790,21 +811,10 @@ void ServeEngine::finish(Pending& p, ReconOutcome outcome, bool was_inflight) {
 
 void ServeEngine::finish_frame(Pending& p, FrameOutcome outcome,
                                bool was_inflight) {
-  const Status status = outcome.status;
   // Same ordering contract as finish(): count before the callback, retire
   // from inflight only after it — drain() must not return while a frame
   // reply is still being written.
-  obs::add(frame_status_counter(status), 1);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    switch (status) {
-      case Status::kOk:
-      case Status::kSanitizedPartial: ++counts_.frames_ok; break;
-      case Status::kTimeout: ++counts_.frames_timeout; break;
-      case Status::kRejected: ++counts_.frames_rejected; break;
-      case Status::kError: ++counts_.frames_error; break;
-    }
-  }
+  count_frame_status(outcome.status);
   if (p.frame_done) p.frame_done(std::move(outcome));
   if (was_inflight) retire();
 }

@@ -215,10 +215,12 @@ class ServeEngine {
   void submit_close(std::uint64_t session_id, std::uint64_t client_tag,
                     SessionCallback done);
 
-  /// Record a request that terminated outside the engine (the socket layer
-  /// refusing an oversized frame -> kRejected, a malformed body -> kError),
-  /// so per-status totals cover every request the process saw.
-  void count_external(Status status);
+  /// Record a request of `type` that terminated outside the engine (the
+  /// socket layer refusing an oversized frame -> kRejected, a malformed
+  /// body -> kError), counted as an in-band outcome of that type is: a
+  /// recon in submitted and its status, a pushed frame in frames_submitted
+  /// and its frame status. Opens and closes have no per-status totals.
+  void count_external(MsgType type, Status status);
 
   /// Stop admitting, finish every queued + in-flight job, return when the
   /// engine is idle. Idempotent; subsequent submits are REJECTED.
@@ -292,7 +294,8 @@ class ServeEngine {
   // The one retire step after an admitted job's callback: inflight
   // decrement, gauges, and the idle wakeup drain() waits for.
   void retire();
-  void count_status(Status status);  // per-status request totals
+  void count_status(Status status);        // per-status request totals
+  void count_frame_status(Status status);  // per-status frame totals
 
   void finish(Pending& p, ReconOutcome outcome, bool was_inflight);
   void finish_frame(Pending& p, FrameOutcome outcome, bool was_inflight);

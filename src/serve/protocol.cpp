@@ -484,7 +484,8 @@ bool recv_frame(int fd, Frame& out, std::size_t max_body, int timeout_ms) {
                           std::to_string(header.type));
   }
   if (header.body_len > max_body) {
-    throw FrameTooLarge(header.body_len, max_body);
+    throw FrameTooLarge(static_cast<MsgType>(header.type), header.body_len,
+                        max_body);
   }
   out.type = static_cast<MsgType>(header.type);
   out.body.resize(static_cast<std::size_t>(header.body_len));

@@ -22,8 +22,8 @@
 // maps to a Status::kError reply instead of tearing down the process.
 // Encoders never validate. A frame whose advertised body_len exceeds the
 // receiver's limit raises FrameTooLarge *before* the body is read, which
-// the server maps to Status::kRejected (admission control, not a malformed
-// client).
+// the server maps to a Status::kRejected reply of the type the header named
+// (admission control, not a malformed client).
 #pragma once
 
 #include <cstdint>
@@ -73,15 +73,18 @@ class ProtocolError : public std::runtime_error {
 
 /// A frame header advertised a body larger than the receiver allows. The
 /// body has NOT been consumed; the connection cannot be resynchronized and
-/// must be closed after the rejection reply.
+/// must be closed after the rejection reply, whose type answers `type`.
 class FrameTooLarge : public ProtocolError {
  public:
-  FrameTooLarge(std::uint64_t advertised_bytes, std::uint64_t limit_bytes)
+  FrameTooLarge(MsgType frame_type, std::uint64_t advertised_bytes,
+                std::uint64_t limit_bytes)
       : ProtocolError("frame body of " + std::to_string(advertised_bytes) +
                       " bytes exceeds limit of " +
                       std::to_string(limit_bytes)),
+        type(frame_type),
         advertised(advertised_bytes),
         limit(limit_bytes) {}
+  MsgType type;  // the header's (known) message type
   std::uint64_t advertised;
   std::uint64_t limit;
 };

@@ -587,15 +587,21 @@ void Router::serve_connection(const std::shared_ptr<Connection>& conn) {
       }
     } catch (const FrameTooLarge& e) {
       // Same admission semantics as a worker: the body was never read, the
-      // stream cannot be resynchronized — reply, count, close.
-      {
-        std::lock_guard<std::mutex> lk(counts_mu_);
-        ++counts_.received;
-        ++counts_.rejected;
+      // stream cannot be resynchronized — answer with the header type's
+      // reply, count it as that type's rejection, close. Stats and reply
+      // types have no status reply and just close.
+      const Policy* policy = policy_for(e.type);
+      if (policy != nullptr && policy->route != Route::kLocal) {
+        {
+          std::lock_guard<std::mutex> lk(counts_mu_);
+          ++counts_.received;
+          if (policy->tally != nullptr) ++(counts_.*policy->tally);
+          ++counts_.rejected;
+        }
+        send_to_client(conn, policy->reply,
+                       Request().answer(policy->reply, Status::kRejected,
+                                        e.what()));
       }
-      send_to_client(conn, MsgType::kReconReply,
-                     Request().answer(MsgType::kReconReply, Status::kRejected,
-                                      e.what()));
       return;
     } catch (const std::exception&) {
       return;  // bad magic / unknown type / truncation / peer I/O error

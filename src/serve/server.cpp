@@ -222,6 +222,40 @@ bool ReconServer::handle_stream_frame(const std::shared_ptr<Connection>& conn,
   return true;
 }
 
+void ReconServer::reject_oversized(const std::shared_ptr<Connection>& conn,
+                                   const FrameTooLarge& e) {
+  engine_.count_external(e.type, Status::kRejected);
+  try {
+    switch (e.type) {
+      case MsgType::kRecon: {
+        ReconReplyWire reply;
+        reply.status = Status::kRejected;
+        reply.message = e.what();
+        send_reply_locked(conn, reply);
+        break;
+      }
+      case MsgType::kOpenSession:
+      case MsgType::kCloseSession: {
+        SessionReplyWire reply;
+        reply.status = Status::kRejected;
+        reply.message = e.what();
+        send_session_reply_locked(conn, reply);
+        break;
+      }
+      case MsgType::kPushFrame: {
+        FrameReplyWire reply;
+        reply.status = Status::kRejected;
+        reply.message = e.what();
+        send_frame_reply_locked(conn, reply);
+        break;
+      }
+      default:
+        break;  // stats and reply types have no status reply
+    }
+  } catch (const std::exception&) {
+  }
+}
+
 void ReconServer::serve_connection(const std::shared_ptr<Connection>& conn) {
   for (;;) {
     Frame frame;
@@ -231,15 +265,9 @@ void ReconServer::serve_connection(const std::shared_ptr<Connection>& conn) {
       }
     } catch (const FrameTooLarge& e) {
       // Admission control at the socket: the body was never read, so the
-      // stream cannot be resynchronized — reply, count, close.
-      engine_.count_external(Status::kRejected);
-      ReconReplyWire reply;
-      reply.status = Status::kRejected;
-      reply.message = e.what();
-      try {
-        send_reply_locked(conn, reply);
-      } catch (const std::exception&) {
-      }
+      // stream cannot be resynchronized — answer with the header type's
+      // reply, count it as that type's rejection, close.
+      reject_oversized(conn, e);
       return;
     } catch (const std::exception&) {
       return;  // bad magic / unknown type / truncation / peer I/O error
@@ -275,7 +303,7 @@ void ReconServer::serve_connection(const std::shared_ptr<Connection>& conn) {
     } catch (const std::exception& e) {
       // Recovering parse: the malformed body was fully consumed, so the
       // connection survives. ERROR is terminal for this request only.
-      engine_.count_external(Status::kError);
+      engine_.count_external(MsgType::kRecon, Status::kError);
       ReconReplyWire reply;
       reply.status = Status::kError;
       reply.message = e.what();

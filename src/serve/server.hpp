@@ -15,8 +15,9 @@
 // arrive out of order across geometries (FIFO within one geometry group).
 //
 // Error mapping at the socket layer:
-//   * frame body over max_request_bytes  -> REJECTED reply, connection
-//     closed (the oversized body was never read; the stream cannot be
+//   * frame body over max_request_bytes  -> REJECTED reply of the type
+//     that answers the header's type (none for stats), connection closed
+//     (the oversized body was never read; the stream cannot be
 //     resynchronized);
 //   * body that fails the recovering decode -> ERROR reply, connection
 //     kept (the bad body was fully consumed);
@@ -80,6 +81,10 @@ class ReconServer : public FrameServer {
                                  const SessionReplyWire& reply);
   void send_frame_reply_locked(const std::shared_ptr<Connection>& conn,
                                const FrameReplyWire& reply);
+  // Answer an oversized frame with a REJECTED reply of its header's type
+  // (none for stats) and count it; the caller then closes the connection.
+  void reject_oversized(const std::shared_ptr<Connection>& conn,
+                        const FrameTooLarge& e);
   // One iteration of serve_connection's loop for the streaming message
   // types; returns false when the connection must close.
   bool handle_stream_frame(const std::shared_ptr<Connection>& conn,

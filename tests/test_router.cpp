@@ -535,6 +535,69 @@ TEST(RouterProtocol, UnknownMessageTypeClosesTheConnection) {
   expect_engine_invariant(c);
 }
 
+// An oversized frame is refused before its body is read: each request type
+// gets REJECTED in its own reply type, counted as that type's rejection,
+// and the connection closes. A stats frame has no status reply and just
+// closes.
+TEST(RouterProtocol, OversizedFrameIsRejectedInItsOwnReplyType) {
+  auto worker = start_tcp_worker();
+  auto router = start_router(router_config({endpoint_of(*worker)}));
+  constexpr std::uint64_t kOversized = (8u << 20) + 1;  // both limits: 8 MiB
+  for (const std::string& endpoint :
+       {endpoint_of(*worker), endpoint_of(*router)}) {
+    SCOPED_TRACE(endpoint);
+    {
+      ServeClient client(endpoint);
+      client.send_raw_header(static_cast<std::uint32_t>(MsgType::kRecon),
+                             kOversized);
+      const ReconReplyWire reply = client.recv_recon_reply();
+      EXPECT_EQ(reply.status, Status::kRejected);
+      EXPECT_NE(reply.message.find("exceeds limit"), std::string::npos)
+          << reply.message;
+      EXPECT_THROW(client.recv_recon_reply(), std::runtime_error);  // closed
+    }
+    for (const MsgType type : {MsgType::kOpenSession, MsgType::kCloseSession}) {
+      ServeClient client(endpoint);
+      client.send_raw_header(static_cast<std::uint32_t>(type), kOversized);
+      EXPECT_EQ(client.recv_session_reply().status, Status::kRejected);
+      EXPECT_THROW(client.recv_session_reply(), std::runtime_error);
+    }
+    {
+      ServeClient client(endpoint);
+      client.send_raw_header(static_cast<std::uint32_t>(MsgType::kPushFrame),
+                             kOversized);
+      EXPECT_EQ(client.recv_frame_reply().status, Status::kRejected);
+      EXPECT_THROW(client.recv_frame_reply(), std::runtime_error);
+    }
+    {
+      ServeClient client(endpoint);
+      client.send_raw_header(static_cast<std::uint32_t>(MsgType::kStats),
+                             kOversized);
+      EXPECT_THROW(client.recv_recon_reply(), std::runtime_error);
+    }
+  }
+
+  // The router refused its four itself; none reached the worker.
+  const RouterCounts rc = router->counts();
+  EXPECT_EQ(rc.received, 4u);
+  EXPECT_EQ(rc.rejected, 4u);
+  EXPECT_EQ(rc.completed(), rc.received);
+  EXPECT_EQ(rc.session_opens, 1u);
+  EXPECT_EQ(rc.session_frames, 1u);
+  EXPECT_EQ(rc.session_closes, 1u);
+  EXPECT_EQ(rc.stats, 0u);
+  // The worker counts the direct recon and frame as rejections of their
+  // own kinds; opens and closes carry no per-status totals.
+  const EngineCounts c = worker->engine().counts();
+  EXPECT_EQ(c.submitted, 1u);
+  EXPECT_EQ(c.rejected, 1u);
+  expect_engine_invariant(c);
+  EXPECT_EQ(c.frames_submitted, 1u);
+  EXPECT_EQ(c.frames_rejected, 1u);
+  EXPECT_EQ(c.frames_completed(), c.frames_submitted);
+  EXPECT_EQ(c.sessions_opened, 0u);
+}
+
 // -------------------------------------------------------------------- stats
 
 TEST(RouterStats, JsonNamesEveryWorkerWithHealthAndCounts) {

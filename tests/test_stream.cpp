@@ -3,8 +3,9 @@
 // at equal accuracy, divergence guard, plan reuse), frame-sequence
 // bit-exactness across gridder thread counts, and session-scoped serving
 // (engine sessions, in-flight drain, socket round trip, router
-// stickiness and its session failure policy). Every Stream* suite also
-// runs in the CI TSan stage (scripts/ci.sh).
+// stickiness and its session failure policy, and the warm-start iteration
+// floor through a router). Every Stream* suite also runs in the CI TSan
+// stage (scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -727,14 +728,15 @@ struct RoutedFleet {
   std::unique_ptr<Router> router;
 };
 
-RoutedFleet routed_fleet(int workers) {
+RoutedFleet routed_fleet(int workers,
+                         const ServeConfig& worker = engine_config()) {
   RoutedFleet fleet;
   RouterConfig rconfig;
   rconfig.listen = "127.0.0.1:0";
   rconfig.connect_timeout_ms = 500;
   rconfig.health_interval_ms = 0;
   for (int w = 0; w < workers; ++w) {
-    ServeConfig config = engine_config();
+    ServeConfig config = worker;
     config.listen = "127.0.0.1:0";
     fleet.workers.push_back(std::make_unique<ReconServer>(config));
     fleet.workers.back()->start();
@@ -748,6 +750,93 @@ RoutedFleet routed_fleet(int workers) {
 
 std::string router_endpoint(const RoutedFleet& fleet) {
   return to_string(fleet.router->bound_endpoints().front());
+}
+
+/// One session's totals over a whole frame sequence.
+struct SessionRun {
+  std::uint64_t frames = 0;
+  std::uint64_t ok = 0;
+  std::uint64_t timeout = 0;
+  std::uint64_t warm_frames = 0;  // warm-started, guard not tripped
+  std::uint64_t iterations = 0;   // from the close reply
+  double mean_nrmse = 0.0;        // over the OK frames
+};
+
+SessionRun run_session(const std::string& endpoint, const FrameSource& source,
+                       const DynamicPhantom& phantom, std::uint32_t n,
+                       bool warm) {
+  ServeClient client(endpoint);
+  OpenSessionWire open;
+  open.n = n;
+  open.iters = 60;
+  open.warm_start = warm ? 1u : 0u;
+  const SessionReplyWire opened = client.open_session(open);
+  EXPECT_EQ(opened.status, Status::kOk) << opened.message;
+
+  SessionRun run;
+  double nrmse_sum = 0.0;
+  for (int f = 0; f < source.frames(); ++f) {
+    const FrameReplyWire reply =
+        client.push_frame(frame_wire(source, phantom, f, opened.session_id, n));
+    ++run.frames;
+    if (reply.status == Status::kOk) {
+      ++run.ok;
+      nrmse_sum += stream::fitted_nrmse(
+          reply.image, phantom.image_at(source.frame_time(f),
+                                        static_cast<int>(n)));
+    } else if (reply.status == Status::kTimeout) {
+      ++run.timeout;
+    } else {
+      ADD_FAILURE() << "frame " << f << ": " << to_string(reply.status)
+                    << " " << reply.message;
+    }
+    if ((reply.flags & kFrameWarmFlag) && !(reply.flags & kFrameGuardFlag)) {
+      ++run.warm_frames;
+    }
+  }
+  CloseSessionWire close;
+  close.session_id = opened.session_id;
+  const SessionReplyWire closed = client.close_session(close);
+  EXPECT_EQ(closed.status, Status::kOk) << closed.message;
+  EXPECT_EQ(closed.frames, run.ok);
+  run.iterations = closed.total_iterations;
+  if (run.ok > 0) run.mean_nrmse = nrmse_sum / static_cast<double>(run.ok);
+  return run;
+}
+
+// The streaming subsystem's acceptance floor, end to end: a 32-frame
+// sliding window (n48, 13 of 34 spokes new per frame) through a router to
+// 2 workers, once cold and once warm over identical frames. The solve is
+// bound by the CG tolerance, not the iteration cap, so both runs reach the
+// same accuracy and warm start must save at least 30 % of the iterations.
+TEST(StreamRouter, WarmStartSavesThirtyPercentOfIterationsThroughRouter) {
+  ServeConfig worker = engine_config();
+  worker.cg_tolerance = 1e-4;
+  worker.max_iters = 128;
+  RoutedFleet fleet = routed_fleet(2, worker);
+
+  constexpr std::uint32_t n = 48;
+  FrameWindow window;
+  window.spokes_per_frame = 13;
+  window.window_spokes = 34;
+  window.samples_per_spoke = static_cast<int>(n);
+  const FrameSource source(window, 32);
+  const DynamicPhantom phantom;
+
+  const SessionRun cold =
+      run_session(router_endpoint(fleet), source, phantom, n, false);
+  const SessionRun warm =
+      run_session(router_endpoint(fleet), source, phantom, n, true);
+  for (const SessionRun* run : {&cold, &warm}) {
+    EXPECT_EQ(run->ok, 32u);
+    EXPECT_EQ(run->frames, run->ok + run->timeout);
+  }
+  EXPECT_EQ(cold.warm_frames, 0u);
+  EXPECT_EQ(warm.warm_frames, 31u);
+  EXPECT_LE(warm.iterations * 10, cold.iterations * 7)
+      << "warm " << warm.iterations << " vs cold " << cold.iterations
+      << " CG iterations";
+  EXPECT_LE(warm.mean_nrmse, cold.mean_nrmse * 1.05);
 }
 
 TEST(StreamRouter, PushToLostHomeWorkerErrorsAndDropsThePin) {
