@@ -107,7 +107,7 @@ std::vector<c64> NufftPlan<D>::adjoint(const std::vector<c64>& values,
   local.grid_seconds = grid_s - local.presort_seconds;
   local.fft_seconds = run_phase(deadline, "nufft.adjoint.fft", [&] {
     fft_->execute(work.data(), fft::Direction::Inverse,
-                  gridder_->options().threads);
+                  gridder_->options().threads, static_cast<std::size_t>(n_));
   });
   local.apod_seconds = run_phase(deadline, "nufft.adjoint.apod", [&] {
     for_each_pixel([&](std::size_t p, std::int64_t lin, double factor) {
@@ -142,7 +142,7 @@ std::vector<c64> NufftPlan<D>::forward(const std::vector<c64>& image,
   });
   local.fft_seconds = run_phase(deadline, "nufft.forward.fft", [&] {
     fft_->execute(work.data(), fft::Direction::Forward,
-                  gridder_->options().threads);
+                  gridder_->options().threads, static_cast<std::size_t>(n_));
   });
   local.grid_seconds = run_phase(deadline, "nufft.forward.grid", [&] {
     gridder_->forward(work, SampleSlots<D>(coords_, values));

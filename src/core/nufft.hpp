@@ -13,6 +13,13 @@
 // centered in [-N/2, N/2)^d, stored row-major with index i = k + N/2.
 // The pair (forward, adjoint) is an exact conjugate-transpose pair (up to
 // FP rounding), which the CG reconstruction in recon.hpp relies on.
+//
+// The image occupies the N-band of each (sigma N)-point grid axis (k sits
+// at pos_mod(k, sigma N)), and both transforms pass N to FftNd::execute as
+// its band: the forward FFT skips the lines that the embed leaves zero, and
+// the adjoint FFT the lines whose outputs the crop never reads. With
+// sigma = 2 that is 1/4 of the lines in 2D and 5/12 in 3D, at unchanged
+// bits.
 #pragma once
 
 #include <memory>

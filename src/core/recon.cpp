@@ -66,13 +66,16 @@ std::vector<c64> ToeplitzOperator<D>::apply(const std::vector<c64>& x) const {
     buf[static_cast<std::size_t>(linear_index<D>(dst, n2))] =
         x[static_cast<std::size_t>(lin)];
   }
-  fft_->execute(buf.data(), fft::Direction::Forward, threads_);
+  // x sits in the n_-band of the 2N grid, and only that band of the
+  // product is read back.
+  const auto band = static_cast<std::size_t>(n_);
+  fft_->execute(buf.data(), fft::Direction::Forward, threads_, band);
   const double inv = 1.0 / static_cast<double>(total2);
   for (std::int64_t i = 0; i < total2; ++i) {
     buf[static_cast<std::size_t>(i)] *=
         eigenvalues_[static_cast<std::size_t>(i)] * inv;
   }
-  fft_->execute(buf.data(), fft::Direction::Inverse, threads_);
+  fft_->execute(buf.data(), fft::Direction::Inverse, threads_, band);
 
   std::vector<c64> y(static_cast<std::size_t>(total));
   for (std::int64_t lin = 0; lin < total; ++lin) {

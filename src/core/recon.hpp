@@ -30,7 +30,9 @@ class ToeplitzOperator {
 
   std::int64_t image_size() const { return n_; }
 
-  /// y = (A^H W A) x for a centered N^D image.
+  /// y = (A^H W A) x for a centered N^D image. x fills the N-band of the
+  /// (2N)^D grid and only that band of the result is read, so both FFTs
+  /// run with band N (FftNd::execute): 3/4 of the lines in 2D.
   std::vector<c64> apply(const std::vector<c64>& x) const;
 
  private:

@@ -10,6 +10,15 @@
 //   * lengths with a larger prime factor use Bluestein's chirp-z algorithm
 //     built on the power-of-two FFT.
 //
+// FftNd runs every strided axis in groups of kLineGroup adjacent lines:
+// four c64 lines fill one 64-byte cache line, so a column pass reads and
+// writes whole cache lines. Each kernel takes the group's lane count as a
+// template parameter; every lane does exactly the arithmetic of a lone
+// line, so grouping never changes a bit, and the one-line instantiation is
+// the kernel that runs the contiguous last axis, the tail of a stride that
+// is not a multiple of kLineGroup, and Fft1D::execute. Bluestein lines run
+// one at a time.
+//
 // Conventions:
 //   Forward : X[k] = sum_n x[n] e^{-2*pi*i*n*k/N}   (unnormalized)
 //   Inverse : x[n] = sum_k X[k] e^{+2*pi*i*n*k/N}   (unnormalized)
@@ -25,6 +34,9 @@
 namespace jigsaw::fft {
 
 enum class Direction { Forward, Inverse };
+
+/// Adjacent lines FftNd transforms together on a strided axis.
+inline constexpr std::size_t kLineGroup = 4;
 
 /// One-dimensional complex-to-complex FFT plan of fixed length.
 /// Plans are immutable after construction and safe to share across threads
@@ -50,7 +62,18 @@ class Fft1D {
   void execute_strided(c64* data, std::size_t stride, Direction dir,
                        c64* scratch) const;
 
+  /// kLineGroup adjacent strided lines at once: element i of line b lives
+  /// at data[i * stride + b] (stride >= kLineGroup). Uses scratch of length
+  /// >= kLineGroup * n. Bit-identical to kLineGroup execute_strided calls.
+  void execute_group(c64* data, std::size_t stride, Direction dir,
+                     c64* scratch) const;
+
  private:
+  /// B adjacent strided lines; B = 1 is execute_strided.
+  template <std::size_t B>
+  void execute_lines(c64* data, std::size_t stride, Direction dir,
+                     c64* scratch) const;
+
   struct Impl;
   std::size_t n_;
   std::unique_ptr<Impl> impl_;
@@ -66,15 +89,33 @@ class FftNd {
   std::size_t total_size() const { return total_; }
 
   /// In-place transform of `data[0..total_size())`.
-  /// `threads > 1` splits the independent 1-D lines of each axis across a
-  /// thread pool, for every plan kind; each line is the same work on any
-  /// thread, so the result is bit-identical to one thread's. The paper's
-  /// conclusion makes the FFT the post-JIGSAW bottleneck; this is the
-  /// library's corresponding knob. Regardless of `threads`, execute() is
-  /// const and thread-safe: concurrent calls on one plan with distinct
-  /// buffers are allowed (the coil-parallel reconstruction path relies on
-  /// this).
-  void execute(c64* data, Direction dir, unsigned threads = 1) const;
+  ///
+  /// `band` is the side n of an image embedded at the grid's wrap-around
+  /// centre, as a σ-oversampled NuFFT embeds it: on an axis of length g,
+  /// index i is in band iff i < n - n/2 or i >= g - n/2 (image index k in
+  /// [-n/2, n - n/2) sits at pos_mod(k, g)). 0 means no embedding; n must
+  /// not exceed any dimension. The passes run axis 0 to D-1 either way.
+  ///   * Forward: the input must be zero outside the band on every axis.
+  ///     A pass skips the lines out of band on an axis not yet
+  ///     transformed, which are exact zeros, so the result is the full
+  ///     transform, bit for bit. (A Bluestein length turns a zero line
+  ///     into some -0.0, so there an output that is exactly zero may
+  ///     differ in its sign.)
+  ///   * Inverse: only the in-band outputs (in band on every axis) are
+  ///     defined, and they equal the full transform's bit for bit. A pass
+  ///     skips the lines out of band on an axis already transformed; the
+  ///     outputs out of band are left unspecified.
+  /// In 2D with n = g/2 that is 3/4 of the lines, in 3D 7/12.
+  ///
+  /// `threads > 1` splits each axis's line groups across a thread pool,
+  /// for every plan kind; each group is the same work on any thread, so
+  /// the result is bit-identical to one thread's. The paper's conclusion
+  /// makes the FFT the post-JIGSAW bottleneck; this is the library's
+  /// corresponding knob. Regardless of `threads`, execute() is const and
+  /// thread-safe: concurrent calls on one plan with distinct buffers are
+  /// allowed (the coil-parallel reconstruction path relies on this).
+  void execute(c64* data, Direction dir, unsigned threads = 1,
+               std::size_t band = 0) const;
 
  private:
   std::vector<std::size_t> dims_;

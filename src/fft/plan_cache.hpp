@@ -13,7 +13,8 @@
 // per-call NuFFT work grid and slice-and-dice dice) borrow from a bounded
 // freelist instead of hitting the allocator per call. Radix-2 and
 // mixed-radix lines inside FftNd::execute borrow nothing: they run in
-// place or through the per-axis scratch line FftNd holds.
+// place or through the scratch block of kLineGroup lines that FftNd::execute
+// holds per call (one per thread when threaded).
 #pragma once
 
 #include <cstdint>

@@ -539,6 +539,7 @@ bool Router::handle(const std::shared_ptr<Connection>& conn,
     {
       std::lock_guard<std::mutex> lk(counts_mu_);
       ++counts_.received;
+      if (policy.tally != nullptr) ++(counts_.*policy.tally);
       ++counts_.errors;
     }
     return send_to_client(

@@ -122,8 +122,8 @@ struct RouterCounts {
                                 // frame, no healthy worker)
   std::uint64_t reroutes = 0;   // retries on a next-ranked worker
   std::uint64_t stats = 0;      // stats round-trips answered
-  // Per-type requests decoded or refused as oversized (malformed bodies
-  // count only in received and errors).
+  // Per-type requests: decoded, refused as oversized, or malformed (a
+  // malformed body also counts in received and errors).
   std::uint64_t session_opens = 0;   // open-session requests
   std::uint64_t session_frames = 0;  // push-frame requests
   std::uint64_t session_closes = 0;  // close-session requests

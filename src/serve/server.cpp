@@ -187,6 +187,7 @@ bool ReconServer::handle_stream_frame(const std::shared_ptr<Connection>& conn,
         decode_push_frame(frame.body.data(), frame.body.size());
     job = frame_job_from_wire(std::move(wire));
   } catch (const std::exception& e) {
+    engine_.count_external(MsgType::kPushFrame, Status::kError);
     FrameReplyWire reply;
     reply.status = Status::kError;
     reply.message = e.what();

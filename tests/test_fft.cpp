@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -284,7 +286,7 @@ TEST(FftNd, ThreadedMatchesSerialOnMixedRadixAndBluestein) {
 
 TEST(FftNd, MixedRadixExecuteLeasesNoScratch) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with JIGSAW_OBS=OFF";
-  // Mixed-radix lines run through the scratch line FftNd holds per axis;
+  // Mixed-radix lines run through the scratch block FftNd::execute holds;
   // only Bluestein borrows convolution scratch from the pool.
   for (const std::size_t n : {80u, 96u, 120u, 192u}) {
     FftNd plan({n, n});
@@ -294,6 +296,131 @@ TEST(FftNd, MixedRadixExecuteLeasesNoScratch) {
     plan.execute(x.data(), Direction::Inverse);
     EXPECT_EQ(obs::snapshot().counter("scratch.acquires"), before)
         << "n=" << n;
+  }
+}
+
+bool same_bits(const std::vector<c64>& a, const std::vector<c64>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(c64)) == 0;
+}
+
+std::string shape(const std::vector<std::size_t>& dims) {
+  std::string out;
+  for (const std::size_t d : dims) {
+    if (!out.empty()) out += 'x';
+    out += std::to_string(d);
+  }
+  return out;
+}
+
+TEST(FftNd, LineGroupsMatchOneLineAtATimeBitwise) {
+  // FftNd runs strided axes in groups of kLineGroup lines; the reference
+  // runs every line alone through Fft1D::execute_strided, axis by axis.
+  // {64, 90} leaves a stride tail (90 % 4 = 2), {70, 84} has factors 5 and
+  // 7, and {26, 22} is Bluestein.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {128, 128}, {96, 96}, {64, 90}, {70, 84}, {16, 16, 16}, {26, 22}};
+  for (const auto& dims : shapes) {
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      FftNd plan(dims);
+      const auto input = random_signal(plan.total_size(), 61);
+      auto grouped = input;
+      plan.execute(grouped.data(), dir);
+
+      auto lines = input;
+      for (std::size_t axis = 0; axis < dims.size(); ++axis) {
+        const Fft1D line_plan(dims[axis]);
+        std::vector<c64> scratch(dims[axis]);
+        std::size_t stride = 1;
+        for (std::size_t a = axis + 1; a < dims.size(); ++a) stride *= dims[a];
+        const std::size_t block = stride * dims[axis];
+        for (std::size_t base = 0; base < lines.size(); base += block) {
+          for (std::size_t off = 0; off < stride; ++off) {
+            line_plan.execute_strided(lines.data() + base + off, stride, dir,
+                                      scratch.data());
+          }
+        }
+      }
+      EXPECT_TRUE(same_bits(grouped, lines))
+          << shape(dims) << (dir == Direction::Forward ? " forward" : " inverse");
+    }
+  }
+}
+
+/// Whether every coordinate of row-major `index` lies in the band of an
+/// n-point image embedded at the wrap-around centre of each axis.
+bool index_in_band(std::size_t index, const std::vector<std::size_t>& dims,
+                   std::size_t n) {
+  for (std::size_t a = dims.size(); a-- > 0;) {
+    const std::size_t i = index % dims[a];
+    index /= dims[a];
+    if (i >= n - n / 2 && i < dims[a] - n / 2) return false;
+  }
+  return true;
+}
+
+TEST(FftNd, BandSkipsOnlyZeroOrUnreadLines) {
+  struct Case {
+    std::vector<std::size_t> dims;
+    std::size_t band;
+  };
+  const std::vector<Case> cases = {
+      {{128, 128}, 64}, {{128, 128}, 63}, {{96, 96}, 48}, {{96, 96}, 47},
+      {{96, 128}, 41},  {{16, 16, 16}, 8}, {{16, 16, 16}, 7},
+      {{24, 24, 24}, 12}, {{24, 24, 24}, 11}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(shape(c.dims) + " band " + std::to_string(c.band));
+    FftNd plan(c.dims);
+    // Forward: an input zero outside the band transforms to the full
+    // transform's bits.
+    auto embedded = random_signal(plan.total_size(), 71);
+    for (std::size_t i = 0; i < embedded.size(); ++i) {
+      if (!index_in_band(i, c.dims, c.band)) embedded[i] = c64{};
+    }
+    auto full = embedded;
+    auto banded = embedded;
+    plan.execute(full.data(), Direction::Forward);
+    plan.execute(banded.data(), Direction::Forward, 1, c.band);
+    EXPECT_TRUE(same_bits(banded, full)) << "forward";
+
+    // Inverse: every in-band output has the full transform's bits.
+    const auto input = random_signal(plan.total_size(), 72);
+    full = input;
+    banded = input;
+    plan.execute(full.data(), Direction::Inverse);
+    plan.execute(banded.data(), Direction::Inverse, 1, c.band);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      if (!index_in_band(i, c.dims, c.band)) continue;
+      ++checked;
+      ASSERT_EQ(std::memcmp(&banded[i], &full[i], sizeof(c64)), 0)
+          << "inverse, index " << i;
+    }
+    std::size_t expected = 1;
+    for (std::size_t d = 0; d < c.dims.size(); ++d) expected *= c.band;
+    EXPECT_EQ(checked, expected);
+  }
+  FftNd plan({128, 128});
+  auto x = random_signal(plan.total_size(), 73);
+  EXPECT_THROW(plan.execute(x.data(), Direction::Forward, 1, 129),
+               std::invalid_argument);
+
+  if (!obs::kEnabled) GTEST_SKIP() << "built with JIGSAW_OBS=OFF";
+  // fft.lines counts the 1-D lines transformed: 3/4 of them in 2D at
+  // band g/2, 7/12 in 3D.
+  const auto lines = [](const std::vector<std::size_t>& dims, Direction dir,
+                        std::size_t band) {
+    FftNd p(dims);
+    auto data = random_signal(p.total_size(), 74);
+    const auto before = obs::snapshot().counter("fft.lines");
+    p.execute(data.data(), dir, 1, band);
+    return obs::snapshot().counter("fft.lines") - before;
+  };
+  for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+    EXPECT_EQ(lines({128, 128}, dir, 0), 256u);
+    EXPECT_EQ(lines({128, 128}, dir, 64), 192u);
+    EXPECT_EQ(lines({16, 16, 16}, dir, 0), 768u);
+    EXPECT_EQ(lines({16, 16, 16}, dir, 8), 448u);
   }
 }
 

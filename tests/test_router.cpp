@@ -598,6 +598,37 @@ TEST(RouterProtocol, OversizedFrameIsRejectedInItsOwnReplyType) {
   EXPECT_EQ(c.sessions_opened, 0u);
 }
 
+// A body that fails to decode under its own type gets ERROR in that type's
+// reply and is counted as a request of that type: a malformed push-frame
+// is a frame on the worker and a session frame on the router.
+TEST(RouterProtocol, MalformedBodyIsCountedUnderItsOwnType) {
+  auto worker = start_tcp_worker();
+  auto router = start_router(router_config({endpoint_of(*worker)}));
+  const std::vector<std::uint8_t> body = {1, 2, 3};
+  for (const std::string& endpoint :
+       {endpoint_of(*worker), endpoint_of(*router)}) {
+    SCOPED_TRACE(endpoint);
+    ServeClient client(endpoint);
+    client.send_raw_header(static_cast<std::uint32_t>(MsgType::kPushFrame),
+                           body.size());
+    client.send_raw_bytes(body);
+    EXPECT_EQ(client.recv_frame_reply().status, Status::kError);
+  }
+
+  // The router answered its own frame; only the direct one reached the
+  // worker.
+  const EngineCounts c = worker->engine().counts();
+  EXPECT_EQ(c.frames_submitted, 1u);
+  EXPECT_EQ(c.frames_error, 1u);
+  EXPECT_EQ(c.frames_completed(), c.frames_submitted);
+  EXPECT_EQ(c.submitted, 0u);
+  const RouterCounts rc = router->counts();
+  EXPECT_EQ(rc.received, 1u);
+  EXPECT_EQ(rc.errors, 1u);
+  EXPECT_EQ(rc.session_frames, 1u);
+  EXPECT_EQ(rc.completed(), rc.received);
+}
+
 // -------------------------------------------------------------------- stats
 
 TEST(RouterStats, JsonNamesEveryWorkerWithHealthAndCounts) {
