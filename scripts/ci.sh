@@ -77,7 +77,7 @@ echo "=== TSan build + serve/deadline/router/stream + shared-plan suites ==="
 # health pinger, and the session dispatcher shared by streaming frames);
 # coil and frame threads all call one const NufftPlan (SENSE, batch, the
 # thread-invariance and SharedPlan suites); FftNd::execute splits the lines
-# of radix-2, mixed-radix and Bluestein plans alike across threads, and
+# of mixed-radix and Bluestein plans alike across threads, and
 # many threads share one cached FftNd (FftNd, FftPlanCache). Run exactly
 # those suites under ThreadSanitizer. They also hold the closed-loop serve
 # and stream gates (every request OK, worker shares summing to the totals,

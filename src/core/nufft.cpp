@@ -34,7 +34,7 @@ NufftPlan<D>::NufftPlan(std::int64_t n, std::vector<Coord<D>> coords,
   gridder_ = make_gridder<D>(n, options);
   const std::int64_t g = gridder_->grid_size();
   // Shared, immutable plan: every NufftPlan with the same oversampled
-  // geometry reuses one twiddle/bit-reversal table set.
+  // geometry reuses one root and digit-reversal table set.
   fft_ = fft::FftPlanCache::global().get_cube(D, static_cast<std::size_t>(g));
 
   // De-apodization profile: the kernel's continuous Fourier transform

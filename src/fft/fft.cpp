@@ -15,85 +15,11 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-/// Bit-reversal permutation table for length n = 2^log2n.
-std::vector<std::uint32_t> make_bitrev(std::size_t n) {
-  std::vector<std::uint32_t> rev(n);
-  std::uint32_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n) ++log2n;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t r = 0;
-    for (std::uint32_t b = 0; b < log2n; ++b) {
-      r |= ((i >> b) & 1u) << (log2n - 1 - b);
-    }
-    rev[i] = r;
-  }
-  return rev;
-}
-
-/// Forward-direction twiddles for every stage, flattened: for stage with
-/// half-size m there are m entries e^{-i*pi*j/m}.
-std::vector<c64> make_twiddles(std::size_t n) {
-  std::vector<c64> tw;
-  for (std::size_t m = 1; m < n; m *= 2) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const double ang = -kTwoPi * static_cast<double>(j) /
-                         static_cast<double>(2 * m);
-      tw.emplace_back(std::cos(ang), std::sin(ang));
-    }
-  }
-  return tw;
-}
-
 /// Plain complex product: std::complex's operator* also runs the C99
 /// inf/NaN recovery, which a finite FFT never needs.
 inline c64 cmul(c64 a, c64 b) {
   return {a.real() * b.real() - a.imag() * b.imag(),
           a.real() * b.imag() + a.imag() * b.real()};
-}
-
-// Every kernel below runs B lines at once ("lanes"): element i of lane b
-// sits at a[i * B + b], so a group of kLineGroup adjacent strided lines is
-// read and written one cache line at a time. Each lane does exactly the
-// arithmetic of a one-line transform, so B = 1 is the one-line kernel and
-// any B gives the same bits.
-
-/// Radix-2 into `a`: first the input in bit-reversed order, either by
-/// swaps in place (in == a) or by gathering element i of lane b from
-/// in[i * in_step + b], then the butterflies in place. Kept out of line:
-/// whether GCC inlines it into Fft1D::execute follows the size of
-/// execute's Bluestein branch, and the inlined butterfly loop ran about
-/// 1.4x slower (x86-64, -O3, 2D sizes 64-512).
-template <std::size_t B>
-[[gnu::noinline]] void radix2_core(c64* a, const c64* in, std::size_t in_step,
-                                   std::size_t n,
-                                   const std::vector<std::uint32_t>& rev,
-                                   const std::vector<c64>& tw, Direction dir) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rev[i];
-    if (in != a) {
-      for (std::size_t b = 0; b < B; ++b) a[r * B + b] = in[i * in_step + b];
-    } else if (i < r) {
-      for (std::size_t b = 0; b < B; ++b) std::swap(a[i * B + b], a[r * B + b]);
-    }
-  }
-  std::size_t tw_base = 0;
-  for (std::size_t m = 1; m < n; m *= 2) {
-    for (std::size_t k = 0; k < n; k += 2 * m) {
-      for (std::size_t j = 0; j < m; ++j) {
-        c64 w = tw[tw_base + j];
-        if (dir == Direction::Inverse) w = std::conj(w);
-        c64* lo = a + (k + j) * B;
-        c64* hi = a + (k + j + m) * B;
-        for (std::size_t b = 0; b < B; ++b) {
-          const c64 t = cmul(hi[b], w);
-          const c64 u = lo[b];
-          lo[b] = u + t;
-          hi[b] = u - t;
-        }
-      }
-    }
-    tw_base += m;
-  }
 }
 
 /// One stage of the mixed-radix kernel: a radix-p butterfly that joins p
@@ -106,29 +32,39 @@ struct Stage {
 /// The generic butterfly keeps its p inputs on the stack.
 constexpr std::size_t kMaxGenericRadix = 7;
 
-/// Stages of n, outermost first, taking fours before the single two that
-/// may remain, then 3, 5 and 7 (the KISS FFT order). Empty when n has a
-/// prime factor above kMaxGenericRadix: such lengths take Bluestein.
+/// Whether every prime factor of n (n >= 1) is at most kMaxGenericRadix.
+bool seven_smooth(std::size_t n) {
+  for (const std::size_t p : {2, 3, 5, 7}) {
+    while (n % p == 0) n /= p;
+  }
+  return n == 1;
+}
+
+/// Stages of a 7-smooth n, outermost first, taking fours before the single
+/// two that may remain, then 3, 5 and 7 (the KISS FFT order).
 std::vector<Stage> factor_small_radices(std::size_t n) {
   std::vector<Stage> stages;
-  std::size_t rest = n;
   for (const std::size_t p : {4, 2, 3, 5, 7}) {
-    while (rest % p == 0) {
-      rest /= p;
-      stages.push_back({p, rest});
+    while (n % p == 0) {
+      n /= p;
+      stages.push_back({p, n});
     }
   }
-  if (rest != 1) stages.clear();
   return stages;
 }
 
 // Butterflies over f[k + q*m], q < p: the p sub-transforms' bin k, each
 // twiddled by tw[q*k*fstride]. `tw` holds the n roots of the transform's
 // own direction, so only the radix-4 rotation by ±i needs the direction.
-// Bin k of lane b is f[(k + q*m) * B + b].
+// Every butterfly runs B lines at once ("lanes"): bin k of lane b is
+// f[(k + q*m) * B + b], and each lane does exactly the arithmetic of a
+// one-line transform, so any B gives the same bits. They are forced inline
+// into the pass loop: left to GCC's choice, banded 2D executes of 64² to
+// 256² ran 15-20 % slower (x86-64, -O3, one thread, min of 9).
 
 template <std::size_t B>
-void bfly2(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+[[gnu::always_inline]] inline void bfly2(c64* f, std::size_t fstride,
+                                         const c64* tw, std::size_t m) {
   c64* g = f + m * B;
   for (std::size_t k = 0; k < m; ++k) {
     const c64 w = tw[k * fstride];
@@ -141,7 +77,8 @@ void bfly2(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
 }
 
 template <std::size_t B, bool Inverse>
-void bfly4(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+[[gnu::always_inline]] inline void bfly4(c64* f, std::size_t fstride,
+                                         const c64* tw, std::size_t m) {
   const std::size_t mb = m * B;
   for (std::size_t k = 0; k < m; ++k) {
     const c64 w1 = tw[k * fstride];
@@ -167,7 +104,8 @@ void bfly4(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
 }
 
 template <std::size_t B>
-void bfly3(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+[[gnu::always_inline]] inline void bfly3(c64* f, std::size_t fstride,
+                                         const c64* tw, std::size_t m) {
   const double sin3 = tw[fstride * m].imag();  // Im of the cube root
   const std::size_t mb = m * B;
   for (std::size_t k = 0; k < m; ++k) {
@@ -187,7 +125,8 @@ void bfly3(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
 }
 
 template <std::size_t B>
-void bfly5(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
+[[gnu::always_inline]] inline void bfly5(c64* f, std::size_t fstride,
+                                         const c64* tw, std::size_t m) {
   const c64 ya = tw[fstride * m];      // fifth root w
   const c64 yb = tw[2 * fstride * m];  // w^2
   const std::size_t mb = m * B;
@@ -223,8 +162,9 @@ void bfly5(c64* f, std::size_t fstride, const c64* tw, std::size_t m) {
 
 /// Direct p-point butterfly for an odd radix without its own kernel (7).
 template <std::size_t B>
-void bfly_generic(c64* f, std::size_t fstride, const c64* tw, std::size_t m,
-                  std::size_t p, std::size_t n) {
+[[gnu::always_inline]] inline void bfly_generic(c64* f, std::size_t fstride,
+                                                const c64* tw, std::size_t m,
+                                                std::size_t p, std::size_t n) {
   c64 in[kMaxGenericRadix];
   for (std::size_t u = 0; u < m; ++u) {
     for (std::size_t b = 0; b < B; ++b) {
@@ -245,34 +185,104 @@ void bfly_generic(c64* f, std::size_t fstride, const c64* tw, std::size_t m,
   }
 }
 
-/// Out-of-place decimation-in-time recursion: writes the transforms of the
-/// B adjacent n-point lines in[j * in_step + b] to out[0..n*B). Each stage
-/// first transforms its p interleaved sub-sequences into consecutive runs
-/// of `out`, then joins them with one radix-p butterfly pass.
+/// The butterfly passes over B lanes of n elements in digit-reversed
+/// order, innermost stage first. A stage (p, m) joins each run of p*m
+/// elements; the n / (p*m) runs are the p^s sub-transforms a recursive
+/// decimation in time would join at that depth, with the same twiddle
+/// stride.
 template <std::size_t B, bool Inverse>
-void mixed_work(c64* out, const c64* in, std::size_t in_step,
-                std::size_t fstride, const Stage* stage, const c64* tw,
+void run_passes(c64* a, const std::vector<Stage>& stages, const c64* tw,
                 std::size_t n) {
-  const std::size_t p = stage->p;
-  const std::size_t m = stage->m;
-  const std::size_t step = fstride * in_step;
-  if (m == 1) {
-    for (std::size_t q = 0; q < p; ++q) {
-      for (std::size_t b = 0; b < B; ++b) out[q * B + b] = in[q * step + b];
-    }
-  } else {
-    for (std::size_t q = 0; q < p; ++q) {
-      mixed_work<B, Inverse>(out + q * m * B, in + q * step, in_step,
-                             fstride * p, stage + 1, tw, n);
+  c64* const end = a + n * B;
+  for (auto s = stages.rbegin(); s != stages.rend(); ++s) {
+    const std::size_t p = s->p;
+    const std::size_t m = s->m;
+    const std::size_t fstride = n / (p * m);
+    const std::size_t run = p * m * B;
+    switch (p) {
+      case 2:
+        for (c64* f = a; f != end; f += run) bfly2<B>(f, fstride, tw, m);
+        break;
+      case 3:
+        for (c64* f = a; f != end; f += run) bfly3<B>(f, fstride, tw, m);
+        break;
+      case 4:
+        for (c64* f = a; f != end; f += run) {
+          bfly4<B, Inverse>(f, fstride, tw, m);
+        }
+        break;
+      case 5:
+        for (c64* f = a; f != end; f += run) bfly5<B>(f, fstride, tw, m);
+        break;
+      default:
+        for (c64* f = a; f != end; f += run) {
+          bfly_generic<B>(f, fstride, tw, m, p, n);
+        }
+        break;
     }
   }
-  switch (p) {
-    case 2: bfly2<B>(out, fstride, tw, m); break;
-    case 3: bfly3<B>(out, fstride, tw, m); break;
-    case 4: bfly4<B, Inverse>(out, fstride, tw, m); break;
-    case 5: bfly5<B>(out, fstride, tw, m); break;
-    default: bfly_generic<B>(out, fstride, tw, m, p, n); break;
+}
+
+/// The mixed-radix decimation-in-time kernel of one 7-smooth length n,
+/// powers of two included, run iteratively: gather the input in
+/// digit-reversed order, then one butterfly pass per stage. It performs
+/// exactly the butterflies of the textbook recursive form, each on the
+/// same operands, so the two give the same bits.
+struct Kernel {
+  std::size_t n;
+  std::vector<Stage> stages;  // outermost first
+  // Element i of the digit-reversed order is input element digit_rev[i]:
+  // the mixed-radix generalisation of the bit-reversal permutation.
+  std::vector<std::uint32_t> digit_rev;
+  // The n roots e^{-2*pi*i*k/n} per direction (forward, then inverse =
+  // conjugate).
+  std::vector<c64> roots[2];
+
+  explicit Kernel(std::size_t length)
+      : n(length), stages(factor_small_radices(length)), digit_rev(length) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // Digit s of i, counted in units of m_s, picks sub-sequence q of
+      // stage s, which starts at input element q * (p_0 * ... * p_{s-1}).
+      std::size_t from = 0;
+      std::size_t fstride = 1;
+      for (const Stage& s : stages) {
+        from += (i / s.m) % s.p * fstride;
+        fstride *= s.p;
+      }
+      digit_rev[i] = static_cast<std::uint32_t>(from);
+    }
+    roots[0].resize(n);
+    roots[1].resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double ang =
+          -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+      roots[0][k] = c64(std::cos(ang), std::sin(ang));
+      roots[1][k] = std::conj(roots[0][k]);
+    }
   }
+
+  /// Writes the transforms of B lines to out[i * B + b]: element i of lane
+  /// b is read from in[i * stride + b * lane_step].
+  template <std::size_t B>
+  void transform(const c64* in, std::size_t stride, std::size_t lane_step,
+                 Direction dir, c64* out) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      const c64* from = in + digit_rev[i] * stride;
+      for (std::size_t b = 0; b < B; ++b) out[i * B + b] = from[b * lane_step];
+    }
+    if (dir == Direction::Forward) {
+      run_passes<B, false>(out, stages, roots[0].data(), n);
+    } else {
+      run_passes<B, true>(out, stages, roots[1].data(), n);
+    }
+  }
+};
+
+/// Bluestein's convolution length for n: the smallest 7-smooth m >= 2n-1.
+std::size_t bluestein_length(std::size_t n) {
+  std::size_t m = 2 * n - 1;
+  while (!seven_smooth(m)) ++m;
+  return m;
 }
 
 /// Whether index i of a g-point axis lies in the band of an n-point image
@@ -305,23 +315,70 @@ struct LineGroup {
 }  // namespace
 
 struct Fft1D::Impl {
-  // Radix-2 path (n power of two):
-  std::vector<std::uint32_t> bitrev;
-  std::vector<c64> twiddles;
+  // Runs length n itself when n is 7-smooth; otherwise Bluestein's
+  // convolution of length bluestein_length(n).
+  Kernel kernel;
+  // Bluestein only:
+  std::vector<c64> chirp;      // b[k] = e^{-i*pi*k^2/n} (forward direction)
+  std::vector<c64> chirp_fft;  // FFT_m of the chirp filter e^{+i*pi*k^2/n}
 
-  // Mixed-radix path (every prime factor of n is <= 7, n not a power of
-  // two): the stages and the n roots e^{-2*pi*i*k/n} per direction
-  // (forward, then inverse = conjugate).
-  std::vector<Stage> stages;
-  std::vector<c64> roots[2];
+  explicit Impl(std::size_t n)
+      : kernel(seven_smooth(n) ? n : bluestein_length(n)) {
+    if (kernel.n == n) return;
+    const std::size_t m = kernel.n;
+    chirp.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      // Use k^2 mod 2n to avoid precision loss for large k.
+      const std::uint64_t k2 = (static_cast<std::uint64_t>(k) * k) % (2 * n);
+      const double ang = -std::numbers::pi * static_cast<double>(k2) /
+                         static_cast<double>(n);
+      chirp[k] = c64(std::cos(ang), std::sin(ang));
+    }
+    std::vector<c64> filter(m, c64{});
+    filter[0] = std::conj(chirp[0]);
+    for (std::size_t k = 1; k < n; ++k) {
+      filter[k] = std::conj(chirp[k]);
+      filter[m - k] = std::conj(chirp[k]);
+    }
+    chirp_fft.resize(m);
+    kernel.transform<1>(filter.data(), 1, 0, Direction::Forward,
+                        chirp_fft.data());
+  }
 
-  // Bluestein path (a prime factor > 7): convolution length
-  // m = next_pow2(2n-1).
-  std::size_t bluestein_m = 0;
-  std::vector<std::uint32_t> m_bitrev;
-  std::vector<c64> m_twiddles;
-  std::vector<c64> chirp;       // b[k] = e^{-i*pi*k^2/n} (forward direction)
-  std::vector<c64> chirp_fft;   // FFT_m of the chirp filter e^{+i*pi*k^2/n}
+  bool bluestein() const { return !chirp.empty(); }
+
+  /// Bluestein's transform of the line data[k * stride], k < n:
+  /// X[k] = conj(b[k]) * IFFT( FFT(a.*b) .* FFT(filter) ) with b[k] =
+  /// chirp. For the inverse direction conjugate the chirps. Borrows its
+  /// convolution scratch from the pool.
+  void run_bluestein(c64* data, std::size_t stride, Direction dir) const {
+    const std::size_t n = chirp.size();
+    const std::size_t m = kernel.n;
+    const bool forward = dir == Direction::Forward;
+    ScratchLease lease(2 * m);
+    c64* const a = lease.data();
+    c64* const spectrum = a + m;
+    for (std::size_t k = 0; k < n; ++k) {
+      a[k] = data[k * stride] * (forward ? chirp[k] : std::conj(chirp[k]));
+    }
+    std::fill(a + n, a + m, c64{});
+    kernel.transform<1>(a, 1, 0, Direction::Forward, spectrum);
+    if (forward) {
+      for (std::size_t k = 0; k < m; ++k) spectrum[k] *= chirp_fft[k];
+    } else {
+      // The conjugated filter's FFT is conj(chirp_fft) reversed:
+      // FFT(conj(x))[k] = conj(FFT(x)[(m-k) mod m]).
+      for (std::size_t k = 0; k < m; ++k) {
+        spectrum[k] *= std::conj(chirp_fft[(m - k) % m]);
+      }
+    }
+    kernel.transform<1>(spectrum, 1, 0, Direction::Inverse, a);
+    const double inv_m = 1.0 / static_cast<double>(m);
+    for (std::size_t k = 0; k < n; ++k) {
+      data[k * stride] =
+          a[k] * inv_m * (forward ? chirp[k] : std::conj(chirp[k]));
+    }
+  }
 };
 
 // NOTE: no plan holds mutable state. Grouped and strided executes write
@@ -329,52 +386,16 @@ struct Fft1D::Impl {
 // scratch from the global ScratchPool per call, so every plan is safe for
 // concurrent execute() on distinct buffers. This is what allows
 // FftPlanCache to hand one shared plan to many threads. Oversampled NuFFT
-// grids (sigma*N with sigma=2) are radix-2 for power-of-two N and
-// mixed-radix otherwise: the stream's N=48 grid is 96 = 2^5*3, and a
-// Toeplitz operator at N=48 grids its PSF on 192. Bluestein is left for
-// lengths with a prime factor above 7.
+// grids (sigma*N with sigma=2) are 7-smooth whenever N is: the stream's
+// N=48 grid is 96 = 2^5*3, and a Toeplitz operator at N=48 grids its PSF
+// on 192. Bluestein is left for lengths with a prime factor above 7.
 
-Fft1D::Fft1D(std::size_t n) : n_(n), impl_(std::make_unique<Impl>()) {
+Fft1D::Fft1D(std::size_t n) : n_(n) {
   JIGSAW_REQUIRE(n >= 1, "FFT length must be >= 1, got " << n);
-  if (is_pow2(n)) {
-    impl_->bitrev = make_bitrev(n);
-    impl_->twiddles = make_twiddles(n);
-    return;
-  }
-  impl_->stages = factor_small_radices(n);
-  if (!impl_->stages.empty()) {
-    impl_->roots[0].resize(n);
-    impl_->roots[1].resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double ang =
-          -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      impl_->roots[0][k] = c64(std::cos(ang), std::sin(ang));
-      impl_->roots[1][k] = std::conj(impl_->roots[0][k]);
-    }
-    return;
-  }
-  // Bluestein setup.
-  const std::size_t m = next_pow2(2 * n - 1);
-  impl_->bluestein_m = m;
-  impl_->m_bitrev = make_bitrev(m);
-  impl_->m_twiddles = make_twiddles(m);
-  impl_->chirp.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Use k^2 mod 2n to avoid precision loss for large k.
-    const std::uint64_t k2 = (static_cast<std::uint64_t>(k) * k) % (2 * n);
-    const double ang = -std::numbers::pi * static_cast<double>(k2) /
-                       static_cast<double>(n);
-    impl_->chirp[k] = c64(std::cos(ang), std::sin(ang));
-  }
-  impl_->chirp_fft.assign(m, c64{});
-  impl_->chirp_fft[0] = std::conj(impl_->chirp[0]);
-  for (std::size_t k = 1; k < n; ++k) {
-    impl_->chirp_fft[k] = std::conj(impl_->chirp[k]);
-    impl_->chirp_fft[m - k] = std::conj(impl_->chirp[k]);
-  }
-  c64* filter = impl_->chirp_fft.data();
-  radix2_core<1>(filter, filter, 1, m, impl_->m_bitrev, impl_->m_twiddles,
-                 Direction::Forward);
+  // Bluestein's kernel length stays within the uint32 digit-reversal table.
+  JIGSAW_REQUIRE(n <= (std::size_t{1} << 31),
+                 "FFT length " << n << " exceeds 2^31");
+  impl_ = std::make_unique<Impl>(n);
 }
 
 Fft1D::~Fft1D() = default;
@@ -383,100 +404,43 @@ Fft1D& Fft1D::operator=(Fft1D&&) noexcept = default;
 
 void Fft1D::execute(c64* data, Direction dir) const {
   if (n_ == 1) return;
-  if (!impl_->stages.empty()) {
-    ScratchLease lease(n_);
-    execute_lines<1>(data, 1, dir, lease.data());
+  if (impl_->bluestein()) {
+    impl_->run_bluestein(data, 1, dir);
     return;
   }
-  if (impl_->bluestein_m == 0) {
-    radix2_core<1>(data, data, 1, n_, impl_->bitrev, impl_->twiddles, dir);
-    return;
-  }
-  // Bluestein: X[k] = conj(b[k]) * IFFT( FFT(a.*b) .* FFT(filter) ) with
-  // b[k] = chirp. For the inverse direction conjugate the chirps.
-  const std::size_t m = impl_->bluestein_m;
-  ScratchLease lease(m);
-  auto& work = lease.buffer();
-  std::fill(work.begin(), work.end(), c64{});
-  for (std::size_t k = 0; k < n_; ++k) {
-    const c64 b =
-        dir == Direction::Forward ? impl_->chirp[k] : std::conj(impl_->chirp[k]);
-    work[k] = data[k] * b;
-  }
-  radix2_core<1>(work.data(), work.data(), 1, m, impl_->m_bitrev,
-                 impl_->m_twiddles, Direction::Forward);
-  if (dir == Direction::Forward) {
-    for (std::size_t k = 0; k < m; ++k) work[k] *= impl_->chirp_fft[k];
-  } else {
-    // The conjugated filter's FFT is conj(chirp_fft) reversed:
-    // FFT(conj(x))[k] = conj(FFT(x)[(m-k) mod m]).
-    for (std::size_t k = 0; k < m; ++k) {
-      work[k] *= std::conj(impl_->chirp_fft[(m - k) % m]);
-    }
-  }
-  radix2_core<1>(work.data(), work.data(), 1, m, impl_->m_bitrev,
-                 impl_->m_twiddles, Direction::Inverse);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const c64 b =
-        dir == Direction::Forward ? impl_->chirp[k] : std::conj(impl_->chirp[k]);
-    data[k] = work[k] * inv_m * b;
-  }
+  ScratchLease lease(n_);
+  execute_lines<1>(data, 1, 0, dir, lease.data());
 }
 
 void Fft1D::execute_strided(c64* data, std::size_t stride, Direction dir,
                             c64* scratch) const {
-  execute_lines<1>(data, stride, dir, scratch);
+  execute_lines<1>(data, stride, 0, dir, scratch);
 }
 
-void Fft1D::execute_group(c64* data, std::size_t stride, Direction dir,
+void Fft1D::execute_group(c64* data, std::size_t stride,
+                          std::size_t lane_step, Direction dir,
                           c64* scratch) const {
-  execute_lines<kLineGroup>(data, stride, dir, scratch);
+  execute_lines<kLineGroup>(data, stride, lane_step, dir, scratch);
 }
 
 template <std::size_t B>
-void Fft1D::execute_lines(c64* data, std::size_t stride, Direction dir,
+void Fft1D::execute_lines(c64* data, std::size_t stride,
+                          std::size_t lane_step, Direction dir,
                           c64* scratch) const {
-  const auto scatter = [&] {
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t b = 0; b < B; ++b) {
-        data[i * stride + b] = scratch[i * B + b];
-      }
+  if (impl_->bluestein()) {
+    // Bluestein lines run one at a time.
+    for (std::size_t b = 0; b < B; ++b) {
+      impl_->run_bluestein(data + b * lane_step, stride, dir);
     }
-  };
-  if (!impl_->stages.empty()) {
-    // Out of place from the strided lines into scratch, then back.
-    const Stage* first = impl_->stages.data();
-    if (dir == Direction::Forward) {
-      mixed_work<B, false>(scratch, data, stride, 1, first,
-                           impl_->roots[0].data(), n_);
-    } else {
-      mixed_work<B, true>(scratch, data, stride, 1, first,
-                          impl_->roots[1].data(), n_);
-    }
-    scatter();
     return;
   }
-  if constexpr (B > 1) {
-    if (impl_->bluestein_m != 0) {
-      // Bluestein lines stay one at a time.
-      for (std::size_t b = 0; b < B; ++b) {
-        execute_lines<1>(data + b, stride, dir, scratch);
-      }
-      return;
+  // Out of place from the lines into scratch, then back.
+  impl_->kernel.transform<B>(data, stride, lane_step, dir, scratch);
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t b = 0; b < B; ++b) {
+      data[i * stride + b * lane_step] = scratch[i * B + b];
     }
-  } else if (stride == 1) {
-    execute(data, dir);  // one contiguous line runs in place
-    return;
   }
-  if (impl_->bluestein_m == 0) {
-    radix2_core<B>(scratch, data, stride, n_, impl_->bitrev, impl_->twiddles,
-                   dir);
-  } else {
-    for (std::size_t i = 0; i < n_; ++i) scratch[i] = data[i * stride];
-    execute(scratch, dir);
-  }
-  scatter();
 }
 
 FftNd::FftNd(std::vector<std::size_t> dims) : dims_(std::move(dims)) {
@@ -521,21 +485,28 @@ void FftNd::execute(c64* data, Direction dir, unsigned threads,
     std::size_t stride = 1;
     for (std::size_t a = axis + 1; a < ndim; ++a) stride *= dims_[a];
     const std::size_t block = stride * n;  // elements spanned by one line set
+    // Line l starts at first(l). Adjacent strided lines sit one element
+    // apart within a block; adjacent contiguous lines (the last axis, a
+    // row each) sit n elements apart everywhere.
+    const std::size_t lane_step = stride == 1 ? n : 1;
+    const auto first = [&](std::size_t l) {
+      return l / stride * block + l % stride;
+    };
+    const std::size_t count = total_ / n;  // lines along this axis
     groups.clear();
-    for (std::size_t outer = 0; outer < total_ / block; ++outer) {
-      if (!forward && !coords_in_band(outer, dims_, 0, axis, band)) continue;
-      const std::size_t base = outer * block;
-      std::size_t run = 0;  // needed lines just before `off` not yet grouped
-      for (std::size_t off = 0; off <= stride; ++off) {
-        if (off < stride &&
-            (!forward || coords_in_band(off, dims_, axis + 1, ndim, band))) {
-          if (++run == kLineGroup) {
-            groups.push_back({base + off + 1 - kLineGroup, kLineGroup});
-            run = 0;
-          }
-          continue;
-        }
-        for (; run > 0; --run) groups.push_back({base + off - run, 1});
+    std::size_t run = 0;  // needed lines just before `l`, not yet grouped
+    for (std::size_t l = 0; l <= count; ++l) {
+      const bool needed =
+          l < count &&
+          (forward ? coords_in_band(l % stride, dims_, axis + 1, ndim, band)
+                   : coords_in_band(l / stride, dims_, 0, axis, band));
+      // A group never spans two blocks of a strided axis.
+      if (!needed || (stride > 1 && l % stride == 0)) {
+        for (; run > 0; --run) groups.push_back({first(l - run), 1});
+      }
+      if (needed && ++run == kLineGroup) {
+        groups.push_back({first(l + 1 - kLineGroup), kLineGroup});
+        run = 0;
       }
     }
     std::size_t lines = 0;
@@ -546,11 +517,11 @@ void FftNd::execute(c64* data, Direction dir, unsigned threads,
     const auto run_groups = [&](std::size_t begin, std::size_t end,
                                 c64* local) {
       for (std::size_t i = begin; i < end; ++i) {
-        c64* first = data + groups[i].base;
+        c64* line = data + groups[i].base;
         if (groups[i].lanes == kLineGroup) {
-          plan.execute_group(first, stride, dir, local);
+          plan.execute_group(line, stride, lane_step, dir, local);
         } else {
-          plan.execute_strided(first, stride, dir, local);
+          plan.execute_strided(line, stride, dir, local);
         }
       }
     };
@@ -626,12 +597,6 @@ void ifftshift(c64* data, const std::vector<std::size_t>& dims) {
   for (std::size_t axis = 0; axis < dims.size(); ++axis) {
     shift_axis(data, dims, axis, dims[axis] - dims[axis] / 2);
   }
-}
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 }  // namespace jigsaw::fft

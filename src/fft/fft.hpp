@@ -1,23 +1,20 @@
 // Self-contained complex FFT library (no external dependency).
 //
-// Supports any transform length; the plan picks its algorithm from the
-// length alone:
-//   * powers of two use an iterative radix-2 Cooley-Tukey kernel with
-//     precomputed twiddles;
-//   * lengths whose prime factors are all <= 7 (96 = 2^5*3, 80, 120, ...)
-//     use an out-of-place mixed-radix decimation-in-time kernel with
-//     radix-4/2/3/5 butterflies and a generic one for 7;
-//   * lengths with a larger prime factor use Bluestein's chirp-z algorithm
-//     built on the power-of-two FFT.
+// Supports any transform length through one kernel: an iterative
+// mixed-radix decimation-in-time FFT with radix-4/2/3/5 butterflies and a
+// generic one for 7. A length whose prime factors are all <= 7 (powers of
+// two, 96 = 2^5*3, 80, 120, ...) runs it directly; any other length runs
+// Bluestein's chirp-z algorithm, whose convolution runs the kernel on the
+// smallest such length >= 2n-1.
 //
-// FftNd runs every strided axis in groups of kLineGroup adjacent lines:
-// four c64 lines fill one 64-byte cache line, so a column pass reads and
-// writes whole cache lines. Each kernel takes the group's lane count as a
+// FftNd runs every axis in groups of kLineGroup adjacent lines: four
+// strided c64 lines fill one 64-byte cache line, so a column pass reads and
+// writes whole cache lines, and four adjacent rows of the contiguous last
+// axis run together too. The kernel takes the group's lane count as a
 // template parameter; every lane does exactly the arithmetic of a lone
-// line, so grouping never changes a bit, and the one-line instantiation is
-// the kernel that runs the contiguous last axis, the tail of a stride that
-// is not a multiple of kLineGroup, and Fft1D::execute. Bluestein lines run
-// one at a time.
+// line, so grouping never changes a bit, and the one-line instantiation
+// runs the tail of a group run and Fft1D::execute. Bluestein lines run one
+// at a time.
 //
 // Conventions:
 //   Forward : X[k] = sum_n x[n] e^{-2*pi*i*n*k/N}   (unnormalized)
@@ -35,7 +32,7 @@ namespace jigsaw::fft {
 
 enum class Direction { Forward, Inverse };
 
-/// Adjacent lines FftNd transforms together on a strided axis.
+/// Adjacent lines FftNd transforms together on every axis.
 inline constexpr std::size_t kLineGroup = 4;
 
 /// One-dimensional complex-to-complex FFT plan of fixed length.
@@ -56,23 +53,24 @@ class Fft1D {
   void execute(c64* data, Direction dir) const;
 
   /// Strided in-place transform: element i lives at data[i * stride].
-  /// Uses the provided scratch buffer (length >= n); mixed-radix plans need
-  /// no other memory, so a caller that holds one scratch line per thread
-  /// runs them without allocating.
+  /// Uses the provided scratch buffer (length >= n); a 7-smooth length
+  /// needs no other memory, so a caller that holds one scratch line per
+  /// thread runs it without allocating.
   void execute_strided(c64* data, std::size_t stride, Direction dir,
                        c64* scratch) const;
 
-  /// kLineGroup adjacent strided lines at once: element i of line b lives
-  /// at data[i * stride + b] (stride >= kLineGroup). Uses scratch of length
+  /// kLineGroup lines at once: element i of line b lives at
+  /// data[i * stride + b * lane_step]. FftNd passes lane step 1 for
+  /// adjacent strided lines and n for adjacent rows. Uses scratch of length
   /// >= kLineGroup * n. Bit-identical to kLineGroup execute_strided calls.
-  void execute_group(c64* data, std::size_t stride, Direction dir,
-                     c64* scratch) const;
+  void execute_group(c64* data, std::size_t stride, std::size_t lane_step,
+                     Direction dir, c64* scratch) const;
 
  private:
-  /// B adjacent strided lines; B = 1 is execute_strided.
+  /// B lines lane_step apart; B = 1 is execute_strided.
   template <std::size_t B>
-  void execute_lines(c64* data, std::size_t stride, Direction dir,
-                     c64* scratch) const;
+  void execute_lines(c64* data, std::size_t stride, std::size_t lane_step,
+                     Direction dir, c64* scratch) const;
 
   struct Impl;
   std::size_t n_;
@@ -130,11 +128,5 @@ void dft_reference(const c64* in, c64* out, std::size_t n, Direction dir);
 /// ceil/floor as in numpy.fft.fftshift.
 void fftshift(c64* data, const std::vector<std::size_t>& dims);
 void ifftshift(c64* data, const std::vector<std::size_t>& dims);
-
-/// True when n is a power of two (n >= 1).
-constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
-/// Smallest power of two >= n.
-std::size_t next_pow2(std::size_t n);
 
 }  // namespace jigsaw::fft

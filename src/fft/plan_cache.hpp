@@ -1,6 +1,6 @@
 // Process-wide FFT plan and scratch-buffer caches.
 //
-// Planning an FftNd costs twiddle, bit-reversal or chirp table construction
+// Planning an FftNd costs root, digit-reversal and chirp table construction
 // per distinct length — cheap once, wasteful when every NufftPlan and Toeplitz
 // operator re-plans the same (sigma*N)^d geometry. The cache
 // hands out shared immutable plans keyed by the dimension vector, so any
@@ -11,10 +11,10 @@
 // The scratch pool complements it: hot paths that need a temporary c64
 // buffer (Bluestein convolution scratch, Toeplitz embedding grids, the
 // per-call NuFFT work grid and slice-and-dice dice) borrow from a bounded
-// freelist instead of hitting the allocator per call. Radix-2 and
-// mixed-radix lines inside FftNd::execute borrow nothing: they run in
-// place or through the scratch block of kLineGroup lines that FftNd::execute
-// holds per call (one per thread when threaded).
+// freelist instead of hitting the allocator per call. Lines of a 7-smooth
+// length inside FftNd::execute borrow nothing: they run through the scratch
+// block of kLineGroup lines that FftNd::execute holds per call (one per
+// thread when threaded).
 #pragma once
 
 #include <cstdint>

@@ -87,9 +87,8 @@ TEST_P(Fft1DSizes, ParsevalHolds) {
               1e-8 * time_energy * static_cast<double>(n));
 }
 
-// Powers of two exercise radix-2; 3, 5, 6, 7, 12, 27, 48, 100 and 384
-// (prime factors <= 7) exercise the mixed-radix kernel, and 13 and 31
-// exercise Bluestein.
+// Every length whose prime factors are all <= 7, powers of two included,
+// exercises the mixed-radix kernel directly; 13 and 31 exercise Bluestein.
 INSTANTIATE_TEST_SUITE_P(AllSizes, Fft1DSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16,
                                            27, 31, 32, 48, 64, 100, 128, 384));
@@ -145,12 +144,12 @@ TEST(Fft1D, LinearityHolds) {
 }
 
 TEST(Fft1D, MatchesDftReferenceForEveryLengthTo512AndLargePrimes) {
-  // Every algorithm and every radix combination up to 512, plus primes
-  // whose Bluestein convolution is 1024 and 2048 points long.
+  // Every radix combination up to 512, direct and under Bluestein, plus
+  // primes whose Bluestein convolutions are 2048 and 2100 points long, a
+  // large power of two and a large 7-smooth length that is not one.
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 512; ++n) sizes.push_back(n);
-  sizes.push_back(1021);
-  sizes.push_back(1031);
+  for (const std::size_t n : {1021u, 1031u, 4096u, 3000u}) sizes.push_back(n);
   for (const std::size_t n : sizes) {
     Fft1D plan(n);
     for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
@@ -168,7 +167,7 @@ TEST(Fft1D, MatchesDftReferenceForEveryLengthTo512AndLargePrimes) {
 TEST(Fft1D, RejectsZeroLength) { EXPECT_THROW(Fft1D(0), std::invalid_argument); }
 
 TEST(Fft1D, StridedMatchesContiguous) {
-  // One length per algorithm: radix-2, mixed-radix and Bluestein.
+  // A power of two, another 7-smooth length, and Bluestein.
   for (const std::size_t n : {32u, 96u, 26u}) {
     const std::size_t stride = 3;
     auto base = random_signal(n * stride, 11);
@@ -270,7 +269,7 @@ TEST(FftNd, ThreadedMatchesSerial) {
 
 TEST(FftNd, ThreadedMatchesSerialOnMixedRadixAndBluestein) {
   // {96, 80} is mixed-radix on both axes, {26, 22} Bluestein on both:
-  // threads split their lines exactly as they split radix-2 ones.
+  // threads split their lines exactly as they split power-of-two ones.
   const std::vector<std::vector<std::size_t>> shapes = {{96, 80}, {26, 22}};
   for (const auto& dims : shapes) {
     FftNd plan(dims);
@@ -286,9 +285,10 @@ TEST(FftNd, ThreadedMatchesSerialOnMixedRadixAndBluestein) {
 
 TEST(FftNd, MixedRadixExecuteLeasesNoScratch) {
   if (!obs::kEnabled) GTEST_SKIP() << "built with JIGSAW_OBS=OFF";
-  // Mixed-radix lines run through the scratch block FftNd::execute holds;
-  // only Bluestein borrows convolution scratch from the pool.
-  for (const std::size_t n : {80u, 96u, 120u, 192u}) {
+  // Lines of a 7-smooth length, powers of two included, run through the
+  // scratch block FftNd::execute holds; only Bluestein borrows convolution
+  // scratch from the pool.
+  for (const std::size_t n : {64u, 80u, 96u, 120u, 128u, 192u, 256u}) {
     FftNd plan({n, n});
     auto x = random_signal(n * n, 53);
     const auto before = obs::snapshot().counter("scratch.acquires");
@@ -422,16 +422,6 @@ TEST(FftNd, BandSkipsOnlyZeroOrUnreadLines) {
     EXPECT_EQ(lines({16, 16, 16}, dir, 0), 768u);
     EXPECT_EQ(lines({16, 16, 16}, dir, 8), 448u);
   }
-}
-
-TEST(NextPow2, Values) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(2), 2u);
-  EXPECT_EQ(next_pow2(3), 4u);
-  EXPECT_EQ(next_pow2(1000), 1024u);
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(96));
-  EXPECT_FALSE(is_pow2(0));
 }
 
 }  // namespace
