@@ -28,7 +28,6 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "core/batch.hpp"
 #include "data/driver.hpp"
 #include "data/synthetic.hpp"
 #include "fft/fft.hpp"
@@ -358,7 +357,18 @@ void bench_recon(std::int64_t n, int spokes, int per_spoke, int iters,
     e.n = n;
     e.m = static_cast<std::int64_t>(coords.size());
     const auto run = [&] {
-      image = core::iterative_recon<2>(plan, kdata, iters, 1e-12, toeplitz, &cg);
+      if (!toeplitz) {
+        image = core::iterative_recon<2>(plan, kdata, iters, 1e-12, &cg);
+        return;
+      }
+      const auto b = plan.adjoint(kdata);
+      const std::vector<double> ones(plan.num_samples(), 1.0);
+      const core::ToeplitzOperator<2> gram(n, plan.coords(), ones,
+                                           plan.gridder().options());
+      image.assign(b.size(), c64{});
+      cg = core::conjugate_gradient(
+          [&gram](const std::vector<c64>& x) { return gram.apply(x); }, b,
+          image, iters, 1e-12);
     };
     e.counters = counted_run(run);
     e.seconds = time_best(run, 0.25, 4);

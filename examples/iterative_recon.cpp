@@ -66,16 +66,19 @@ int main() {
   core::CgResult direct_cg;
   Timer t_direct;
   const auto direct =
-      core::iterative_recon<2>(plan, kdata, 20, 1e-7, false, &direct_cg);
+      core::iterative_recon<2>(plan, kdata, 20, 1e-7, &direct_cg);
   const double s_direct = t_direct.seconds();
   std::printf("CG (NuFFT gram, %2d iters): NRMSD %.4f  [%.2f s]\n",
               direct_cg.iterations, score_against(direct, truth), s_direct);
 
   // CG with the Toeplitz gram operator (two FFTs per iteration).
-  core::CgResult toep_cg;
   Timer t_toep;
-  const auto toeplitz =
-      core::iterative_recon<2>(plan, kdata, 20, 1e-7, true, &toep_cg);
+  const core::ToeplitzOperator<2> gram(
+      n, coords, std::vector<double>(coords.size(), 1.0), opt);
+  std::vector<c64> toeplitz;
+  const core::CgResult toep_cg = core::conjugate_gradient(
+      [&gram](const std::vector<c64>& x) { return gram.apply(x); },
+      plan.adjoint(kdata), toeplitz, 20, 1e-7);
   const double s_toep = t_toep.seconds();
   std::printf("CG (Toeplitz,   %2d iters): NRMSD %.4f  [%.2f s]\n",
               toep_cg.iterations, score_against(toeplitz, truth), s_toep);

@@ -1,13 +1,13 @@
 // Deadline / abort token for long-running reconstruction work.
 //
 // A Deadline is a cheap value type carried down through the transform and
-// solver entry points (NufftPlan, BatchedNufft, conjugate_gradient,
-// cg_sense). Work is *never* preempted mid-kernel: callees call check() at
-// phase boundaries (per gridding/FFT/apodization phase, per batch frame,
-// per CG iteration, per coil) and a passed deadline raises DeadlineExceeded
-// there. This keeps the hot loops branch-free while bounding how long an
-// expired request can hold an execution thread — the serving layer
-// (src/serve/) maps the exception to its TIMEOUT status.
+// solver entry points (NufftPlan, conjugate_gradient, cg_sense, the serve
+// engine's adjoint batch). Work is *never* preempted mid-kernel: callees
+// call check() at phase boundaries (per gridding/FFT/apodization phase, per
+// batch frame, per CG iteration, per coil) and a passed deadline raises
+// DeadlineExceeded there. This keeps the hot loops branch-free while
+// bounding how long an expired request can hold an execution thread — the
+// serving layer (src/serve/) maps the exception to its TIMEOUT status.
 //
 // A default-constructed Deadline never expires, so every entry point can
 // take one as a trailing default argument with zero behavior change for

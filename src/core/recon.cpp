@@ -179,56 +179,8 @@ CgResult conjugate_gradient(
   return result;
 }
 
-template <int D>
-std::vector<c64> iterative_recon(const NufftPlan<D>& plan,
-                                 const std::vector<c64>& y,
-                                 int max_iterations, double tolerance,
-                                 bool use_toeplitz, CgResult* result,
-                                 const Deadline& deadline,
-                                 const std::vector<c64>* warm_start) {
-  const std::vector<c64> b = plan.adjoint(y, nullptr, deadline);
-
-  std::function<std::vector<c64>(const std::vector<c64>&)> gram;
-  std::unique_ptr<ToeplitzOperator<D>> toeplitz;
-  if (use_toeplitz) {
-    const std::vector<double> ones(plan.num_samples(), 1.0);
-    toeplitz = std::make_unique<ToeplitzOperator<D>>(
-        plan.base_size(), plan.coords(), ones, plan.gridder().options());
-    gram = [&toeplitz](const std::vector<c64>& x) {
-      return toeplitz->apply(x);
-    };
-  } else {
-    gram = [&plan, &deadline](const std::vector<c64>& x) {
-      return plan.adjoint(plan.forward(x, nullptr, deadline), nullptr,
-                          deadline);
-    };
-  }
-
-  // A warm start of the wrong size is a stale frame from another geometry
-  // (e.g. the stream reconfigured mid-session): fall back to cold rather
-  // than poison the solve.
-  std::vector<c64> x(b.size(), c64{});
-  if (warm_start != nullptr && warm_start->size() == b.size()) {
-    x = *warm_start;
-    obs::add("cg.warm_starts", 1);
-  }
-  const CgResult cg = conjugate_gradient(gram, b, x, max_iterations,
-                                         tolerance, deadline);
-  if (result != nullptr) *result = cg;
-  return x;
-}
-
 template class ToeplitzOperator<1>;
 template class ToeplitzOperator<2>;
 template class ToeplitzOperator<3>;
-template std::vector<c64> iterative_recon<1>(
-    const NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
-template std::vector<c64> iterative_recon<2>(
-    const NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
-template std::vector<c64> iterative_recon<3>(
-    const NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
 
 }  // namespace jigsaw::core

@@ -1,11 +1,13 @@
 // Model-based MRI reconstruction on top of the NuFFT (paper refs [5], [10]).
 //
 // Solves min_x ||A x - y||^2 with A the forward NuFFT, via conjugate
-// gradients on the normal equations A^H A x = A^H y. The Gram operator
-// A^H A is Toeplitz (shift-invariant), so it can be applied with two
-// FFTs on a 2x-padded grid and no per-iteration gridding — the strategy of
-// the Impatient framework [10] ("Toeplitz-based"). Both the direct
-// (forward+adjoint NuFFT) and the Toeplitz Gram application are provided.
+// gradients on the normal equations A^H A x = A^H y. The solve itself is
+// cg_sense (core/sense.hpp), whose Gram operator applies a forward and an
+// adjoint NuFFT per coil; iterative_recon below is its single-coil entry.
+// The Gram operator A^H A is also Toeplitz (shift-invariant), so it can be
+// applied with two FFTs on a 2x-padded grid and no per-iteration gridding —
+// the strategy of the Impatient framework [10] ("Toeplitz-based"):
+// ToeplitzOperator, handed to conjugate_gradient directly.
 #pragma once
 
 #include <functional>
@@ -59,40 +61,24 @@ CgResult conjugate_gradient(
     const std::vector<c64>& b, std::vector<c64>& x, int max_iterations = 30,
     double tolerance = 1e-6, const Deadline& deadline = Deadline());
 
-/// Convenience: iterative least-squares reconstruction of k-space data
-/// `y` sampled at `plan`'s coordinates. When `use_toeplitz` is set the Gram
-/// operator is applied via ToeplitzOperator (two FFTs) instead of
-/// forward+adjoint NuFFT per iteration.
-///
-/// `warm_start` (the streaming entry point): a non-null pointer to an image
-/// of exactly plan.base_size()^D pixels seeds CG with that image instead of
-/// zero — the previous frame of a dynamic sequence. CG converges to the
-/// same fixed point either way (the normal equations are PSD with a unique
-/// least-norm solution on the operator's range); a good seed only changes
-/// how many iterations reaching `tolerance` takes. A size mismatch falls
-/// back to the cold (zero) start rather than erroring, so callers may hand
-/// in "whatever the last frame produced" unconditionally.
+/// Single-coil least squares on k-space data `y` sampled at `plan`'s
+/// coordinates: cg_sense (core/sense.hpp) under identity maps, so the
+/// arithmetic is CG over plan.adjoint(plan.forward(x)). Only D = 2 is
+/// instantiated.
 template <int D>
 std::vector<c64> iterative_recon(const NufftPlan<D>& plan,
                                  const std::vector<c64>& y,
                                  int max_iterations = 20,
                                  double tolerance = 1e-6,
-                                 bool use_toeplitz = false,
                                  CgResult* result = nullptr,
-                                 const Deadline& deadline = Deadline(),
-                                 const std::vector<c64>* warm_start = nullptr);
+                                 const Deadline& deadline = Deadline());
 
 extern template class ToeplitzOperator<1>;
 extern template class ToeplitzOperator<2>;
 extern template class ToeplitzOperator<3>;
-extern template std::vector<c64> iterative_recon<1>(
-    const NufftPlan<1>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
-extern template std::vector<c64> iterative_recon<2>(
-    const NufftPlan<2>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
-extern template std::vector<c64> iterative_recon<3>(
-    const NufftPlan<3>&, const std::vector<c64>&, int, double, bool, CgResult*,
-    const Deadline&, const std::vector<c64>*);
+extern template std::vector<c64> iterative_recon<2>(const NufftPlan<2>&,
+                                                    const std::vector<c64>&,
+                                                    int, double, CgResult*,
+                                                    const Deadline&);
 
 }  // namespace jigsaw::core

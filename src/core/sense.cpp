@@ -55,19 +55,21 @@ CoilMaps make_birdcage_maps(std::int64_t n, int coils, double coil_radius,
   return cm;
 }
 
-std::vector<std::vector<c64>> simulate_multicoil(
-    const NufftPlan<2>& plan, const CoilMaps& maps,
-    const std::vector<c64>& image) {
+std::vector<c64> simulate_multicoil(const NufftPlan<2>& plan,
+                                    const CoilMaps& maps,
+                                    const std::vector<c64>& image) {
   JIGSAW_REQUIRE(maps.n == plan.base_size(), "map/plan size mismatch");
   JIGSAW_REQUIRE(static_cast<std::int64_t>(image.size()) ==
                      plan.image_total(),
                  "image size mismatch");
-  std::vector<std::vector<c64>> y(static_cast<std::size_t>(maps.coils));
+  std::vector<c64> y;
+  y.reserve(static_cast<std::size_t>(maps.coils) * plan.num_samples());
   std::vector<c64> weighted(image.size());
   for (int c = 0; c < maps.coils; ++c) {
     const auto& s = maps.map(c);
     for (std::size_t p = 0; p < image.size(); ++p) weighted[p] = s[p] * image[p];
-    y[static_cast<std::size_t>(c)] = plan.forward(weighted);
+    const auto yc = plan.forward(weighted);
+    y.insert(y.end(), yc.begin(), yc.end());
   }
   return y;
 }
@@ -81,12 +83,15 @@ SenseOperator::SenseOperator(const NufftPlan<2>& plan,
       coil_threads_(std::min<unsigned>(std::max(1u, coil_threads),
                                        static_cast<unsigned>(maps.coils))) {
   JIGSAW_REQUIRE(maps.n == plan.base_size(), "map/plan size mismatch");
+  JIGSAW_REQUIRE(!maps.is_identity() || maps.coils == 1,
+                 "identity maps are one coil");
   JIGSAW_REQUIRE(weights.empty() || weights.size() == plan.num_samples(),
                  "need one weight per sample");
 }
 
 std::vector<c64> SenseOperator::coil_sum(
     const std::function<std::vector<c64>(int)>& transform) const {
+  if (maps_.is_identity()) return transform(0);
   const auto pixels = static_cast<std::size_t>(plan_.image_total());
   std::vector<c64> out(pixels, c64{});
   const auto add = [&](int c, const std::vector<c64>& img) {
@@ -120,18 +125,22 @@ void SenseOperator::weigh(std::vector<c64>& v) const {
   for (std::size_t j = 0; j < weights_.size(); ++j) v[j] *= weights_[j];
 }
 
-std::vector<c64> SenseOperator::adjoint(const std::vector<std::vector<c64>>& y,
+std::vector<c64> SenseOperator::adjoint(const std::vector<c64>& y,
                                         const Deadline& deadline) const {
-  JIGSAW_REQUIRE(static_cast<int>(y.size()) == maps_.coils,
-                 "coil count mismatch");
+  const std::size_t m = plan_.num_samples();
+  JIGSAW_REQUIRE(y.size() == static_cast<std::size_t>(maps_.coils) * m,
+                 "need coils x M sample values");
   obs::Span span("sense.adjoint");
   obs::add("sense.adjoint_applies", 1);
   obs::add("sense.coil_transforms", static_cast<std::uint64_t>(maps_.coils));
   return coil_sum([&](int c) {
     deadline.check("sense.coil");
-    const auto& yc = y[static_cast<std::size_t>(c)];
-    if (weights_.empty()) return plan_.adjoint(yc, nullptr, deadline);
-    std::vector<c64> wy = yc;
+    if (maps_.coils == 1 && weights_.empty()) {
+      return plan_.adjoint(y, nullptr, deadline);
+    }
+    const auto coil_m = static_cast<std::ptrdiff_t>(m);
+    const auto first = y.begin() + coil_m * c;
+    std::vector<c64> wy(first, first + coil_m);
     weigh(wy);
     return plan_.adjoint(wy, nullptr, deadline);
   });
@@ -146,17 +155,22 @@ std::vector<c64> SenseOperator::gram(const std::vector<c64>& x,
            2 * static_cast<std::uint64_t>(maps_.coils));
   return coil_sum([&](int c) {
     deadline.check("sense.coil");
-    const auto& s = maps_.map(c);
-    std::vector<c64> weighted(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) weighted[i] = s[i] * x[i];
-    auto f = plan_.forward(weighted, nullptr, deadline);
+    std::vector<c64> f;
+    if (maps_.is_identity()) {
+      f = plan_.forward(x, nullptr, deadline);
+    } else {
+      const auto& s = maps_.map(c);
+      std::vector<c64> weighted(x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) weighted[i] = s[i] * x[i];
+      f = plan_.forward(weighted, nullptr, deadline);
+    }
     weigh(f);
     return plan_.adjoint(f, nullptr, deadline);
   });
 }
 
 std::vector<c64> cg_sense(const NufftPlan<2>& plan, const CoilMaps& maps,
-                          const std::vector<std::vector<c64>>& y,
+                          const std::vector<c64>& y,
                           int max_iterations, double tolerance,
                           CgResult* result, unsigned coil_threads,
                           const Deadline& deadline,
@@ -182,5 +196,19 @@ std::vector<c64> cg_sense(const NufftPlan<2>& plan, const CoilMaps& maps,
   if (result != nullptr) *result = cg;
   return x;
 }
+
+template <int D>
+std::vector<c64> iterative_recon(const NufftPlan<D>& plan,
+                                 const std::vector<c64>& y,
+                                 int max_iterations, double tolerance,
+                                 CgResult* result, const Deadline& deadline) {
+  return cg_sense(plan, CoilMaps::identity(plan.base_size()), y,
+                  max_iterations, tolerance, result, 1, deadline);
+}
+
+template std::vector<c64> iterative_recon<2>(const NufftPlan<2>&,
+                                             const std::vector<c64>&, int,
+                                             double, CgResult*,
+                                             const Deadline&);
 
 }  // namespace jigsaw::core

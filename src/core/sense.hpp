@@ -23,10 +23,15 @@
 namespace jigsaw::core {
 
 /// Complex coil sensitivity maps over an n x n FOV, row-major per coil.
+/// Empty `maps` is one coil with no sensitivity map: the identity, under
+/// which SENSE is plain single-coil least squares on the NuFFT.
 struct CoilMaps {
   std::int64_t n = 0;
   int coils = 0;
-  std::vector<std::vector<c64>> maps;  // maps[c][pixel]
+  std::vector<std::vector<c64>> maps;  // maps[c][pixel]; empty = identity
+
+  static CoilMaps identity(std::int64_t n) { return {n, 1, {}}; }
+  bool is_identity() const { return maps.empty(); }
 
   const std::vector<c64>& map(int c) const {
     return maps[static_cast<std::size_t>(c)];
@@ -41,8 +46,8 @@ CoilMaps make_birdcage_maps(std::int64_t n, int coils,
                             double coil_width = 0.45);
 
 /// Simulate a multi-coil acquisition: y_c = forward_nufft(S_c .* image).
-/// Returns coils x M sample values.
-std::vector<std::vector<c64>> simulate_multicoil(
+/// Returns the coil-major block of coils x M sample values.
+std::vector<c64> simulate_multicoil(
     const NufftPlan<2>& plan, const CoilMaps& maps,
     const std::vector<c64>& image);
 
@@ -50,6 +55,9 @@ std::vector<std::vector<c64>> simulate_multicoil(
 /// and right-hand side  A^H W y = sum_c S_c^H F^H W y_c, where W is an
 /// optional diagonal per-sample weighting (a density compensation). Empty
 /// `weights` means W = I; otherwise it holds one weight per plan sample.
+/// This is the one Gram operator of the NuFFT solvers: under identity maps
+/// it does no map multiply, copy or coil sum, so gram(x) is exactly
+/// plan.adjoint(W plan.forward(x)).
 ///
 /// `coil_threads > 1` processes coils concurrently: that many threads call
 /// the one const plan (each transform leases its own work grid; a sparse
@@ -64,9 +72,10 @@ class SenseOperator {
                 unsigned coil_threads = 1,
                 std::span<const double> weights = {});
 
-  /// b = A^H W y for multi-coil data y (coils x M). The deadline is checked
-  /// before every coil's transform (DeadlineExceeded on expiry).
-  std::vector<c64> adjoint(const std::vector<std::vector<c64>>& y,
+  /// b = A^H W y for the coil-major block y of coils x M values. The
+  /// deadline is checked before every coil's transform (DeadlineExceeded on
+  /// expiry).
+  std::vector<c64> adjoint(const std::vector<c64>& y,
                            const Deadline& deadline = Deadline()) const;
 
   /// (A^H W A) x. Deadline semantics as in adjoint().
@@ -78,7 +87,8 @@ class SenseOperator {
  private:
   /// sum_c S_c^H transform(c): the coil transforms run coil-parallel when
   /// configured, and their images are summed in coil order either way.
-  /// Serially each image is added as soon as it exists.
+  /// Serially each image is added as soon as it exists. Identity maps
+  /// return transform(0) itself.
   std::vector<c64> coil_sum(
       const std::function<std::vector<c64>(int)>& transform) const;
   /// v .* W, in place; nothing when W = I.
@@ -90,23 +100,26 @@ class SenseOperator {
   unsigned coil_threads_;
 };
 
-/// CG-SENSE reconstruction. `y[c]` holds coil c's k-space samples at the
-/// plan's coordinates. `coil_threads` parallelizes the per-coil NuFFTs of
-/// every operator application (see SenseOperator); the result is bit-exact
-/// across thread counts. The deadline is enforced at phase boundaries
-/// (right-hand side, per CG iteration, per coil transform); an expired
-/// deadline raises DeadlineExceeded promptly — before any transform work
-/// when it was already expired on entry.
+/// CG-SENSE reconstruction, and with identity maps the single-coil CG
+/// solve. `y` is the coil-major block of coils x M k-space samples at the
+/// plan's coordinates (coil c at y[c * M, (c + 1) * M)). `coil_threads`
+/// parallelizes the per-coil NuFFTs of every operator application (see
+/// SenseOperator); the result is bit-exact across thread counts. The
+/// deadline is enforced at phase boundaries (right-hand side, per CG
+/// iteration, per coil transform); an expired deadline raises
+/// DeadlineExceeded promptly — before any transform work when it was
+/// already expired on entry.
 ///
-/// `warm_start` seeds CG with a previous frame's image (streaming entry
-/// point, same contract as iterative_recon): CG still converges to the
-/// same fixed point, a good seed just gets there in fewer iterations; a
-/// size mismatch silently falls back to the cold zero start.
+/// `warm_start` seeds CG with a previous frame's image (the streaming entry
+/// point): CG still converges to the same fixed point (the normal equations
+/// are PSD), a good seed just gets there in fewer iterations; a size
+/// mismatch (a stale frame of another geometry) silently falls back to the
+/// cold zero start.
 ///
 /// `weights` makes it weighted CG-SENSE on  A^H W A x = A^H W y  (see
 /// SenseOperator); empty solves the unweighted normal equations.
 std::vector<c64> cg_sense(const NufftPlan<2>& plan, const CoilMaps& maps,
-                          const std::vector<std::vector<c64>>& y,
+                          const std::vector<c64>& y,
                           int max_iterations = 15, double tolerance = 1e-6,
                           CgResult* result = nullptr,
                           unsigned coil_threads = 1,

@@ -100,16 +100,12 @@ ReconDatasetResult recon_dataset(const std::string& path,
     }
     rec.dcf_applied = !w.empty();
 
-    std::vector<std::vector<c64>> y(static_cast<std::size_t>(coils));
-    for (int c = 0; c < coils; ++c) y[static_cast<std::size_t>(c)] = chunk.coil_values(c);
-
     if (options.iters <= 0) {
       // Weighted adjoint per coil, RSS across coils (single coil: |.|).
       std::vector<std::vector<c64>> imgs;
-      imgs.reserve(y.size());
-      std::vector<c64> wy(chunk.values.size() / y.size());
-      for (const auto& coil : y) {
-        wy = coil;
+      imgs.reserve(static_cast<std::size_t>(coils));
+      for (int c = 0; c < coils; ++c) {
+        auto wy = chunk.coil_values(c);
         if (!w.empty()) {
           for (std::size_t j = 0; j < wy.size(); ++j) wy[j] *= w[j];
         }
@@ -117,23 +113,17 @@ ReconDatasetResult recon_dataset(const std::string& path,
       }
       rec.image = rss_combine(imgs);
     } else {
-      core::CoilMaps maps;
-      if (coils > 1) {
-        maps = estimate_coil_maps(plan, y, w, options.estimate);
-      } else {
-        maps.n = n;
-        maps.coils = 1;
-        maps.maps.assign(
-            1, std::vector<c64>(static_cast<std::size_t>(plan.image_total()),
-                                c64(1.0, 0.0)));
-      }
-      // Weighted CG-SENSE; coils == 1 is weighted least squares on the
+      // Weighted CG-SENSE; one coil is weighted least squares on the
       // single-coil NuFFT.
+      const auto maps =
+          coils > 1
+              ? estimate_coil_maps(plan, chunk.values, w, options.estimate)
+              : core::CoilMaps::identity(n);
       core::CgResult cg;
       const auto img =
-          core::cg_sense(plan, maps, y, options.iters, options.tolerance, &cg,
-                         /*coil_threads=*/1, Deadline(),
-                         /*warm_start=*/nullptr, w);
+          core::cg_sense(plan, maps, chunk.values, options.iters,
+                         options.tolerance, &cg, /*coil_threads=*/1,
+                         Deadline(), /*warm_start=*/nullptr, w);
       rec.iterations = cg.iterations;
       rec.image = magnitude(img);
     }

@@ -7,15 +7,13 @@
 namespace jigsaw::data {
 
 core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
-                                  const std::vector<std::vector<c64>>& y,
+                                  const std::vector<c64>& y,
                                   const std::vector<double>& dcf,
                                   const CoilEstimateOptions& options) {
   const std::size_t m = plan.num_samples();
   if (y.empty()) throw std::invalid_argument("estimate: no coil data");
-  for (const auto& coil : y) {
-    if (coil.size() != m) {
-      throw std::invalid_argument("estimate: coil sample count mismatch");
-    }
+  if (y.size() % m != 0) {
+    throw std::invalid_argument("estimate: coil sample count mismatch");
   }
   if (!dcf.empty() && dcf.size() != m) {
     throw std::invalid_argument("estimate: dcf size mismatch");
@@ -37,11 +35,11 @@ core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
 
   core::CoilMaps maps;
   maps.n = plan.base_size();
-  maps.coils = static_cast<int>(y.size());
-  maps.maps.resize(y.size());
+  maps.coils = static_cast<int>(y.size() / m);
+  maps.maps.resize(y.size() / m);
   std::vector<c64> weighted(m);
-  for (std::size_t c = 0; c < y.size(); ++c) {
-    for (std::size_t j = 0; j < m; ++j) weighted[j] = y[c][j] * window[j];
+  for (std::size_t c = 0; c < maps.maps.size(); ++c) {
+    for (std::size_t j = 0; j < m; ++j) weighted[j] = y[c * m + j] * window[j];
     maps.maps[c] = plan.adjoint(weighted);
   }
 
@@ -64,6 +62,20 @@ core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
     }
   }
   return maps;
+}
+
+core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
+                                  const std::vector<std::vector<c64>>& y,
+                                  const std::vector<double>& dcf,
+                                  const CoilEstimateOptions& options) {
+  std::vector<c64> block;
+  for (const auto& coil : y) {
+    if (coil.size() != plan.num_samples()) {
+      throw std::invalid_argument("estimate: coil sample count mismatch");
+    }
+    block.insert(block.end(), coil.begin(), coil.end());
+  }
+  return estimate_coil_maps(plan, block, dcf, options);
 }
 
 std::vector<double> rss_combine(const std::vector<std::vector<c64>>& images) {

@@ -24,9 +24,16 @@ struct CoilEstimateOptions {
                                  // (regularizes S_c where the object is dark)
 };
 
-/// Estimate coil maps from multi-coil k-space `y` (coils x M, sampled at
-/// `plan`'s coordinates). `dcf` is optional per-sample density weights
+/// Estimate coil maps from multi-coil k-space `y`: the coil-major block of
+/// coils x M values sampled at `plan`'s coordinates, as a Chunk or
+/// simulate_multicoil holds it. `dcf` is optional per-sample density weights
 /// (empty = uniform). Throws std::invalid_argument on shape mismatch.
+core::CoilMaps estimate_coil_maps(const core::NufftPlan<2>& plan,
+                                  const std::vector<c64>& y,
+                                  const std::vector<double>& dcf = {},
+                                  const CoilEstimateOptions& options = {});
+
+/// The same estimate from one value vector per coil.
 core::CoilMaps estimate_coil_maps(
     const core::NufftPlan<2>& plan, const std::vector<std::vector<c64>>& y,
     const std::vector<double>& dcf = {},

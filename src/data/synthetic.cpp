@@ -67,18 +67,13 @@ GenerateReport generate_synthetic(const std::string& path,
     if (chunk > 0) coords = rotated(coords, chunk * kGoldenAngle);
 
     core::NufftPlan<2> plan(n, coords, options.gridding);
-    const auto y = core::simulate_multicoil(plan, maps, truth_c);
+    auto values = core::simulate_multicoil(plan, maps, truth_c);
 
     const std::size_t m = coords.size();
     std::vector<double> flat(2 * m);
     for (std::size_t j = 0; j < m; ++j) {
       flat[2 * j] = coords[j][0];
       flat[2 * j + 1] = coords[j][1];
-    }
-    std::vector<c64> values;
-    values.reserve(m * static_cast<std::size_t>(options.coils));
-    for (const auto& coil : y) {
-      values.insert(values.end(), coil.begin(), coil.end());
     }
 
     if (options.noise > 0.0) {

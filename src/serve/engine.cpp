@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/hash.hpp"
-#include "core/recon.hpp"
+#include "common/thread_pool.hpp"
 #include "core/sense.hpp"
 #include "obs/obs.hpp"
 #include "robustness/sanitize.hpp"
@@ -202,7 +202,8 @@ SessionOutcome ServeEngine::open_session(const OpenSessionWire& req) {
   if (req.n < 2 || static_cast<std::int64_t>(req.n) > config_.max_n) {
     reject = "grid size " + std::to_string(req.n) + " outside [2, " +
              std::to_string(config_.max_n) + "]";
-  } else if (static_cast<std::int64_t>(req.iters) > config_.max_iters) {
+  } else if (req.iters == 0 ||
+             static_cast<std::int64_t>(req.iters) > config_.max_iters) {
     reject = "iteration count outside [1, " +
              std::to_string(config_.max_iters) + "]";
   } else if (static_cast<std::int64_t>(req.coils) > config_.max_coils) {
@@ -610,7 +611,7 @@ void ServeEngine::process_batch(std::vector<Pending> batch) {
   }
 
   if (!fused.empty()) {
-    std::shared_ptr<const core::BatchedNufft<2>> plan;
+    std::shared_ptr<const core::NufftPlan<2>> plan;
     try {
       plan = plan_for(fused.front());
     } catch (const std::exception& e) {
@@ -620,14 +621,13 @@ void ServeEngine::process_batch(std::vector<Pending> batch) {
       }
       fused.clear();
     }
-    if (!fused.empty()) execute_adjoint_batch(plan, fused);
+    if (!fused.empty()) execute_adjoint_batch(*plan, fused);
   }
 
   for (auto& [p, partial] : solo) {
     ReconOutcome outcome;
     try {
-      auto plan = plan_for(p);
-      outcome = execute_single(p, plan);
+      outcome = execute_single(p, *plan_for(p));
     } catch (const DeadlineExceeded& e) {
       outcome = make_outcome(Status::kTimeout, e.what());
     } catch (const std::exception& e) {
@@ -643,9 +643,8 @@ void ServeEngine::process_batch(std::vector<Pending> batch) {
   }
 }
 
-void ServeEngine::execute_adjoint_batch(
-    const std::shared_ptr<const core::BatchedNufft<2>>& plan,
-    std::vector<Pending>& group) {
+void ServeEngine::execute_adjoint_batch(const core::NufftPlan<2>& plan,
+                                        std::vector<Pending>& group) {
   // Backstop deadline: the most patient member's. Members that expire
   // mid-batch get their own post-execution check below; once even the
   // latest deadline passes, the whole dispatch aborts at the next frame
@@ -660,13 +659,29 @@ void ServeEngine::execute_adjoint_batch(
   const Deadline backstop =
       all_bounded ? Deadline::after(max_remaining) : Deadline::never();
 
-  std::vector<std::vector<c64>> frames;
-  frames.reserve(group.size());
-  for (auto& p : group) frames.push_back(std::move(p.job.samples.values));
-
-  std::vector<std::vector<c64>> images;
+  // exec_threads threads call the one const plan, each transform leasing
+  // its own work grid. Every frame is one adjoint call, so its image is
+  // bit-exact for any thread count. A deadline error on any thread reaches
+  // this one (ThreadPool's first-error-wins).
+  std::vector<std::vector<c64>> images(group.size());
+  const auto frame_range = [&](std::int64_t begin, std::int64_t end,
+                               unsigned) {
+    for (std::int64_t f = begin; f < end; ++f) {
+      backstop.check("serve.frame");
+      images[static_cast<std::size_t>(f)] = plan.adjoint(
+          group[static_cast<std::size_t>(f)].job.samples.values, nullptr,
+          backstop);
+    }
+  };
+  const auto frames = static_cast<std::int64_t>(group.size());
+  const auto threads = static_cast<unsigned>(
+      std::min<std::int64_t>(std::max(1u, config_.exec_threads), frames));
   try {
-    images = plan->adjoint(frames, nullptr, backstop);
+    if (threads <= 1) {
+      frame_range(0, frames, 0);
+    } else {
+      ThreadPool(threads).parallel_for(frames, frame_range);
+    }
   } catch (const DeadlineExceeded& e) {
     for (auto& p : group) {
       finish(p, make_outcome(Status::kTimeout, e.what()),
@@ -695,24 +710,17 @@ void ServeEngine::execute_adjoint_batch(
   }
 }
 
-ReconOutcome ServeEngine::execute_single(
-    Pending& p, const std::shared_ptr<const core::BatchedNufft<2>>& plan) {
+ReconOutcome ServeEngine::execute_single(Pending& p,
+                                         const core::NufftPlan<2>& plan) {
   ReconJob& job = p.job;
   job.deadline.check("serve.execute");
   std::vector<c64> image;
   std::string note;
-  if (job.coils > 1) {
-    // Multi-coil: synthetic birdcage maps (the calibration-free convention
-    // the CLI uses); values arrive as coils consecutive blocks of m.
-    const auto maps =
-        core::make_birdcage_maps(job.n, job.coils);
-    const std::size_t m = job.samples.coords.size();
-    std::vector<std::vector<c64>> y(static_cast<std::size_t>(job.coils));
-    for (int c = 0; c < job.coils; ++c) {
-      const auto* first = job.samples.values.data() +
-                          static_cast<std::size_t>(c) * m;
-      y[static_cast<std::size_t>(c)].assign(first, first + m);
-    }
+  if (job.coils == 1 && job.iters == 0) {
+    image = plan.adjoint(job.samples.values, nullptr, job.deadline);
+  } else {
+    // CG-SENSE over the coil-major values, with synthetic birdcage maps
+    // (the calibration-free convention the CLI uses); one coil is plain CG.
     // Adjoint-only (iters == 0) is undefined for CG-SENSE; the wire
     // contract (protocol.hpp, docs/serving.md) documents that iters == 0
     // selects the configured default depth, surfaced in the reply message.
@@ -721,16 +729,12 @@ ReconOutcome ServeEngine::execute_single(
     if (job.iters == 0) {
       note = "cg_sense iters=" + std::to_string(iters) + " (default)";
     }
-    image = core::cg_sense(plan->plan(), maps, y, iters,
+    const auto maps = job.coils > 1
+                          ? core::make_birdcage_maps(job.n, job.coils)
+                          : core::CoilMaps::identity(job.n);
+    image = core::cg_sense(plan, maps, job.samples.values, iters,
                            config_.cg_tolerance, nullptr,
                            /*coil_threads=*/1, job.deadline);
-  } else if (job.iters > 0) {
-    image = core::iterative_recon<2>(plan->plan(), job.samples.values,
-                                     job.iters, config_.cg_tolerance,
-                                     /*use_toeplitz=*/false, nullptr,
-                                     job.deadline);
-  } else {
-    image = plan->plan().adjoint(job.samples.values, nullptr, job.deadline);
   }
   // Phase boundary: respond. Work that finished past its deadline still
   // reports TIMEOUT — the client has long stopped waiting.
@@ -740,7 +744,7 @@ ReconOutcome ServeEngine::execute_single(
   return outcome;
 }
 
-std::shared_ptr<const core::BatchedNufft<2>> ServeEngine::plan_for(
+std::shared_ptr<const core::NufftPlan<2>> ServeEngine::plan_for(
     const Pending& p) {
   const auto it = plans_.find(p.key);
   if (it != plans_.end()) {
@@ -771,9 +775,8 @@ std::shared_ptr<const core::BatchedNufft<2>> ServeEngine::plan_for(
     }
     obs::add("serve.tuned_plans", 1);
   }
-  auto plan = std::make_shared<core::BatchedNufft<2>>(
-      p.job.n, p.job.samples.coords, options,
-      std::max(1u, config_.exec_threads));
+  auto plan = std::make_shared<const core::NufftPlan<2>>(
+      p.job.n, p.job.samples.coords, options);
   plans_[p.key] = PlanEntry{plan, ++plan_tick_};
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -10,7 +10,7 @@
 //     key (grid size, gridder options, trajectory hash) up to max_batch and
 //     processes them as one dispatch, so a burst of same-geometry requests
 //     shares one resident NufftPlan, run by exec_threads threads;
-//   * an LRU pool of BatchedNufft plans keyed by geometry — the serve-layer
+//   * an LRU pool of const NufftPlans keyed by geometry — the serve-layer
 //     plan cache above fft::FftPlanCache. A same-geometry burst of N
 //     requests builds exactly one plan (serve.plan_builds == distinct
 //     geometries), the acceptance invariant of this subsystem;
@@ -19,8 +19,9 @@
 //
 // The per-request pipeline is: admission checks -> SampleSanitizer with the
 // request's policy (a modified sample set leaves the batch and executes on
-// its own plan, since its geometry changed) -> adjoint / CG recon /
-// CG-SENSE -> completion callback with one of the five protocol statuses.
+// its own plan, since its geometry changed) -> a single-coil adjoint, or
+// else cg_sense (one coil: plain CG) -> completion callback with one of the
+// five protocol statuses.
 //
 // Completion callbacks run on the dispatcher thread (or inline in submit()
 // for requests that never reach the queue) and are invoked exactly once per
@@ -46,7 +47,7 @@
 #include <vector>
 
 #include "common/deadline.hpp"
-#include "core/batch.hpp"
+#include "core/nufft.hpp"
 #include "core/sample_set.hpp"
 #include "serve/protocol.hpp"
 #include "stream/frame_pipeline.hpp"
@@ -270,19 +271,17 @@ class ServeEngine {
   };
 
   struct PlanEntry {
-    std::shared_ptr<const core::BatchedNufft<2>> plan;
+    std::shared_ptr<const core::NufftPlan<2>> plan;
     std::uint64_t last_used = 0;
   };
 
   void dispatcher_loop();
   void process_batch(std::vector<Pending> batch);
   void process_stream(Pending p);  // one frame or close sentinel
-  void execute_adjoint_batch(
-      const std::shared_ptr<const core::BatchedNufft<2>>& plan,
-      std::vector<Pending>& group);
-  ReconOutcome execute_single(
-      Pending& p, const std::shared_ptr<const core::BatchedNufft<2>>& plan);
-  std::shared_ptr<const core::BatchedNufft<2>> plan_for(const Pending& p);
+  void execute_adjoint_batch(const core::NufftPlan<2>& plan,
+                             std::vector<Pending>& group);
+  ReconOutcome execute_single(Pending& p, const core::NufftPlan<2>& plan);
+  std::shared_ptr<const core::NufftPlan<2>> plan_for(const Pending& p);
 
   // The session `id` names, or nullptr when it is unknown or closed.
   std::shared_ptr<StreamSession> live_session(std::uint64_t id) const;

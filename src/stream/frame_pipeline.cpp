@@ -4,18 +4,17 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "core/recon.hpp"
 #include "obs/obs.hpp"
 
 namespace jigsaw::stream {
 
-FramePipeline::FramePipeline(const PipelineConfig& config) : config_(config) {
+FramePipeline::FramePipeline(const PipelineConfig& config)
+    : config_(config),
+      maps_(config.coils > 1 ? core::make_birdcage_maps(config.n, config.coils)
+                             : core::CoilMaps::identity(config.n)) {
   JIGSAW_REQUIRE(config_.n >= 2, "stream: grid side must be >= 2");
-  JIGSAW_REQUIRE(config_.iters >= 0, "stream: CG iteration cap must be >= 0");
+  JIGSAW_REQUIRE(config_.iters >= 1, "stream: CG iteration cap must be >= 1");
   JIGSAW_REQUIRE(config_.coils >= 1, "stream: coil count must be >= 1");
-  if (config_.coils > 1) {
-    maps_ = core::make_birdcage_maps(config_.n, config_.coils);
-  }
 }
 
 FramePipeline::~FramePipeline() = default;
@@ -27,34 +26,15 @@ void FramePipeline::reset() {
   plan_samples_ = 0;
 }
 
-FrameResult FramePipeline::solve(const std::vector<Coord<2>>& coords,
-                                 const std::vector<c64>& values,
+FrameResult FramePipeline::solve(const std::vector<c64>& values,
                                  const Deadline& deadline,
                                  const std::vector<c64>* warm,
                                  core::CgResult* cg) {
   FrameResult out;
   out.warm_started = warm != nullptr;
-  if (config_.coils > 1) {
-    const std::size_t m = coords.size();
-    std::vector<std::vector<c64>> y(static_cast<std::size_t>(config_.coils));
-    for (int c = 0; c < config_.coils; ++c) {
-      const auto* first = values.data() + static_cast<std::size_t>(c) * m;
-      y[static_cast<std::size_t>(c)].assign(first, first + m);
-    }
-    out.image = core::cg_sense(*plan_, *maps_, y, config_.iters,
-                               config_.tolerance, cg, config_.coil_threads,
-                               deadline, warm);
-  } else if (config_.iters > 0) {
-    out.image = core::iterative_recon<2>(*plan_, values, config_.iters,
-                                         config_.tolerance,
-                                         /*use_toeplitz=*/false, cg, deadline,
-                                         warm);
-  } else {
-    // Adjoint-only streaming (gridding view): no solve, no warm-start
-    // semantics — the "previous image" is simply unused.
-    out.image = plan_->adjoint(values, nullptr, deadline);
-    out.warm_started = false;
-  }
+  out.image = core::cg_sense(*plan_, maps_, values, config_.iters,
+                             config_.tolerance, cg, config_.coil_threads,
+                             deadline, warm);
   out.iterations = cg->iterations;
   out.residual = cg->final_residual;
   return out;
@@ -94,12 +74,12 @@ FrameResult FramePipeline::recon_frame(const std::vector<Coord<2>>& coords,
   const std::size_t pixels = static_cast<std::size_t>(config_.n) *
                              static_cast<std::size_t>(config_.n);
   const std::vector<c64>* warm =
-      config_.warm_start && config_.iters > 0 && prev_image_.size() == pixels
+      config_.warm_start && prev_image_.size() == pixels
           ? &prev_image_
           : nullptr;
 
   core::CgResult cg;
-  FrameResult out = solve(coords, values, deadline, warm, &cg);
+  FrameResult out = solve(values, deadline, warm, &cg);
 
   // Divergence guard: residual_history.front() is the warm seed's initial
   // relative residual (a cold start's is exactly 1.0). A seed that starts
@@ -110,7 +90,7 @@ FrameResult FramePipeline::recon_frame(const std::vector<Coord<2>>& coords,
       cg.residual_history.front() > config_.divergence_guard) {
     const int wasted = out.iterations;
     core::CgResult cold;
-    out = solve(coords, values, deadline, nullptr, &cold);
+    out = solve(values, deadline, nullptr, &cold);
     out.iterations += wasted;  // honest accounting: the trip was paid for
     out.guard_tripped = true;
     ++stats_.guard_trips;

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -109,8 +108,7 @@ class FramePipeline {
   void reset();
 
  private:
-  FrameResult solve(const std::vector<Coord<2>>& coords,
-                    const std::vector<c64>& values, const Deadline& deadline,
+  FrameResult solve(const std::vector<c64>& values, const Deadline& deadline,
                     const std::vector<c64>* warm, core::CgResult* cg);
 
   const PipelineConfig config_;
@@ -118,7 +116,7 @@ class FramePipeline {
   std::unique_ptr<const core::NufftPlan<2>> plan_;
   std::uint64_t plan_coords_hash_ = 0;
   std::size_t plan_samples_ = 0;
-  std::optional<core::CoilMaps> maps_;  // built once when coils > 1
+  const core::CoilMaps maps_;  // birdcage when coils > 1, else identity
   std::vector<c64> prev_image_;
 };
 

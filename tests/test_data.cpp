@@ -435,9 +435,13 @@ TEST(Driver, WeightedCgSenseMatchesHandRolledWeightedCg) {
     for (std::size_t j = 0; j < v.size(); ++j) v[j] *= w[j];
     return v;
   };
+  const std::size_t m = plan.num_samples();
   std::vector<c64> b(pixels);
   for (int c = 0; c < coils; ++c) {
-    const auto img = plan.adjoint(weigh(y[c]));
+    const auto coil_m = static_cast<std::ptrdiff_t>(m);
+    const auto first = y.begin() + coil_m * c;
+    const auto img =
+        plan.adjoint(weigh(std::vector<c64>(first, first + coil_m)));
     for (std::size_t p = 0; p < pixels; ++p) {
       b[p] += std::conj(maps.map(c)[p]) * img[p];
     }
@@ -466,6 +470,46 @@ TEST(Driver, WeightedCgSenseMatchesHandRolledWeightedCg) {
   }
   // Unweighted is a different problem: the weights are really applied.
   EXPECT_NE(core::cg_sense(plan, maps, y, 5, 0.0), got);
+}
+
+// A single-coil dataset's weighted solve runs cg_sense under identity maps.
+// Its image equals the solve under an explicit all-ones sensitivity map,
+// bit for bit.
+TEST(Driver, SingleCoilWeightedSolveMatchesAllOnesMap) {
+  const std::string path = "test_data_single_coil.jksd";
+  SyntheticOptions gen;
+  gen.n = 32;
+  gen.coils = 1;
+  gen.chunks = 1;
+  gen.samples_per_chunk = 1500;
+  generate_synthetic(path, gen);
+  ReconDatasetOptions o;
+  o.dcf = DcfMode::kPipeMenon;
+  o.iters = 5;
+  o.tolerance = 0.0;
+  const auto result = recon_dataset(path, o);
+  ASSERT_EQ(result.chunks.size(), 1u);
+
+  DatasetReader reader(path);
+  Chunk chunk;
+  ASSERT_TRUE(reader.next(chunk));
+  core::NufftPlan<2> plan(gen.n, chunk.typed_coords<2>(), o.gridding);
+  const auto w = core::pipe_menon_weights<2>(plan.gridder(), plan.coords(),
+                                             o.pipe_menon);
+  core::CoilMaps ones;
+  ones.n = gen.n;
+  ones.coils = 1;
+  ones.maps.assign(1, std::vector<c64>(static_cast<std::size_t>(gen.n * gen.n),
+                                       c64(1.0, 0.0)));
+  core::CgResult cg;
+  const auto img = core::cg_sense(plan, ones, chunk.values, o.iters,
+                                  o.tolerance, &cg, 1, Deadline(), nullptr, w);
+  EXPECT_EQ(result.chunks[0].iterations, cg.iterations);
+  ASSERT_EQ(result.chunks[0].image.size(), img.size());
+  for (std::size_t p = 0; p < img.size(); ++p) {
+    ASSERT_EQ(result.chunks[0].image[p], std::abs(img[p])) << "pixel " << p;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Driver, ParsesDcfModes) {

@@ -1,20 +1,21 @@
 // Deadline / abort-token propagation through the transform and solver
 // entry points: an expired deadline must surface promptly as
 // DeadlineExceeded at the next phase boundary, on every path (NufftPlan,
-// BatchedNufft, conjugate_gradient, iterative_recon, cg_sense), and must
-// never leave an obs gauge stuck non-zero.
+// the serve engine's adjoint batch, conjugate_gradient, iterative_recon,
+// cg_sense), and must never leave an obs gauge stuck non-zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "common/deadline.hpp"
-#include "core/batch.hpp"
 #include "core/recon.hpp"
 #include "core/sense.hpp"
 #include "obs/obs.hpp"
+#include "serve/session.hpp"
 #include "trajectory/phantom.hpp"
 #include "trajectory/trajectory.hpp"
 
@@ -92,17 +93,64 @@ TEST(Deadline, NufftAdjointAndForwardRespectExpiredDeadline) {
   EXPECT_NO_THROW(plan.adjoint(values));
 }
 
-TEST(Deadline, BatchedNufftRespectsExpiredDeadlineOnEveryLaneCount) {
+// A fused serve batch runs under a backstop: the most patient member's
+// deadline. Once even that has passed, the batch stops at its first frame
+// boundary and every member reports TIMEOUT, on every exec_threads count.
+TEST(Deadline, ServeBatchStopsAtExpiredBackstopOnEveryLaneCount) {
   const std::int64_t n = 32;
-  auto coords = traj();
+  const auto coords = traj();
   const auto values = phantom_data(coords, static_cast<int>(n));
+  const auto job = [&](const Deadline& deadline) {
+    serve::ReconJob j;
+    j.options = options();
+    j.n = n;
+    j.samples.coords = coords;
+    j.samples.values = values;
+    j.deadline = deadline;
+    return j;
+  };
   for (unsigned lanes : {1u, 2u}) {
-    core::BatchedNufft<2> batch(n, coords, options(), lanes);
-    const std::vector<std::vector<c64>> frames(3, values);
-    EXPECT_THROW(batch.adjoint(frames, nullptr, Deadline::already_expired()),
-                 DeadlineExceeded)
-        << lanes << " lanes";
-    EXPECT_EQ(batch.adjoint(frames).size(), 3u) << lanes << " lanes";
+    serve::ServeConfig config;
+    config.exec_threads = lanes;
+    serve::ServeSession session(config);
+    // A first job parks the dispatcher in its completion callback, so the
+    // members below queue up and dispatch as one batch.
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    session.engine().submit(job(Deadline()),
+                            [&parked, released](serve::ReconOutcome) {
+                              parked.set_value();
+                              released.wait();
+                            });
+    parked.get_future().wait();
+
+    const Deadline members = Deadline::after(std::chrono::milliseconds(300));
+    std::vector<std::future<serve::ReconOutcome>> batch;
+    for (int i = 0; i < 3; ++i) batch.push_back(session.submit(job(members)));
+    // The last member expires in the queue. Its TIMEOUT callback runs on
+    // the dispatcher after the others passed the dispatch check, and holds
+    // it until their deadline has passed as well: the backstop is spent
+    // before the first frame runs.
+    const Deadline straggler = Deadline::after(std::chrono::milliseconds(20));
+    session.engine().submit(job(straggler), [members](serve::ReconOutcome o) {
+      EXPECT_EQ(o.status, serve::Status::kTimeout);
+      while (!members.expired()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (!straggler.expired()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    release.set_value();
+    for (auto& f : batch) {
+      const serve::ReconOutcome o = f.get();
+      EXPECT_EQ(o.status, serve::Status::kTimeout) << lanes << " lanes";
+      EXPECT_NE(o.message.find("serve.frame"), std::string::npos)
+          << o.message;
+    }
+    // The same burst without a deadline still runs.
+    EXPECT_EQ(session.recon(job(Deadline())).status, serve::Status::kOk);
   }
 }
 
@@ -226,8 +274,8 @@ TEST(Deadline, IterativeReconRespectsDeadline) {
   auto coords = traj();
   const auto values = phantom_data(coords, static_cast<int>(n));
   NufftPlan<2> plan(n, std::move(coords), options());
-  EXPECT_THROW(core::iterative_recon<2>(plan, values, 10, 1e-6, false,
-                                        nullptr, Deadline::already_expired()),
+  EXPECT_THROW(core::iterative_recon<2>(plan, values, 10, 1e-6, nullptr,
+                                        Deadline::already_expired()),
                DeadlineExceeded);
   EXPECT_EQ(obs::snapshot().gauge("cg.inflight"), 0.0);
 }

@@ -313,10 +313,12 @@ TEST_F(ObsCounters, CgPublishesIterationsAndResidualGauge) {
   opt.tile = 8;
   core::NufftPlan<2> plan(16, in.coords, opt);
   core::CgResult cg;
-  core::iterative_recon<2>(plan, in.values, 5, 1e-12, false, &cg);
+  core::iterative_recon<2>(plan, in.values, 5, 1e-12, &cg);
 
   const obs::Snapshot snap = obs::snapshot();
   EXPECT_EQ(snap.counter("cg.solves"), 1u);
+  // The single-coil solve is cg_sense under identity maps.
+  EXPECT_EQ(snap.counter("sense.cg_solves"), 1u);
   EXPECT_EQ(snap.counter("cg.iterations"),
             static_cast<std::uint64_t>(cg.iterations));
   EXPECT_EQ(snap.gauge("cg.final_residual"), cg.final_residual);

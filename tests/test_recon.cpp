@@ -10,6 +10,7 @@
 #include "core/metrics.hpp"
 #include "core/nufft.hpp"
 #include "core/recon.hpp"
+#include "core/sense.hpp"
 #include "core/serial_gridder.hpp"
 #include "trajectory/phantom.hpp"
 #include "trajectory/trajectory.hpp"
@@ -243,7 +244,7 @@ TEST(PhantomRecon, IterativeReconBeatsAdjoint) {
   const double err_adjoint = score(plan.adjoint(weighted));
 
   CgResult cg;
-  const auto recon = iterative_recon<2>(plan, kdata, 15, 1e-8, false, &cg);
+  const auto recon = iterative_recon<2>(plan, kdata, 15, 1e-8, &cg);
   const double err_iter = score(recon);
   EXPECT_GT(cg.iterations, 0);
   EXPECT_LT(err_iter, err_adjoint);
@@ -260,9 +261,45 @@ TEST(PhantomRecon, ToeplitzIterationMatchesDirectIteration) {
       ellipses, traj, static_cast<int>(n));
   NufftPlan<2> plan(n, traj, opt);
 
-  const auto direct = iterative_recon<2>(plan, kdata, 8, 1e-10, false);
-  const auto toeplitz = iterative_recon<2>(plan, kdata, 8, 1e-10, true);
+  const auto direct = iterative_recon<2>(plan, kdata, 8, 1e-10);
+  const ToeplitzOperator<2> gram(
+      n, traj, std::vector<double>(traj.size(), 1.0), opt);
+  std::vector<c64> toeplitz;
+  conjugate_gradient(
+      [&gram](const std::vector<c64>& x) { return gram.apply(x); },
+      plan.adjoint(kdata), toeplitz, 8, 1e-10);
   EXPECT_LT(nrmsd(toeplitz, direct), 5e-2);
+}
+
+// The one CG solver: single-coil cg_sense under identity maps performs
+// exactly CG over plan.adjoint(plan.forward(x)), bit for bit, on a
+// scalar-path engine and on the precomputed sparse matrix alike.
+TEST(PhantomRecon, SingleCoilCgSenseIsPlainCgBitForBit) {
+  const std::int64_t n = 16;
+  const auto traj = trajectory::radial_2d(24, 32);
+  const auto kdata = trajectory::kspace_samples(trajectory::shepp_logan(),
+                                                traj, static_cast<int>(n));
+  for (const GridderKind kind : {GridderKind::Serial, GridderKind::Sparse}) {
+    SCOPED_TRACE(to_string(kind));
+    GridderOptions opt;
+    opt.kind = kind;
+    opt.width = 6;
+    opt.tile = 8;
+    const NufftPlan<2> plan(n, traj, opt);
+    std::vector<c64> expected;
+    const CgResult plain = conjugate_gradient(
+        [&plan](const std::vector<c64>& x) {
+          return plan.adjoint(plan.forward(x));
+        },
+        plan.adjoint(kdata), expected, 8, 1e-10);
+
+    CgResult merged;
+    const auto got = cg_sense(plan, CoilMaps::identity(n), kdata, 8, 1e-10,
+                              &merged);
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(merged.iterations, plain.iterations);
+    EXPECT_EQ(iterative_recon<2>(plan, kdata, 8, 1e-10), expected);
+  }
 }
 
 }  // namespace

@@ -63,10 +63,11 @@ TEST(Sense, SimulateProducesPerCoilData) {
   const auto maps = make_birdcage_maps(n, 4);
   std::vector<c64> image(static_cast<std::size_t>(n * n), c64(1.0, 0.0));
   const auto y = simulate_multicoil(plan, maps, image);
-  ASSERT_EQ(y.size(), 4u);
-  for (const auto& coil : y) {
-    ASSERT_EQ(coil.size(), coords.size());
-    EXPECT_GT(norm2(coil), 0.0);
+  ASSERT_EQ(y.size(), 4u * coords.size());
+  const auto m = static_cast<std::ptrdiff_t>(coords.size());
+  for (std::ptrdiff_t c = 0; c < 4; ++c) {
+    const auto first = y.begin() + c * m;
+    EXPECT_GT(norm2(std::vector<c64>(first, first + m)), 0.0);
   }
 }
 
@@ -151,8 +152,7 @@ TEST(Sense, MismatchedCoilCountThrows) {
   NufftPlan<2> plan(n, coords, options());
   const auto maps = make_birdcage_maps(n, 4);
   SenseOperator op(plan, maps);
-  std::vector<std::vector<c64>> bad(3,
-                                    std::vector<c64>(coords.size(), c64{}));
+  const std::vector<c64> bad(3 * coords.size(), c64{});
   EXPECT_THROW(op.adjoint(bad), std::invalid_argument);
 }
 

@@ -733,10 +733,7 @@ TEST(ServeSession, MultiCoilJobRunsCgSense) {
   job.coils = coils;
   job.iters = 3;
   job.samples.coords = coords;
-  for (const auto& coil : y) {
-    job.samples.values.insert(job.samples.values.end(), coil.begin(),
-                              coil.end());
-  }
+  job.samples.values = y;
   ServeSession session;
   const ReconOutcome outcome = session.recon(std::move(job));
   ASSERT_EQ(outcome.status, Status::kOk) << outcome.message;

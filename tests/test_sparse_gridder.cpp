@@ -3,6 +3,7 @@
 
 #include "common/rng.hpp"
 #include "core/metrics.hpp"
+#include "core/nufft.hpp"
 #include "core/serial_gridder.hpp"
 #include "core/sparse_gridder.hpp"
 
@@ -89,6 +90,22 @@ TEST(SparseGridder, MatrixBuiltOnceForRepeatedTransforms) {
   sparse.adjoint(in, grid);
   EXPECT_EQ(sparse.stats().presort_seconds, first_presort);
   EXPECT_EQ(sparse.stats().lut_lookups, 150u * 2u * 6u);  // built once
+}
+
+// One NufftPlan reused across frames (a serve plan-pool entry, a stream
+// session's resident plan) builds its CSR matrix once: the weight lookups
+// counted over six adjoints equal exactly one build pass.
+TEST(SparseGridder, PlanBuildsMatrixOnceAcrossFrames) {
+  GridderOptions opt = base_options();
+  opt.kind = GridderKind::Sparse;
+  const auto in = random_samples<2>(400, 6);
+  const NufftPlan<2> plan(16, in.coords, opt);
+  for (std::uint64_t f = 0; f < 6; ++f) {
+    plan.adjoint(random_samples<2>(400, 200 + f).values);
+  }
+  const auto& stats = plan.gridder().stats();
+  EXPECT_EQ(stats.lut_lookups, in.coords.size() * 2u * 6u);
+  EXPECT_EQ(stats.samples_processed, 6u * in.coords.size());
 }
 
 TEST(SparseGridder, MatrixRebuiltWhenCoordinatesChange) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "core/sense.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/router.hpp"
@@ -108,6 +109,15 @@ TEST(StreamSource, RejectsDegenerateWindows) {
   w.window_spokes = 2;  // narrower than the stride
   EXPECT_THROW(FrameSource(w, 4), std::invalid_argument);
   EXPECT_THROW(FrameSource(small_window(), 0), std::invalid_argument);
+}
+
+// A pipeline exists to iterate: zero CG iterations from a zero start would
+// answer every frame with an all-zero image.
+TEST(StreamPipeline, RequiresAtLeastOneIteration) {
+  PipelineConfig config = small_config();
+  config.coils = 2;
+  config.iters = 0;
+  EXPECT_THROW(FramePipeline{config}, std::invalid_argument);
 }
 
 TEST(StreamSource, DynamicPhantomVariesSmoothlyOverTime) {
@@ -459,6 +469,71 @@ TEST(StreamSessionEngine, OpenPushCloseLifecycle) {
   EXPECT_EQ(counts.warm_frames, 3u);
 }
 
+// A 2-coil session: every frame is the coil-major block of both coils, and
+// its image is cg_sense with birdcage maps called directly, warm-started
+// from the previous frame's image, bit for bit.
+TEST(StreamSessionEngine, MultiCoilSessionMatchesDirectCgSense) {
+  constexpr std::int64_t kN = 32;
+  constexpr int kCoils = 2;
+  constexpr int kFrames = 4;
+  ServeEngine engine(engine_config());
+  const FrameSource source(test_window(), kFrames);
+  const DynamicPhantom phantom;
+  OpenSessionWire open = open_wire(kN);
+  open.coils = kCoils;
+  const SessionOutcome opened = engine.open_session(open);
+  ASSERT_EQ(opened.status, Status::kOk) << opened.message;
+
+  core::GridderOptions options;
+  options.kind = core::GridderKind::SliceDice;
+  options.width = static_cast<int>(open.kernel_width);
+  options.sigma = open.sigma;
+  const auto maps = core::make_birdcage_maps(kN, kCoils);
+  std::vector<c64> prev;
+  for (int f = 0; f < kFrames; ++f) {
+    const auto coords = source.frame_coords(f);
+    const core::NufftPlan<2> plan(kN, coords, options);
+    const auto truth = phantom.image_at(source.frame_time(f), kN);
+    PushFrameWire push;
+    push.coils = kCoils;
+    push.session_id = opened.session_id;
+    push.frame_index = static_cast<std::uint64_t>(f);
+    push.coords = coords;
+    push.values = core::simulate_multicoil(
+        plan, maps, std::vector<c64>(truth.begin(), truth.end()));
+
+    core::CgResult cg;
+    const auto expected = core::cg_sense(
+        plan, maps, push.values, static_cast<int>(open.iters),
+        engine_config().cg_tolerance, &cg, 1, Deadline(),
+        f > 0 ? &prev : nullptr);
+
+    std::promise<FrameOutcome> done;
+    auto fut = done.get_future();
+    engine.submit_frame(
+        frame_job_from_wire(std::move(push)),
+        [&done](FrameOutcome outcome) { done.set_value(std::move(outcome)); });
+    const FrameOutcome outcome = fut.get();
+    ASSERT_EQ(outcome.status, Status::kOk) << outcome.message;
+    EXPECT_EQ(outcome.warm_started, f > 0) << "frame " << f;
+    EXPECT_FALSE(outcome.guard_tripped) << "frame " << f;
+    EXPECT_EQ(outcome.iterations, cg.iterations) << "frame " << f;
+    EXPECT_EQ(outcome.image, expected) << "frame " << f;
+    prev = expected;
+  }
+
+  std::promise<SessionOutcome> closed_p;
+  auto closed_f = closed_p.get_future();
+  engine.submit_close(opened.session_id, 0, [&closed_p](SessionOutcome o) {
+    closed_p.set_value(std::move(o));
+  });
+  EXPECT_EQ(closed_f.get().frames, static_cast<std::uint64_t>(kFrames));
+  const EngineCounts counts = engine.counts();
+  EXPECT_EQ(counts.frames_submitted, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(counts.frames_ok, counts.frames_submitted);
+  EXPECT_EQ(counts.warm_frames, static_cast<std::uint64_t>(kFrames - 1));
+}
+
 TEST(StreamSessionEngine, RejectsUnknownAndClosedSessions) {
   ServeEngine engine(engine_config());
   const FrameSource source(test_window(), 1);
@@ -492,11 +567,13 @@ TEST(StreamSessionEngine, CapsConcurrentSessions) {
   ServeConfig config = engine_config();
   config.max_sessions = 2;
   ServeEngine engine(config);
-  // The iteration cap refuses an open before any session exists. The
-  // wire's u32 iters is compared unsigned: 2^31 and above are refused by
-  // the cap too, never wrapped past it.
+  // The iteration bounds refuse an open before any session exists: a
+  // session needs at least one CG iteration, and the wire's u32 iters is
+  // compared unsigned, so 2^31 and above are refused by the cap too, never
+  // wrapped past it.
   const auto max_iters = static_cast<std::uint32_t>(config.max_iters);
-  for (const std::uint32_t iters : {max_iters + 1, 1u << 31, 0xFFFFFFFFu}) {
+  for (const std::uint32_t iters :
+       {0u, max_iters + 1, 1u << 31, 0xFFFFFFFFu}) {
     OpenSessionWire deep = open_wire();
     deep.iters = iters;
     const SessionOutcome refused = engine.open_session(deep);

@@ -17,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <latch>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/batch.hpp"
 #include "core/binning_gridder.hpp"
 #include "core/metrics.hpp"
 #include "core/sense.hpp"
@@ -30,6 +30,7 @@
 #include "core/slice_dice_gridder.hpp"
 #include "fft/fft.hpp"
 #include "obs/obs.hpp"
+#include "serve/session.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace jigsaw::core {
@@ -170,41 +171,60 @@ TEST(ThreadInvariance, FftNdExecuteMixedRadixAndBluesteinAreBitExact) {
   }
 }
 
-TEST(ThreadInvariance, BatchedNufftIsBitExactAcrossCoilThreads) {
+// The serve engine runs a fused same-geometry adjoint batch over
+// exec_threads threads on one pooled plan. Each frame is one adjoint call,
+// so every image equals a direct plan.adjoint bit for bit, whatever the
+// thread count.
+TEST(ThreadInvariance, ServeAdjointBurstIsBitExactAcrossExecThreads) {
   const std::int64_t n = 16;
   const auto coords = trajectory::radial_2d(24, 48);
-  const std::size_t m = coords.size();
-
-  const int frames = 6;
-  std::vector<std::vector<c64>> kdata(frames);
-  std::vector<std::vector<c64>> images(frames);
-  for (int f = 0; f < frames; ++f) {
-    Rng rng(100 + static_cast<std::uint64_t>(f));
-    kdata[static_cast<std::size_t>(f)].resize(m);
-    for (auto& v : kdata[static_cast<std::size_t>(f)]) {
-      v = c64(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    }
-    images[static_cast<std::size_t>(f)] =
-        random_image(n * n, 200 + static_cast<std::uint64_t>(f));
+  constexpr int kFrames = 6;
+  std::vector<std::vector<c64>> kdata(kFrames);
+  for (int f = 0; f < kFrames; ++f) {
+    kdata[static_cast<std::size_t>(f)] =
+        samples_on<2>(coords, 100 + static_cast<std::uint64_t>(f)).values;
   }
 
   for (const GridderOptions& opt : kCoilEngines) {
     SCOPED_TRACE(to_string(opt.kind));
-    BatchedNufft<2> serial(n, coords, opt, 1);
-    const auto ref_adj = serial.adjoint(kdata);
-    const auto ref_fwd = serial.forward(images);
-
+    const auto job = [&](const std::vector<c64>& values) {
+      serve::ReconJob j;
+      j.options = opt;
+      j.n = n;
+      j.samples.coords = coords;
+      j.samples.values = values;
+      return j;
+    };
+    NufftPlan<2> direct(n, coords, opt);
     for (unsigned t : kThreadCounts) {
-      BatchedNufft<2> batch(n, coords, opt, t);
-      const auto adj = batch.adjoint(kdata);
-      const auto fwd = batch.forward(images);
-      ASSERT_EQ(adj.size(), ref_adj.size());
-      for (std::size_t f = 0; f < adj.size(); ++f) {
-        EXPECT_EQ(max_abs_diff(adj[f], ref_adj[f]), 0.0)
-            << "coil_threads=" << t << " frame=" << f;
-        EXPECT_EQ(max_abs_diff(fwd[f], ref_fwd[f]), 0.0)
-            << "coil_threads=" << t << " frame=" << f;
+      serve::ServeConfig config;
+      config.exec_threads = t;
+      serve::ServeSession session(config);
+      // A first job parks the dispatcher in its completion callback, so the
+      // burst queues up and dispatches as one fused batch.
+      std::promise<void> parked;
+      std::promise<void> release;
+      std::shared_future<void> released = release.get_future().share();
+      session.engine().submit(job(kdata[0]),
+                              [&parked, released](serve::ReconOutcome) {
+                                parked.set_value();
+                                released.wait();
+                              });
+      parked.get_future().wait();
+      std::vector<std::future<serve::ReconOutcome>> burst;
+      for (const auto& values : kdata) {
+        burst.push_back(session.submit(job(values)));
       }
+      release.set_value();
+      for (std::size_t f = 0; f < burst.size(); ++f) {
+        const serve::ReconOutcome out = burst[f].get();
+        ASSERT_EQ(out.status, serve::Status::kOk) << out.message;
+        EXPECT_EQ(out.image, direct.adjoint(kdata[f]))
+            << "exec_threads=" << t << " frame=" << f;
+      }
+      EXPECT_EQ(session.counts().batched_jobs,
+                static_cast<std::uint64_t>(kFrames))
+          << "exec_threads=" << t;
     }
   }
 }

@@ -36,7 +36,6 @@
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "core/nufft.hpp"
-#include "core/recon.hpp"
 #include "core/sense.hpp"
 #include "data/driver.hpp"
 #include "energy/asic_model.hpp"
@@ -317,7 +316,8 @@ int cmd_recon(const CliArgs& args) {
   Timer timer;
   std::vector<c64> image;
   if (iters > 0) {
-    image = core::iterative_recon<2>(plan, kdata, static_cast<int>(iters));
+    image = core::cg_sense(plan, core::CoilMaps::identity(n), kdata,
+                           static_cast<int>(iters), 1e-6);
   } else {
     image = plan.adjoint(kdata, &t);
   }
