@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/metrics.hpp"
 #include "core/nudft.hpp"
 #include "core/nufft.hpp"
@@ -343,6 +344,80 @@ TEST(Nufft, ThreadedPlanMatchesSerialPlan) {
   const auto a = serial_plan.adjoint(values);
   const auto b = threaded_plan.adjoint(values);
   EXPECT_LT(nrmsd(b, a), 1e-12);
+}
+
+// A batch of frames on one trajectory shares one const plan, its frames
+// split over a ThreadPool: the way the serve engine's fused adjoint batch
+// and SenseOperator's coil loop use a plan. Every frame is one transform
+// call, so it equals that frame's transform on a plan of its own.
+template <typename Fn>
+std::vector<std::vector<c64>> run_frames(std::size_t frames, unsigned threads,
+                                         Fn transform) {
+  std::vector<std::vector<c64>> out(frames);
+  ThreadPool(threads).parallel_for(
+      static_cast<std::int64_t>(frames),
+      [&](std::int64_t begin, std::int64_t end, unsigned) {
+        for (std::int64_t f = begin; f < end; ++f) {
+          out[static_cast<std::size_t>(f)] =
+              transform(static_cast<std::size_t>(f));
+        }
+      });
+  return out;
+}
+
+TEST(BatchedNufft, MatchesPerFrameTransforms) {
+  const std::int64_t n = 16;
+  const auto coords = trajectory::radial_2d(12, 24);
+  GridderOptions opt;
+  opt.width = 6;
+  opt.tile = 8;
+
+  NufftPlan<2> shared(n, coords, opt);
+  const NufftPlan<2>& plan = shared;
+  NufftPlan<2> single(n, coords, opt);
+
+  std::vector<std::vector<c64>> frames;
+  for (int f = 0; f < 4; ++f) {
+    frames.push_back(random_values(coords.size(), 100 + f));
+  }
+  std::vector<NufftTimings> timings(frames.size());
+  const auto images = run_frames(frames.size(), 2, [&](std::size_t f) {
+    return plan.adjoint(frames[f], &timings[f]);
+  });
+  ASSERT_EQ(images.size(), 4u);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    EXPECT_GT(timings[f].grid_seconds, 0.0) << "frame=" << f;
+    EXPECT_EQ(max_abs_diff(images[f], single.adjoint(frames[f])), 0.0)
+        << "frame=" << f;
+  }
+}
+
+TEST(BatchedNufft, ForwardRoundTrips) {
+  const std::int64_t n = 16;
+  const auto coords = trajectory::radial_2d(12, 24);
+  GridderOptions opt;
+  opt.width = 6;
+  opt.tile = 8;
+  NufftPlan<2> shared(n, coords, opt);
+  const NufftPlan<2>& plan = shared;
+  const std::vector<std::vector<c64>> images = {
+      random_values(static_cast<std::size_t>(n * n), 7),
+      random_values(static_cast<std::size_t>(n * n), 8)};
+  const auto samples = run_frames(
+      images.size(), 2, [&](std::size_t f) { return plan.forward(images[f]); });
+  ASSERT_EQ(samples.size(), 2u);
+  for (std::size_t f = 0; f < images.size(); ++f) {
+    ASSERT_EQ(samples[f].size(), coords.size());
+    EXPECT_GT(norm2(samples[f]), 0.0);
+    EXPECT_EQ(samples[f], plan.forward(images[f])) << "frame=" << f;
+  }
+  // Back through the adjoint of the same batch: each frame's image is
+  // the per-frame A^H A x.
+  const auto back = run_frames(
+      samples.size(), 2, [&](std::size_t f) { return plan.adjoint(samples[f]); });
+  for (std::size_t f = 0; f < images.size(); ++f) {
+    EXPECT_EQ(back[f], plan.adjoint(plan.forward(images[f]))) << "frame=" << f;
+  }
 }
 
 TEST(Nufft, RejectsOutOfRangeOrNanCoordinates) {

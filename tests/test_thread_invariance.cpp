@@ -175,7 +175,7 @@ TEST(ThreadInvariance, FftNdExecuteMixedRadixAndBluesteinAreBitExact) {
 // exec_threads threads on one pooled plan. Each frame is one adjoint call,
 // so every image equals a direct plan.adjoint bit for bit, whatever the
 // thread count.
-TEST(ThreadInvariance, ServeAdjointBurstIsBitExactAcrossExecThreads) {
+TEST(ThreadInvariance, BatchedNufftIsBitExactAcrossCoilThreads) {
   const std::int64_t n = 16;
   const auto coords = trajectory::radial_2d(24, 48);
   constexpr int kFrames = 6;
